@@ -8,12 +8,13 @@ stdout, or a file via ``--output``; sweeps emit CSV.  Exit codes: 0 success,
 1 verification below threshold, 2 usage or configuration error.
 
 The entrywise comparison tolerance defaults to 1e-10 and can be overridden
-with the ``GATESIM_TOL`` environment variable.
+with the ``GATESIM_TOL`` environment variable (a finite value >= 0).
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -44,9 +45,12 @@ def _tolerance() -> float:
     if raw is None:
         return DEFAULT_TOL
     try:
-        return float(raw)
+        tol = float(raw)
     except ValueError as exc:
         raise ConfigError(f"GATESIM_TOL must be a float, got {raw!r}") from exc
+    if not math.isfinite(tol) or tol < 0:
+        raise ConfigError(f"GATESIM_TOL must be finite and non-negative, got {raw!r}")
+    return tol
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -70,12 +74,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold", type=float, default=budget_mod.FEASIBILITY_THRESHOLD)
     p.add_argument("--output", default=None)
 
-    p = sub.add_parser("sweep", help="scan one parameter, tabulate one observable")
+    p = sub.add_parser("sweep", help="scan one parameter, tabulate one or more observables")
     p.add_argument("--param", choices=_SWEEP_PARAMS, required=True)
     p.add_argument("--from", dest="start", type=float, required=True)
     p.add_argument("--to", dest="stop", type=float, required=True)
     p.add_argument("--points", type=int, required=True)
-    p.add_argument("--observable", choices=_OBSERVABLES, required=True)
+    p.add_argument("--observable", choices=_OBSERVABLES, nargs="+", required=True)
     p.add_argument("--params", default="cpw")
     p.add_argument("--output", default=None)
 
@@ -158,8 +162,8 @@ def _cmd_sweep(args) -> int:
             p = params.replace(omega_resonant=value * g0)
         else:
             p = params.replace(quality_q=value)
-        rows.append((float(value), _sweep_observable(args.observable, p)))
-    write_csv((args.param, args.observable), rows, args.output)
+        rows.append((float(value),) + tuple(_sweep_observable(o, p) for o in args.observable))
+    write_csv((args.param, *args.observable), rows, args.output)
     return 0
 
 

@@ -26,7 +26,7 @@ from .linalg import (
     apply_local,
     subsystem_level_mask,
 )
-from .pulses import Mode
+from .pulses import Mode, hadamard
 from .sequences import compose, ntcnot_sequence
 
 PROB_TOL = 1e-10
@@ -67,14 +67,6 @@ def _rotation(sign: int) -> np.ndarray:
     u[0, 0] = u[1, 1] = 0.0
     u[1, 0] = float(sign)
     u[0, 1] = -float(sign)
-    return u
-
-
-def _hadamard_local() -> np.ndarray:
-    u = np.eye(QUDIT_LEVELS, dtype=complex)
-    s = 1.0 / np.sqrt(2.0)
-    u[0, 0] = u[0, 1] = u[1, 0] = s
-    u[1, 1] = -s
     return u
 
 
@@ -155,7 +147,7 @@ def run_dj(
     state = prepare_input(space)
     state = uf_apply(variant, state, params, mode)
     oracle_applications = 1
-    amps = apply_local(_hadamard_local(), space, (0,), state.amplitudes)
+    amps = hadamard(0, space).apply(state).amplitudes
     p0 = float(np.sum(np.abs(amps[subsystem_level_mask(space, 0, 0)]) ** 2))
     p1 = float(np.sum(np.abs(amps[subsystem_level_mask(space, 0, 1)]) ** 2))
     if p0 >= p1:

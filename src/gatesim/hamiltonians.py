@@ -162,10 +162,3 @@ def resonant_drive(
     omega: float, phi: float, j: int, slot: int, space: HilbertSpace
 ) -> HermitianOperator:
     return embed_hermitian(resonant_drive_local(omega, phi, j), space, (slot,))
-
-
-def idle_coupling(
-    params: DeviceParams, slot: int, role: Role, space: HilbertSpace, full: bool
-) -> HermitianOperator:
-    local = idle_coupling_local(params, slot, role, space.cavity_dim, full)
-    return embed_hermitian(local, space, (slot, space.cavity_slot))

@@ -169,6 +169,29 @@ def _local_propagator(h_local: np.ndarray, t: float) -> np.ndarray:
     return (v * np.exp(-1j * w * t)) @ v.conj().T
 
 
+def pulse_local_hamiltonian(
+    pulse: Pulse, params: DeviceParams, roles: tuple[Role, ...], cavity_dim: int, mode: Mode
+) -> tuple[np.ndarray, bool]:
+    """Local generator of a timed pulse and whether it spans (qudit, cavity) or qudit only.
+
+    ``mode`` picks the second-order (``EFFECTIVE``) or first-principles
+    (``FULL``) generator; the analytic maps and the Hadamard have none.
+    """
+    role = _check_role(pulse.kind, pulse.slot, roles)
+    kind = pulse.kind
+    if mode is Mode.ANALYTIC or kind is PulseKind.HADAMARD:
+        raise ValueError(f"{kind.value} has no {mode.value} generator")
+    if kind in (PulseKind.PI_PULSE, PulseKind.PI_PULSE_DAG):
+        phi = -math.pi / 2 if kind is PulseKind.PI_PULSE_DAG else math.pi / 2
+        return ham.resonant_drive_local(params.omega_resonant, phi, role.pulse_level), False
+    if kind is PulseKind.DISPERSIVE_PHASE:
+        if mode is Mode.EFFECTIVE:
+            return ham.dispersive_local(params, pulse.slot, cavity_dim), True
+        return ham.idle_coupling_local(params, pulse.slot, role, cavity_dim, full=True), True
+    builder = ham.raman_full_local if mode is Mode.FULL else ham.raman_effective_local
+    return builder(params, pulse.slot, role, cavity_dim), True
+
+
 def pulse_local_unitary(
     pulse: Pulse, params: DeviceParams, roles: tuple[Role, ...], cavity_dim: int, mode: Mode
 ) -> tuple[np.ndarray, bool]:
@@ -177,26 +200,14 @@ def pulse_local_unitary(
     kind = pulse.kind
     if kind is PulseKind.HADAMARD:
         return _analytic_hadamard(), False
+    if mode is not Mode.ANALYTIC:
+        h, with_cavity = pulse_local_hamiltonian(pulse, params, roles, cavity_dim, mode)
+        return _local_propagator(h, pulse.duration), with_cavity
     if kind in (PulseKind.PI_PULSE, PulseKind.PI_PULSE_DAG):
-        if mode is Mode.ANALYTIC:
-            return _analytic_pi_pulse(role.pulse_level, kind is PulseKind.PI_PULSE_DAG), False
-        phi = -math.pi / 2 if kind is PulseKind.PI_PULSE_DAG else math.pi / 2
-        h = ham.resonant_drive_local(params.omega_resonant, phi, role.pulse_level)
-        return _local_propagator(h, pulse.duration), False
+        return _analytic_pi_pulse(role.pulse_level, kind is PulseKind.PI_PULSE_DAG), False
     if kind is PulseKind.DISPERSIVE_PHASE:
-        if mode is Mode.ANALYTIC:
-            return _analytic_dispersive(cavity_dim), True
-        if mode is Mode.EFFECTIVE:
-            h = ham.dispersive_local(params, pulse.slot, cavity_dim)
-        else:
-            h = ham.idle_coupling_local(params, pulse.slot, role, cavity_dim, full=True)
-        return _local_propagator(h, pulse.duration), True
-    # Raman swaps.
-    if mode is Mode.ANALYTIC:
-        return _analytic_swap(role.pulse_level, cavity_dim), True
-    builder = ham.raman_full_local if mode is Mode.FULL else ham.raman_effective_local
-    h = builder(params, pulse.slot, role, cavity_dim)
-    return _local_propagator(h, pulse.duration), True
+        return _analytic_dispersive(cavity_dim), True
+    return _analytic_swap(role.pulse_level, cavity_dim), True
 
 
 def pulse_unitary(

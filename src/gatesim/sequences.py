@@ -45,7 +45,7 @@ from .linalg import (
     embed_hermitian,
     subsystem_level_mask,
 )
-from .pulses import Mode, Pulse, PulseKind, make_pulse, pulse_local_unitary
+from .pulses import Mode, Pulse, PulseKind, make_pulse, pulse_local_hamiltonian, pulse_local_unitary
 
 DOMAIN_TOL = 1e-10
 
@@ -299,10 +299,9 @@ def _full_unit_hamiltonian(
 ) -> HermitianOperator:
     """Joint Hamiltonian of one full-mode window.
 
-    Pulsed qubits contribute their pulse Hamiltonian: the first-principles
-    Raman generator for photon swaps, the exact cavity coupling for the
-    dispersive phase, the bare Rabi drive for pi pulses.  Every unpulsed
-    qubit keeps its dispersive shift on when idles are included; that is the
+    Pulsed qubits contribute their first-principles pulse generator (see
+    :func:`gatesim.pulses.pulse_local_hamiltonian`).  Every unpulsed qubit
+    keeps its dispersive shift on when idles are included; that is the
     always-on interaction the phase audit accounts for.
     """
     space = seq.space
@@ -320,19 +319,17 @@ def _full_unit_hamiltonian(
             )
     for q in range(space.n_qubits):
         pulse = member_for.get(q)
-        if pulse is not None and pulse.kind.exchanges_photon:
-            local = ham.raman_full_local(params, q, roles[q], space.cavity_dim)
-            total += embed_hermitian(local, space, (q, cav)).matrix
-        elif pulse is not None and pulse.kind in (PulseKind.PI_PULSE, PulseKind.PI_PULSE_DAG):
-            phi = -math.pi / 2 if pulse.kind is PulseKind.PI_PULSE_DAG else math.pi / 2
-            local = ham.resonant_drive_local(params.omega_resonant, phi, roles[q].pulse_level)
-            total += embed_hermitian(local, space, (q,)).matrix
-        elif pulse is not None and pulse.kind is PulseKind.DISPERSIVE_PHASE:
-            local = ham.idle_coupling_local(params, q, roles[q], space.cavity_dim, full=True)
-            total += embed_hermitian(local, space, (q, cav)).matrix
-        elif pulse is None and include_idle:
-            idle = ham.idle_coupling_local(params, q, roles[q], space.cavity_dim, full=False)
-            total += embed_hermitian(idle, space, (q, cav)).matrix
+        if pulse is not None:
+            local, with_cavity = pulse_local_hamiltonian(
+                pulse, params, roles, space.cavity_dim, Mode.FULL
+            )
+            slots = (q, cav) if with_cavity else (q,)
+        elif include_idle:
+            local = ham.idle_coupling_local(params, q, roles[q], space.cavity_dim, full=False)
+            slots = (q, cav)
+        else:
+            continue
+        total += embed_hermitian(local, space, slots).matrix
     return HermitianOperator(space, total)
 
 

@@ -92,6 +92,13 @@ def ideal_gate(gate: GateKind, n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GateReport:
+    """Score of one composed gate on its computational block.
+
+    ``max_level3_population`` is the peak expected *number* of qubits in
+    ``|3>`` (populations summed over qubits), so it exceeds the single-swap
+    transient of :func:`swap_peak_level3` when several qubits hold ``|2>``.
+    """
+
     gate: str
     n: int
     mode: str
@@ -118,20 +125,6 @@ class GateReport:
         }
 
 
-def computational_block(
-    seq: PulseSequence, mode: Mode, include_idle: bool | None = None
-) -> np.ndarray:
-    """The 2^n x 2^n action on computational inputs with the cavity in vacuum."""
-    space = seq.space
-    comp = space.computational_indices()
-    evolutions = build_evolutions(seq, mode, include_idle)
-    columns = np.zeros((space.total_dim, len(comp)), dtype=complex)
-    for col, idx in enumerate(comp):
-        columns[idx, col] = 1.0
-    outputs = apply_evolutions(evolutions, space, columns)
-    return outputs[comp, :]
-
-
 def report(
     seq: PulseSequence,
     mode: Mode,
@@ -141,9 +134,11 @@ def report(
 ) -> GateReport:
     """Compose the sequence, compare to the ideal gate and record leakage.
 
-    Level-3 occupation is tracked through every computational input: at each
-    window boundary, and inside Hamiltonian-driven windows by sampling the
-    spectral propagator, since the transient peak sits mid-pulse.
+    Each computational input is carried across every window by
+    :func:`gatesim.sequences.apply_evolutions`.  Level-3 occupation is
+    observed at each window boundary and, inside Hamiltonian-driven windows,
+    by sampling the spectral propagator, since the transient peak sits
+    mid-pulse; the samples only observe and never advance the state.
     """
     space = seq.space
     comp = space.computational_indices()
@@ -160,15 +155,10 @@ def report(
         for evo in evolutions:
             if evo.hamiltonian is not None and samples_per_step > 0 and evo.duration > 0:
                 times = np.linspace(0.0, evo.duration, samples_per_step + 1)
-                trajectory = evolve_times(
-                    StateVector(space, amps), evo.hamiltonian, times
-                )
-                pops = np.abs(trajectory) ** 2 @ weights3
-                max_pop3 = max(max_pop3, float(np.max(pops)))
-                amps = trajectory[-1]
-            else:
-                amps = apply_evolutions([evo], space, amps)
-                max_pop3 = max(max_pop3, float(np.abs(amps) ** 2 @ weights3))
+                trajectory = evolve_times(StateVector(space, amps), evo.hamiltonian, times)
+                max_pop3 = max(max_pop3, float(np.max(np.abs(trajectory) ** 2 @ weights3)))
+            amps = apply_evolutions([evo], space, amps)
+            max_pop3 = max(max_pop3, float(np.abs(amps) ** 2 @ weights3))
         residual = max(residual, float(np.abs(amps) ** 2 @ (photon > 0)))
         block[:, col] = amps[comp]
 
@@ -233,6 +223,8 @@ def phase_audit(seq: PulseSequence) -> PhaseAudit:
     roles = seq.roles
     units = sequence_units(seq)
 
+    # Dispersive rate of each qubit while it is not the cavity actor.
+    rates = [params.g_at(q) ** 2 / params.detuning_for(q, roles[q]) for q in range(space.n_qubits)]
     entries: dict[tuple[int, int], float] = {}
     for unit in units:
         if unit.duration == 0.0:
@@ -240,9 +232,8 @@ def phase_audit(seq: PulseSequence) -> PhaseAudit:
         for q in range(space.n_qubits):
             if q in unit.cavity_actors:
                 continue
-            rate = params.g_at(q) ** 2 / params.detuning_for(q, roles[q])
             key = (unit.step_index, q)
-            entries[key] = entries.get(key, 0.0) + rate * unit.duration
+            entries[key] = entries.get(key, 0.0) + rates[q] * unit.duration
     step_phases = tuple(
         {"step": step, "qubit": qubit, "phase_rad": phase}
         for (step, qubit), phase in sorted(entries.items())
@@ -271,8 +262,7 @@ def phase_audit(seq: PulseSequence) -> PhaseAudit:
                 for q in range(space.n_qubits):
                     if q in evo.unit.cavity_actors or levels[q] != 2:
                         continue
-                    rate = params.g_at(q) ** 2 / params.detuning_for(q, roles[q])
-                    total += rate * evo.duration * photon
+                    total += rates[q] * evo.duration * photon
             amps = apply_evolutions([evo], space, amps)
         if pure_chain:
             branch_phases[label] = total

@@ -85,6 +85,15 @@ def test_tolerance_env_override(capsys, monkeypatch):
     assert "GATESIM_TOL" in err
 
 
+@pytest.mark.parametrize("raw", ["nan", "inf", "-1"])
+def test_tolerance_env_rejects_nonfinite_or_negative(capsys, monkeypatch, raw):
+    monkeypatch.setenv("GATESIM_TOL", raw)
+    code, out, err = run_cli(capsys, "verify", "cp3")
+    assert code == 2
+    assert out == ""
+    assert "GATESIM_TOL" in err
+
+
 def test_verify_writes_output_file(capsys, tmp_path):
     out_path = tmp_path / "report.json"
     code, out, _ = run_cli(capsys, "verify", "cp3", "--output", str(out_path))
@@ -172,6 +181,17 @@ def test_sweep_single_point(capsys):
     )
     _, rows = parse_csv(out)
     assert len(rows) == 1
+
+
+def test_sweep_several_observables_match_single_runs(capsys):
+    sweep = ("sweep", "--param", "delta_ratio", "--from", "10", "--to", "30", "--points", "3")
+    _, out, _ = run_cli(capsys, *sweep, "--observable", "leakage3", "tau_cp3")
+    header, rows = parse_csv(out)
+    assert header == ["delta_ratio", "leakage3", "tau_cp3"]
+    for col, name in enumerate(("leakage3", "tau_cp3"), start=1):
+        _, single_out, _ = run_cli(capsys, *sweep, "--observable", name)
+        _, single = parse_csv(single_out)
+        assert [(r[0], r[col]) for r in rows] == single
 
 
 def test_sweep_decreasing_range_rejected(capsys):

@@ -14,6 +14,7 @@ from gatesim.pulses import (
     make_pulse,
     pi_pulse,
     pulse_duration,
+    pulse_local_hamiltonian,
     raman_absorb,
     raman_emit,
 )
@@ -79,6 +80,20 @@ def test_wrong_role_rejected(unit_params):
         raman_absorb(unit_params, TARGET, 0, space1())
     with pytest.raises(ValueError):
         dispersive_phase(unit_params, EMITTER, 0, space1())
+
+
+@pytest.mark.parametrize(
+    "kind,mode",
+    [
+        (PulseKind.RAMAN_EMIT, Mode.ANALYTIC),
+        (PulseKind.HADAMARD, Mode.EFFECTIVE),
+        (PulseKind.HADAMARD, Mode.FULL),
+    ],
+)
+def test_pulse_without_generator_rejected(unit_params, kind, mode):
+    pulse = make_pulse(kind, 0, unit_params, EMITTER)
+    with pytest.raises(ValueError, match="generator"):
+        pulse_local_hamiltonian(pulse, unit_params, EMITTER, 3, mode)
 
 
 def test_unmatched_raman_drive_rejected(unit_params):

@@ -6,14 +6,18 @@ import pytest
 
 from gatesim.pulses import Mode
 from gatesim.sequences import (
+    GateKind,
+    build_sequence,
     compose,
     cp3_sequence,
     ncp_sequence,
     ntcnot_sequence,
+    photon_number_vector,
     toffoli_sequence,
 )
 from gatesim.verify import (
     ideal_cp3,
+    ideal_gate,
     ideal_ncp,
     ideal_ntcnot,
     ideal_toffoli,
@@ -107,6 +111,33 @@ def test_report_full_infidelity_improves_with_detuning(unit_params):
     p20 = unit_params.replace(delta_c=20.0, delta_ck=20.0)
     rep20 = report(cp3_sequence(p20), Mode.FULL)
     assert 1.0 - rep20.process_fidelity <= 1.0 - rep10.process_fidelity
+
+
+@pytest.mark.parametrize("build", [cp3_sequence, toffoli_sequence])
+def test_report_sampling_only_observes(unit_params, build):
+    # interior samples must not change the propagated states, only the peak
+    seq = build(unit_params)
+    plain = report(seq, Mode.FULL, samples_per_step=0)
+    sampled = report(seq, Mode.FULL, samples_per_step=64)
+    assert sampled.process_fidelity == plain.process_fidelity
+    assert sampled.residual_photon == plain.residual_photon
+    assert sampled.max_level3_population >= plain.max_level3_population
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+@pytest.mark.parametrize(
+    "gate,n", [("cp3", 3), ("toffoli", 3), ("ntcnot", 2), ("ntcnot", 3), ("ntcnot", 4), ("ncp", 4)]
+)
+def test_report_agrees_with_composed_block(unit_params, gate, n, mode):
+    seq = build_sequence(GateKind.parse(gate), n, unit_params)
+    rep = report(seq, mode, samples_per_step=0)
+    comp = seq.space.computational_indices()
+    u = compose(seq, mode).matrix
+    block = u[np.ix_(comp, comp)]
+    fidelity = abs(np.sum(np.conj(ideal_gate(seq.gate, n)) * block)) ** 2 / len(comp) ** 2
+    residual = np.max((photon_number_vector(seq.space) > 0) @ np.abs(u[:, comp]) ** 2)
+    assert rep.process_fidelity == pytest.approx(fidelity, abs=1e-12)
+    assert rep.residual_photon == pytest.approx(residual, abs=1e-12)
 
 
 def test_report_to_dict_fields(unit_params):
