@@ -53,6 +53,25 @@ def _tolerance() -> float:
     return tol
 
 
+def _checked(convert, accept, need: str):
+    """argparse type: ``convert`` the text and reject it unless ``accept`` holds."""
+
+    def parse(raw: str):
+        try:
+            value = convert(raw)
+        except ValueError:
+            value = None
+        if value is None or not accept(value):
+            raise argparse.ArgumentTypeError(f"must be {need}, got {raw!r}")
+        return value
+
+    return parse
+
+
+_finite = _checked(float, math.isfinite, "a finite number")
+_count = _checked(int, lambda v: v >= 0, "an integer >= 0")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="gatesim")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -62,16 +81,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-n", type=int, default=3, help="qubit count (ncp, ntcnot)")
     p.add_argument("--mode", choices=_MODES, default="analytic")
     p.add_argument("--params", default="cpw", help="parameter file or preset name")
-    p.add_argument("--threshold", type=float, default=None, help="fidelity required for exit 0")
+    p.add_argument("--threshold", type=_finite, default=None, help="fidelity required for exit 0")
     p.add_argument("--cavity-dim", type=int, default=2)
-    p.add_argument("--samples", type=int, default=512, help="interior samples per pulse window")
+    p.add_argument("--samples", type=_count, default=512, help="interior samples per pulse window")
     p.add_argument("--dump-sequence", action="store_true")
     p.add_argument("--audit", action="store_true", help="include the unwanted-phase audit")
     p.add_argument("--output", default=None)
 
     p = sub.add_parser("budget", help="feasibility report for a parameter file")
     p.add_argument("--params", default="cpw")
-    p.add_argument("--threshold", type=float, default=budget_mod.FEASIBILITY_THRESHOLD)
+    p.add_argument("--threshold", type=_finite, default=budget_mod.FEASIBILITY_THRESHOLD)
     p.add_argument("--output", default=None)
 
     p = sub.add_parser("sweep", help="scan one parameter, tabulate one or more observables")

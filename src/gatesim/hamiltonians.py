@@ -56,18 +56,15 @@ def _require_raman(role: Role) -> int:
 def raman_full_local(params: DeviceParams, slot: int, role: Role, cavity_dim: int) -> np.ndarray:
     """First-principles Raman Hamiltonian on one qudit plus the cavity.
 
-    ``delta_c |3><3|  +  g (a†|2><3| + a|3><2|)  -  omega (|j><3| + |3><j|)``
-    with ``j`` the role's pulse level.  The minus sign on the drive is the
-    phase-pi convention documented in the module docstring.
+    The always-on coupling (:func:`idle_coupling_local` with ``full=True``)
+    minus the drive ``omega (|j><3| + |3><j|)``, with ``j`` the role's pulse
+    level.  The minus sign on the drive is the phase-pi convention
+    documented in the module docstring.
     """
     j = _require_raman(role)
-    g = params.g_at(slot)
     omega = params.omega_raman_at(slot)
-    a = cavity_ladder(cavity_dim)
-    eye_c = np.eye(cavity_dim)
-    h = params.delta_c * np.kron(_proj(3), eye_c)
-    h += g * (np.kron(_ket_bra(2, 3), a.conj().T) + np.kron(_ket_bra(3, 2), a))
-    h -= omega * np.kron(_ket_bra(j, 3) + _ket_bra(3, j), eye_c)
+    h = idle_coupling_local(params, slot, role, cavity_dim, full=True)
+    h -= omega * np.kron(_ket_bra(j, 3) + _ket_bra(3, j), np.eye(cavity_dim))
     return h
 
 
@@ -97,12 +94,11 @@ def raman_effective_local(
 
 
 def dispersive_local(params: DeviceParams, slot: int, cavity_dim: int) -> np.ndarray:
-    """Photon-number-dependent shift ``(g²/delta_ck)(|3><3| - |2><2|) a†a``."""
-    g = params.g_at(slot)
-    delta = params.delta_ck_at(slot)
-    a = cavity_ladder(cavity_dim)
-    n_op = a.conj().T @ a
-    return (g**2 / delta) * np.kron(_proj(3) - _proj(2), n_op)
+    """Photon-number-dependent shift ``(g²/delta_ck)(|3><3| - |2><2|) a†a``.
+
+    The target's always-on coupling in its dispersive form.
+    """
+    return idle_coupling_local(params, slot, Role.TARGET, cavity_dim, full=False)
 
 
 def resonant_drive_local(omega: float, phi: float, j: int) -> np.ndarray:

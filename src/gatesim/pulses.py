@@ -185,9 +185,8 @@ def pulse_local_hamiltonian(
         phi = -math.pi / 2 if kind is PulseKind.PI_PULSE_DAG else math.pi / 2
         return ham.resonant_drive_local(params.omega_resonant, phi, role.pulse_level), False
     if kind is PulseKind.DISPERSIVE_PHASE:
-        if mode is Mode.EFFECTIVE:
-            return ham.dispersive_local(params, pulse.slot, cavity_dim), True
-        return ham.idle_coupling_local(params, pulse.slot, role, cavity_dim, full=True), True
+        full = mode is Mode.FULL
+        return ham.idle_coupling_local(params, pulse.slot, role, cavity_dim, full=full), True
     builder = ham.raman_full_local if mode is Mode.FULL else ham.raman_effective_local
     return builder(params, pulse.slot, role, cavity_dim), True
 

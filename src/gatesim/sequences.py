@@ -34,7 +34,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import hamiltonians as ham
 from .device import DeviceParams, Role
 from .linalg import (
     HermitianOperator,
@@ -42,8 +41,8 @@ from .linalg import (
     StateVector,
     UnitaryMatrix,
     apply_local,
-    embed_hermitian,
     subsystem_level_mask,
+    tensor_embed,
 )
 from .pulses import Mode, Pulse, PulseKind, make_pulse, pulse_local_hamiltonian, pulse_local_unitary
 
@@ -271,27 +270,24 @@ def photon_number_vector(space: HilbertSpace) -> np.ndarray:
     return np.arange(space.total_dim) % space.cavity_dim
 
 
-def _idle_rate(params: DeviceParams, roles: tuple[Role, ...], slot: int) -> float:
-    return params.g_at(slot) ** 2 / params.detuning_for(slot, roles[slot])
+def idle_generator_diagonal(seq: PulseSequence, skip: frozenset[int]) -> np.ndarray:
+    """Diagonal of the always-on dispersive coupling of every qubit outside ``skip``.
 
-
-def _idle_diagonal(seq: PulseSequence, unit: Unit) -> np.ndarray:
-    """Factorized idle phase for one window: ``exp(-i t sum_q h_disp(q))``.
-
-    Every qubit that is not the window's cavity actor keeps its dispersive
-    shift on; the generator is diagonal, so this is a plain phase vector.
+    ``sum_q (g_q²/delta_q)(|3><3| - |2><2|)_q a†a``, with ``delta_q`` the
+    detuning of the qubit's role.  Full mode adds it to a window's generator;
+    effective mode exponentiates it as a factorized phase.
     """
     space = seq.space
     photon = photon_number_vector(space)
     gen = np.zeros(space.total_dim)
     for q in range(space.n_qubits):
-        if q in unit.cavity_actors:
+        if q in skip:
             continue
-        rate = _idle_rate(seq.params, seq.roles, q)
+        rate = seq.params.g_at(q) ** 2 / seq.params.detuning_for(q, seq.roles[q])
         shift = subsystem_level_mask(space, q, 3).astype(float)
         shift -= subsystem_level_mask(space, q, 2).astype(float)
         gen += rate * shift * photon
-    return np.exp(-1j * unit.duration * gen)
+    return gen
 
 
 def _full_unit_hamiltonian(
@@ -300,36 +296,28 @@ def _full_unit_hamiltonian(
     """Joint Hamiltonian of one full-mode window.
 
     Pulsed qubits contribute their first-principles pulse generator (see
-    :func:`gatesim.pulses.pulse_local_hamiltonian`).  Every unpulsed qubit
-    keeps its dispersive shift on when idles are included; that is the
-    always-on interaction the phase audit accounts for.
+    :func:`gatesim.pulses.pulse_local_hamiltonian`).  With idles included,
+    every unpulsed qubit keeps its dispersive shift on.  A pi-pulsed qubit
+    thus has no cavity coupling here, although the phase audit and the
+    effective mode with idles book one for it (they leave out only the
+    cavity actors); ``docs/formats.md`` gives the fidelities it would move.
     """
     space = seq.space
-    params = seq.params
-    roles = seq.roles
-    cav = space.cavity_slot
-    dim = space.total_dim
-    total = np.zeros((dim, dim), dtype=complex)
-    member_for = {p.slot: p for p in unit.pulses}
     for p in unit.pulses:
         if not math.isclose(p.duration, unit.duration, rel_tol=1e-9):
             raise ValueError(
                 "simultaneous full-mode evolution needs equal member durations; "
                 f"got {p.duration} vs {unit.duration}"
             )
-    for q in range(space.n_qubits):
-        pulse = member_for.get(q)
-        if pulse is not None:
-            local, with_cavity = pulse_local_hamiltonian(
-                pulse, params, roles, space.cavity_dim, Mode.FULL
-            )
-            slots = (q, cav) if with_cavity else (q,)
-        elif include_idle:
-            local = ham.idle_coupling_local(params, q, roles[q], space.cavity_dim, full=False)
-            slots = (q, cav)
-        else:
-            continue
-        total += embed_hermitian(local, space, slots).matrix
+    pulsed = frozenset(p.slot for p in unit.pulses)
+    gen = idle_generator_diagonal(seq, pulsed) if include_idle else np.zeros(space.total_dim)
+    total = np.diag(gen.astype(complex))
+    for p in unit.pulses:
+        local, with_cavity = pulse_local_hamiltonian(
+            p, seq.params, seq.roles, space.cavity_dim, Mode.FULL
+        )
+        slots = (p.slot, space.cavity_slot) if with_cavity else (p.slot,)
+        total += tensor_embed(local, space, slots)
     return HermitianOperator(space, total)
 
 
@@ -350,7 +338,8 @@ def build_evolutions(
             out.append(SubEvolution(unit, hamiltonian=h, duration=unit.duration))
             continue
         if mode is Mode.EFFECTIVE and include_idle and not instant_only:
-            out.append(SubEvolution(unit, diagonal=_idle_diagonal(seq, unit)))
+            gen = idle_generator_diagonal(seq, unit.cavity_actors)
+            out.append(SubEvolution(unit, diagonal=np.exp(-1j * unit.duration * gen)))
         apps = []
         for p in unit.pulses:
             local, with_cavity = pulse_local_unitary(
@@ -398,12 +387,7 @@ def _swap_domain_defect(seq: PulseSequence, pulse: Pulse, amps: np.ndarray) -> f
     return float(np.sum(np.abs(amps[bad]) ** 2))
 
 
-def intermediate_states(
-    seq: PulseSequence,
-    state: StateVector,
-    mode: Mode,
-    include_idle: bool | None = None,
-) -> list[StateVector]:
+def intermediate_states(seq: PulseSequence, state: StateVector, mode: Mode) -> list[StateVector]:
     """States after each step.  Flags inputs the closed forms do not cover.
 
     In analytic and effective modes, applying a Raman swap to a state with
@@ -413,7 +397,7 @@ def intermediate_states(
     """
     if state.space.dims != seq.space.dims:
         raise ValueError("state lives on a different space than the sequence")
-    evolutions = build_evolutions(seq, mode, include_idle)
+    evolutions = build_evolutions(seq, mode)
     amps = state.amplitudes.copy()
     out: list[StateVector] = []
     last_step: int | None = None

@@ -126,11 +126,7 @@ class GateReport:
 
 
 def report(
-    seq: PulseSequence,
-    mode: Mode,
-    tol: float = DEFAULT_TOL,
-    samples_per_step: int = 512,
-    include_idle: bool | None = None,
+    seq: PulseSequence, mode: Mode, tol: float = DEFAULT_TOL, samples_per_step: int = 512
 ) -> GateReport:
     """Compose the sequence, compare to the ideal gate and record leakage.
 
@@ -142,7 +138,7 @@ def report(
     """
     space = seq.space
     comp = space.computational_indices()
-    evolutions = build_evolutions(seq, mode, include_idle)
+    evolutions = build_evolutions(seq, mode)
     weights3 = level_count_weights(space, 3)
     photon = photon_number_vector(space)
 

@@ -94,6 +94,22 @@ def test_tolerance_env_rejects_nonfinite_or_negative(capsys, monkeypatch, raw):
     assert "GATESIM_TOL" in err
 
 
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (("verify", "cp3", "--samples", "-3"), "--samples"),
+        (("verify", "cp3", "--threshold", "nan"), "--threshold"),
+        (("verify", "cp3", "--threshold", "inf"), "--threshold"),
+        (("budget", "--threshold", "nan"), "--threshold"),
+    ],
+)
+def test_bad_numbers_rejected_at_parse_time(capsys, argv, flag):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert f"argument {flag}" in err
+
+
 def test_verify_writes_output_file(capsys, tmp_path):
     out_path = tmp_path / "report.json"
     code, out, _ = run_cli(capsys, "verify", "cp3", "--output", str(out_path))

@@ -52,6 +52,25 @@ def test_builders_are_hermitian(unit_params, role):
         assert np.max(np.abs(local - local.conj().T)) < 1e-14
 
 
+@pytest.mark.parametrize("role", [Role.EMITTER, Role.ABSORBER])
+def test_raman_full_is_idle_coupling_minus_drive(unit_params, role):
+    params = unit_params.replace(g=(1.0, 1.3), omega_raman=(1.0, 1.3))
+    j = role.pulse_level
+    for slot in (0, 1):
+        drive = np.zeros((4, 4), dtype=complex)
+        drive[j, 3] = drive[3, j] = params.omega_raman_at(slot)
+        expected = idle_coupling_local(params, slot, role, CAV, full=True)
+        expected -= np.kron(drive, np.eye(CAV))
+        assert np.array_equal(raman_full_local(params, slot, role, CAV), expected)
+
+
+def test_dispersive_is_idle_coupling_of_target(unit_params):
+    params = unit_params.replace(g=(1.0, 1.3), delta_ck=(10.0, 17.0))
+    for slot in (0, 1):
+        expected = idle_coupling_local(params, slot, Role.TARGET, CAV, full=False)
+        assert np.array_equal(dispersive_local(params, slot, CAV), expected)
+
+
 def test_raman_builders_reject_target_role(unit_params):
     with pytest.raises(ValueError):
         raman_full_local(unit_params, 0, Role.TARGET, CAV)

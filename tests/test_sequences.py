@@ -6,12 +6,15 @@ import pytest
 from conftest import cavity_level, product_state, qudit_level, qudit_plus
 from gatesim.budget import time_cp3, time_ntcnot
 from gatesim.device import Role
-from gatesim.linalg import HilbertSpace, StateVector, level_count_weights
-from gatesim.pulses import Mode, Pulse, PulseKind, make_pulse
+from gatesim.hamiltonians import idle_coupling_local
+from gatesim.linalg import HilbertSpace, StateVector, embed_hermitian, level_count_weights
+from gatesim.pulses import Mode, Pulse, PulseKind, make_pulse, pulse_local_hamiltonian
 from gatesim.sequences import (
     GateKind,
     PulseSequence,
     PulseStep,
+    build_evolutions,
+    build_sequence,
     compose,
     cp3_sequence,
     intermediate_states,
@@ -388,6 +391,69 @@ def test_full_mode_rejects_unequal_simultaneous_durations(unit_params):
         compose(seq, Mode.FULL)
     # analytic composition has no such restriction
     compose(seq, Mode.ANALYTIC)
+
+
+# Per-qubit couplings with delta_ck / g² held fixed, so simultaneous
+# dispersive members keep equal durations.
+HETERO_G = (1.0, 1.1, 0.9, 1.2)
+GATES_UP_TO_4 = [
+    (GateKind.CP3, 3),
+    (GateKind.TOFFOLI, 3),
+    (GateKind.NCP, 4),
+    (GateKind.NTCNOT, 2),
+    (GateKind.NTCNOT, 3),
+    (GateKind.NTCNOT, 4),
+]
+
+
+def hetero_params(unit_params):
+    return unit_params.replace(
+        g=HETERO_G, omega_raman=HETERO_G, delta_ck=tuple(10.0 * g**2 for g in HETERO_G)
+    )
+
+
+def dense_window_reference(seq, pulses, idle_slots):
+    """Sum of embedded pulse generators plus embedded idle shifts, term by term."""
+    space = seq.space
+    total = np.zeros((space.total_dim, space.total_dim), dtype=complex)
+    for p in pulses:
+        local, with_cavity = pulse_local_hamiltonian(
+            p, seq.params, seq.roles, space.cavity_dim, Mode.FULL
+        )
+        slots = (p.slot, space.cavity_slot) if with_cavity else (p.slot,)
+        total += embed_hermitian(local, space, slots).matrix
+    for q in idle_slots:
+        local = idle_coupling_local(seq.params, q, seq.roles[q], space.cavity_dim, full=False)
+        total += embed_hermitian(local, space, (q, space.cavity_slot)).matrix
+    return total
+
+
+@pytest.mark.parametrize("include_idle", [True, False])
+@pytest.mark.parametrize("gate,n", GATES_UP_TO_4)
+def test_full_windows_match_dense_reference(unit_params, gate, n, include_idle):
+    seq = build_sequence(gate, n, hetero_params(unit_params))
+    evolutions = build_evolutions(seq, Mode.FULL, include_idle)
+    windows = [e for e in evolutions if e.hamiltonian is not None]
+    assert windows
+    for evo in windows:
+        pulsed = {p.slot for p in evo.unit.pulses}
+        idle = [q for q in range(n) if q not in pulsed] if include_idle else []
+        ref = dense_window_reference(seq, evo.unit.pulses, idle)
+        err = np.max(np.abs(evo.hamiltonian.matrix - ref))
+        assert err <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("gate,n", GATES_UP_TO_4)
+def test_effective_idle_factor_matches_dense_reference(unit_params, gate, n):
+    seq = build_sequence(gate, n, hetero_params(unit_params))
+    factors = [e for e in build_evolutions(seq, Mode.EFFECTIVE, True) if e.diagonal is not None]
+    assert factors
+    for evo in factors:
+        idle = [q for q in range(n) if q not in evo.unit.cavity_actors]
+        ref = dense_window_reference(seq, (), idle)
+        assert np.count_nonzero(ref - np.diag(np.diag(ref))) == 0
+        expected = np.exp(-1j * evo.unit.duration * np.diag(ref))
+        assert np.max(np.abs(evo.diagonal - expected)) <= 1e-12
 
 
 def test_analytic_mode_rejects_idle_couplings(unit_params):
