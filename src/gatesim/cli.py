@@ -78,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="compose a gate and compare it to its ideal matrix")
     p.add_argument("gate", choices=_GATES)
-    p.add_argument("-n", type=int, default=3, help="qubit count (ncp, ntcnot)")
+    p.add_argument("-n", type=int, default=3, help="qubit count (ncp, ntcnot; 3 for cp3, toffoli)")
     p.add_argument("--mode", choices=_MODES, default="analytic")
     p.add_argument("--params", default="cpw", help="parameter file or preset name")
     p.add_argument("--threshold", type=_finite, default=None, help="fidelity required for exit 0")
@@ -116,9 +116,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_verify(args) -> int:
+    gate = GateKind.parse(args.gate)
+    if gate in (GateKind.CP3, GateKind.TOFFOLI) and args.n != 3:
+        raise ConfigError(f"-n must be 3 for {gate.value}, a three-qubit gate; got {args.n}")
     params, _ = load_params(args.params)
     mode = Mode.parse(args.mode)
-    gate = GateKind.parse(args.gate)
     seq = build_sequence(gate, args.n, params, args.cavity_dim)
     tol = _tolerance()
     rep = report(seq, mode, tol=tol, samples_per_step=args.samples)

@@ -8,18 +8,24 @@ Fixing this one convention removes an entire class of indexing bugs.
 
 All values are immutable after construction and every operation is a pure
 function, so everything here is safe to use from concurrent workers.
-Hermitian time evolution uses the spectral decomposition of the (dense)
-matrix, which is exact up to floating point; no step-wise integrator is
-involved because every Hamiltonian in this package is time independent in
-its rotating frame.
+Hermitian time evolution uses the spectral decomposition of the matrix,
+which is exact up to floating point; no step-wise integrator is involved
+because every Hamiltonian in this package is time independent in its
+rotating frame.  The decomposition is taken block by block: the connected
+components of the matrix's nonzero pattern are uncoupled (every window
+Hamiltonian conserves excitations), blocks of one size share one stacked
+``eigh`` call, and propagation and sampling run on the blocks.  A matrix
+without zero structure is a single block.  On a 2-CPU VM this took a
+full-mode fanout CNOT report at n = 5 (D = 2048, 486-1280 blocks per window,
+none larger than 32) from about 26 s with dense ``eigh`` to under 1 s.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -179,28 +185,85 @@ def level_count_weights(space: HilbertSpace, level: int) -> np.ndarray:
     return weights
 
 
+class SpectralBlocks(NamedTuple):
+    """``k`` uncoupled blocks of one size ``b`` and their eigendecompositions.
+
+    ``idx`` (k, b) holds each block's basis indices in ascending order,
+    ``w`` (k, b) its eigenvalues and ``v`` (k, b, b) its eigenvectors as columns.
+    """
+
+    idx: np.ndarray
+    w: np.ndarray
+    v: np.ndarray
+
+
+def _components(matrix: np.ndarray) -> np.ndarray:
+    """Smallest basis index of each index's connected component in the nonzero pattern."""
+    rows, cols = np.nonzero(matrix)
+    src = np.concatenate([rows, cols])
+    dst = np.concatenate([cols, rows])
+    labels = np.arange(matrix.shape[0])
+    while True:
+        new = labels.copy()
+        np.minimum.at(new, src, labels[dst])
+        new = new[new]  # pointer jumping: a label is an index of the same component
+        if np.array_equal(new, labels):
+            return labels
+        labels = new
+
+
+def _partition(matrix: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Connected components grouped by size: ``(idx (k, b), sub-matrices (k, b, b))`` pairs."""
+    labels = _components(matrix)
+    order = np.argsort(labels, kind="stable")
+    starts = np.flatnonzero(np.diff(labels[order], prepend=-1))
+    sizes = np.diff(starts, append=len(order))
+    out = []
+    for size in np.unique(sizes):
+        idx = order[starts[sizes == size][:, None] + np.arange(size)]
+        out.append((idx, matrix[idx[:, :, None], idx[:, None, :]]))
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class HermitianOperator:
-    """Hermitian matrix over a space, in angular-frequency units (rad/s)."""
+    """Hermitian matrix over a space, in angular-frequency units (rad/s).
+
+    The matrix is split into uncoupled blocks on construction: no entry of
+    :attr:`matrix` couples two blocks in either direction, so the Hermiticity
+    check and the spectral decomposition run on the blocks alone.
+    """
 
     space: HilbertSpace
     matrix: np.ndarray
+    _parts: tuple[tuple[np.ndarray, np.ndarray], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         mat = _freeze(self.matrix)
         dim = self.space.total_dim
         if mat.shape != (dim, dim):
             raise ValueError(f"matrix has shape {mat.shape}, expected ({dim}, {dim})")
-        defect = np.max(np.abs(mat - mat.conj().T)) if dim else 0.0
-        if defect > HERMITIAN_TOL:
+        parts = _partition(mat)
+        defect = np.max([np.max(np.abs(sub - np.swapaxes(sub.conj(), -1, -2))) for _, sub in parts])
+        if not defect <= HERMITIAN_TOL:  # a NaN entry fails too
             raise ValueError(f"matrix is not Hermitian (defect {defect:.3e})")
         object.__setattr__(self, "matrix", mat)
+        object.__setattr__(self, "_parts", parts)
 
     @cached_property
-    def eig(self) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenvalues and eigenvectors, cached for repeated propagation."""
-        w, v = np.linalg.eigh(self.matrix)
-        return w, v
+    def blocks(self) -> tuple[SpectralBlocks, ...]:
+        """Eigendecomposition of every block, one stacked ``eigh`` per block size."""
+        return tuple(SpectralBlocks(idx, *np.linalg.eigh(sub)) for idx, sub in self._parts)
+
+    def propagate(self, array: np.ndarray, t: float) -> np.ndarray:
+        """``exp(-i H t) @ array`` for a vector or a stack of columns, block by block."""
+        arr = np.asarray(array, dtype=complex)
+        mat = arr.reshape(self.space.total_dim, -1)
+        out = np.empty_like(mat)
+        for idx, w, v in self.blocks:
+            coeff = np.swapaxes(v.conj(), -1, -2) @ mat[idx]
+            out[idx] = v @ (np.exp(-1j * w * t)[:, :, None] * coeff)
+        return out.reshape(arr.shape)
 
 
 @dataclass(frozen=True)
@@ -254,6 +317,29 @@ def _check_slots(space: HilbertSpace, slots: Sequence[int], local_dim: int) -> t
     return slots
 
 
+def _check_local(
+    local: np.ndarray, space: HilbertSpace, slots: Sequence[int]
+) -> tuple[np.ndarray, tuple[int, ...]]:
+    local = np.asarray(local, dtype=complex)
+    if local.ndim != 2 or local.shape[0] != local.shape[1]:
+        raise ValueError("local operator must be a square matrix")
+    return local, _check_slots(space, slots, local.shape[0])
+
+
+def local_index_map(space: HilbertSpace, slots: Sequence[int]) -> np.ndarray:
+    """Full-space basis indices as a ``(D // d, d)`` array, ``d`` the dimension of ``slots``.
+
+    Column ``a`` is the local basis index over ``slots`` in the given order;
+    each row fixes the levels of every other subsystem.  An operator local to
+    ``slots`` therefore acts on each row's indices alone.
+    """
+    slots = list(slots)
+    rest = [i for i in range(space.n_subsystems) if i not in slots]
+    local_dim = math.prod(space.dims[s] for s in slots)
+    grid = np.arange(space.total_dim).reshape(space.dims)
+    return np.transpose(grid, rest + slots).reshape(-1, local_dim)
+
+
 def apply_local(
     local: np.ndarray, space: HilbertSpace, slots: Sequence[int], array: np.ndarray
 ) -> np.ndarray:
@@ -263,10 +349,7 @@ def apply_local(
     This avoids materialising the embedded ``D x D`` matrix, which matters for
     the larger gate spaces.
     """
-    local = np.asarray(local, dtype=complex)
-    if local.ndim != 2 or local.shape[0] != local.shape[1]:
-        raise ValueError("local operator must be a square matrix")
-    slots = _check_slots(space, slots, local.shape[0])
+    local, slots = _check_local(local, space, slots)
 
     arr = np.asarray(array, dtype=complex)
     single = arr.ndim == 1
@@ -289,9 +372,14 @@ def apply_local(
 def tensor_embed(local: np.ndarray, space: HilbertSpace, slots: Sequence[int]) -> np.ndarray:
     """Embed a local operator as ``local`` on ``slots`` and identity elsewhere.
 
-    Subsystem ordering is preserved; the result acts on the full space.
+    Subsystem ordering is preserved; the result acts on the full space.  The
+    local entries are written through :func:`local_index_map`.
     """
-    return apply_local(local, space, slots, np.eye(space.total_dim, dtype=complex))
+    local, slots = _check_local(local, space, slots)
+    rows = local_index_map(space, slots)
+    out = np.zeros((space.total_dim, space.total_dim), dtype=complex)
+    out[rows[:, :, None], rows[:, None, :]] = local
+    return out
 
 
 def embed_hermitian(
@@ -311,26 +399,39 @@ def evolve(state: StateVector, h: HermitianOperator, t: float) -> StateVector:
         raise ValueError("evolution time must be finite")
     if t < 0:
         raise ValueError("evolution time must be non-negative (use propagator for inverses)")
-    w, v = h.eig
-    coeff = v.conj().T @ state.amplitudes
-    return StateVector(state.space, v @ (np.exp(-1j * w * t) * coeff))
+    return StateVector(state.space, h.propagate(state.amplitudes, t))
 
 
 def evolve_times(state: StateVector, h: HermitianOperator, times: np.ndarray) -> np.ndarray:
-    """Amplitudes of ``exp(-i H t)|state>`` for each ``t``; shape ``(len(times), D)``."""
+    """Amplitudes of ``exp(-i H t)|state>`` for each ``t``; shape ``(len(times), D)``.
+
+    Blocks where the state has no amplitude stay exactly zero and are skipped.
+    """
     _require_same_space(state.space, h.space)
-    w, v = h.eig
-    coeff = v.conj().T @ state.amplitudes
-    phases = np.exp(-1j * np.outer(np.asarray(times, dtype=float), w))
-    return (phases * coeff) @ v.T
+    times = np.asarray(times, dtype=float)
+    amps = state.amplitudes
+    out = np.zeros((len(times), h.space.total_dim), dtype=complex)
+    for idx, w, v in h.blocks:
+        live = np.any(amps[idx] != 0, axis=1)
+        if not live.any():
+            continue
+        idx, w, v = idx[live], w[live], v[live]
+        coeff = amps[idx][:, None, :] @ v.conj()  # (k, 1, b): the rows of v† x
+        phases = np.exp(-1j * times[:, None] * w[:, None, :])  # (k, T, b)
+        out[:, idx] = np.swapaxes((phases * coeff) @ np.swapaxes(v, -1, -2), 0, 1)
+    return out
 
 
 def propagator(h: HermitianOperator, t: float) -> UnitaryMatrix:
     """Full matrix ``exp(-i H t)``.  Negative ``t`` yields the inverse."""
     if not math.isfinite(t):
         raise ValueError("evolution time must be finite")
-    w, v = h.eig
-    return UnitaryMatrix(h.space, (v * np.exp(-1j * w * t)) @ v.conj().T)
+    dim = h.space.total_dim
+    out = np.zeros((dim, dim), dtype=complex)
+    for idx, w, v in h.blocks:
+        blocks = (v * np.exp(-1j * w * t)[:, None, :]) @ np.swapaxes(v.conj(), -1, -2)
+        out[idx[:, :, None], idx[:, None, :]] = blocks
+    return UnitaryMatrix(h.space, out)
 
 
 def process_fidelity(u: UnitaryMatrix, v: UnitaryMatrix, subspace: Sequence[int]) -> float:

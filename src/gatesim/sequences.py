@@ -41,8 +41,8 @@ from .linalg import (
     StateVector,
     UnitaryMatrix,
     apply_local,
+    local_index_map,
     subsystem_level_mask,
-    tensor_embed,
 )
 from .pulses import Mode, Pulse, PulseKind, make_pulse, pulse_local_hamiltonian, pulse_local_unitary
 
@@ -301,6 +301,8 @@ def _full_unit_hamiltonian(
     thus has no cavity coupling here, although the phase audit and the
     effective mode with idles book one for it (they leave out only the
     cavity actors); ``docs/formats.md`` gives the fidelities it would move.
+    Each pulsed member's local generator is added through
+    :func:`gatesim.linalg.local_index_map`, without embedding it densely.
     """
     space = seq.space
     for p in unit.pulses:
@@ -317,7 +319,8 @@ def _full_unit_hamiltonian(
             p, seq.params, seq.roles, space.cavity_dim, Mode.FULL
         )
         slots = (p.slot, space.cavity_slot) if with_cavity else (p.slot,)
-        total += tensor_embed(local, space, slots)
+        rows = local_index_map(space, slots)
+        total[rows[:, :, None], rows[:, None, :]] += local
     return HermitianOperator(space, total)
 
 
@@ -360,10 +363,7 @@ def apply_evolutions(
         if evo.diagonal is not None:
             arr = evo.diagonal * arr if arr.ndim == 1 else evo.diagonal[:, None] * arr
         elif evo.hamiltonian is not None:
-            w, v = evo.hamiltonian.eig
-            mat = arr.reshape(space.total_dim, -1)
-            mat = v @ (np.exp(-1j * w * evo.duration)[:, None] * (v.conj().T @ mat))
-            arr = mat[:, 0] if arr.ndim == 1 else mat
+            arr = evo.hamiltonian.propagate(arr, evo.duration)
         else:
             for local, slots in evo.applications:
                 arr = apply_local(local, space, slots, arr)

@@ -134,7 +134,9 @@ def report(
     :func:`gatesim.sequences.apply_evolutions`.  Level-3 occupation is
     observed at each window boundary and, inside Hamiltonian-driven windows,
     by sampling the spectral propagator, since the transient peak sits
-    mid-pulse; the samples only observe and never advance the state.
+    mid-pulse; the samples only observe and never advance the state.  Both
+    run block by block on the window's uncoupled blocks, and sampling skips
+    the blocks where the input has no amplitude.
     """
     space = seq.space
     comp = space.computational_indices()

@@ -110,6 +110,19 @@ def test_bad_numbers_rejected_at_parse_time(capsys, argv, flag):
     assert f"argument {flag}" in err
 
 
+@pytest.mark.parametrize("gate,n", [("cp3", "0"), ("cp3", "4"), ("toffoli", "7"), ("toffoli", "2")])
+def test_fixed_size_gates_reject_other_n(capsys, gate, n):
+    code, out, err = run_cli(capsys, "verify", gate, "-n", n)
+    assert code == 2
+    assert out == ""
+    assert "-n" in err
+
+
+@pytest.mark.parametrize("gate", ["cp3", "toffoli"])
+def test_fixed_size_gates_accept_n_3(capsys, gate):
+    assert run_json(capsys, "verify", gate, "-n", "3")["n"] == 3
+
+
 def test_verify_writes_output_file(capsys, tmp_path):
     out_path = tmp_path / "report.json"
     code, out, _ = run_cli(capsys, "verify", "cp3", "--output", str(out_path))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import assert_matches_dense_oracle, block_labels
 from gatesim.device import Role
 from gatesim.hamiltonians import dispersive, raman_effective
 from gatesim.linalg import (
@@ -145,6 +146,27 @@ def test_embeds_on_disjoint_slots_commute_exactly(seed):
     assert np.array_equal(a @ b, b @ a)
 
 
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_tensor_embed_matches_apply_local_on_identity(data):
+    # any slot subset in any order: non-adjacent slots, reversed slots, the cavity
+    n_qubits = data.draw(st.integers(1, 3))
+    space = HilbertSpace.for_qubits(n_qubits, data.draw(st.sampled_from([2, 3])))
+    slots = data.draw(
+        st.lists(st.integers(0, space.n_subsystems - 1), min_size=1, max_size=3, unique=True)
+    )
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1)))
+    dim = math.prod(space.dims[s] for s in slots)
+    local = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    reference = apply_local(local, space, slots, np.eye(space.total_dim, dtype=complex))
+    assert np.array_equal(tensor_embed(local, space, slots), reference)
+
+
+def test_embed_rejects_non_square_local():
+    with pytest.raises(ValueError):
+        tensor_embed(np.ones((4, 3)), HilbertSpace((4, 3)), (0,))
+
+
 def test_apply_local_matches_embedded_matvec():
     space = HilbertSpace((4, 4, 3))
     rng = np.random.default_rng(7)
@@ -213,6 +235,14 @@ def test_non_hermitian_matrix_rejected():
         HermitianOperator(space, m)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), complex(0.0, float("nan"))])
+def test_nan_matrix_rejected(bad):
+    m = np.zeros((8, 8), dtype=complex)
+    m[0, 1] = m[1, 0] = bad
+    with pytest.raises(ValueError):
+        HermitianOperator(HilbertSpace((4, 2)), m)
+
+
 def test_propagator_zero_time_is_identity(unit_params):
     space = HilbertSpace.for_qubits(1, 2)
     h = raman_effective(unit_params, 0, Role.EMITTER, space)
@@ -268,6 +298,72 @@ def test_raman_propagator_is_involution_on_flip_block(unit_params):
         col = square[:, i]
         assert abs(col[i] - 1.0) < 1e-10
         assert np.linalg.norm(np.delete(col, i)) < 1e-10
+
+
+# --- block decomposition ----------------------------------------------------
+
+
+def block_diagonal_hermitian(sizes, seed):
+    """Random Hermitian blocks of the given sizes, scattered by a random permutation."""
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(sum(sizes))
+    mat = np.zeros((len(perm), len(perm)), dtype=complex)
+    members, start = [], 0
+    for size in sizes:
+        idx = perm[start : start + size]
+        mat[np.ix_(idx, idx)] = random_hermitian(size, rng.integers(2**31))
+        members.append(sorted(idx))
+        start += size
+    return mat, members
+
+
+def test_dense_hermitian_is_one_block():
+    space = HilbertSpace((4, 3))
+    h = HermitianOperator(space, random_hermitian(12, 5))
+    (group,) = h.blocks
+    assert group.idx.tolist() == [list(range(12))]
+    assert_matches_dense_oracle(h, random_state(space, 6).amplitudes, [0.0, 0.4, 3.0])
+
+
+def test_zero_matrix_is_all_singletons():
+    h = HermitianOperator(HilbertSpace((4, 2)), np.zeros((8, 8)))
+    (group,) = h.blocks
+    assert group.idx.tolist() == [[i] for i in range(8)]
+    assert np.array_equal(propagator(h, 2.0).matrix, np.eye(8))
+
+
+@given(
+    st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=8),
+    st.integers(min_value=0, max_value=2**31 - 1),
+)
+@settings(max_examples=30, deadline=None)
+def test_blocks_are_the_uncoupled_components(sizes, seed):
+    mat, members = block_diagonal_hermitian(sizes, seed)
+    h = HermitianOperator(HilbertSpace((len(mat),)), mat)
+    labels = block_labels(h)
+    found = sorted(sorted(np.flatnonzero(labels == k).tolist()) for k in range(labels.max() + 1))
+    assert found == sorted(members)
+    # one stacked eigh per block size
+    assert [g.idx.shape[1] for g in h.blocks] == sorted(set(sizes))
+    amps = random_state(h.space, seed + 1).amplitudes.copy()
+    amps[members[0]] = 0.0  # one block without amplitude
+    if np.any(amps):
+        assert_matches_dense_oracle(h, amps / np.linalg.norm(amps), [0.0, 0.7, 2.5])
+
+
+@given(st.integers(min_value=0, max_value=2**31 - 1), st.sampled_from([1e-14, 1e-9]))
+@settings(max_examples=20, deadline=None)
+def test_hermiticity_check_sees_defects_inside_blocks(seed, size):
+    mat, members = block_diagonal_hermitian([3, 1, 4], seed)
+    i, j = members[2][0], members[2][1]
+    mat[i, j] += size
+    defect = np.max(np.abs(mat - mat.conj().T))
+    space = HilbertSpace((len(mat),))
+    if defect > 1e-12:
+        with pytest.raises(ValueError):
+            HermitianOperator(space, mat)
+    else:
+        HermitianOperator(space, mat)
 
 
 # --- fidelity --------------------------------------------------------------

@@ -1,13 +1,28 @@
 import math
+from functools import cached_property
 
 import numpy as np
 import pytest
 
-from conftest import cavity_level, product_state, qudit_level, qudit_plus
+from conftest import (
+    assert_matches_dense_oracle,
+    block_labels,
+    cavity_level,
+    product_state,
+    qudit_level,
+    qudit_plus,
+)
 from gatesim.budget import time_cp3, time_ntcnot
 from gatesim.device import Role
 from gatesim.hamiltonians import idle_coupling_local
-from gatesim.linalg import HilbertSpace, StateVector, embed_hermitian, level_count_weights
+from gatesim.linalg import (
+    HermitianOperator,
+    HilbertSpace,
+    SpectralBlocks,
+    StateVector,
+    embed_hermitian,
+    level_count_weights,
+)
 from gatesim.pulses import Mode, Pulse, PulseKind, make_pulse, pulse_local_hamiltonian
 from gatesim.sequences import (
     GateKind,
@@ -24,7 +39,7 @@ from gatesim.sequences import (
     toffoli_sequence,
     truth_table,
 )
-from gatesim.verify import ideal_ncp
+from gatesim.verify import ideal_ncp, report
 
 
 def computational_block(seq, mode, include_idle=None):
@@ -441,6 +456,43 @@ def test_full_windows_match_dense_reference(unit_params, gate, n, include_idle):
         ref = dense_window_reference(seq, evo.unit.pulses, idle)
         err = np.max(np.abs(evo.hamiltonian.matrix - ref))
         assert err <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("cavity_dim", [2, 3])
+@pytest.mark.parametrize("include_idle", [True, False])
+@pytest.mark.parametrize("gate,n", GATES_UP_TO_4)
+def test_full_window_blocks_match_dense_eigh(unit_params, gate, n, include_idle, cavity_dim):
+    seq = build_sequence(gate, n, hetero_params(unit_params), cavity_dim)
+    rng = np.random.default_rng(n * cavity_dim)
+    for evo in build_evolutions(seq, Mode.FULL, include_idle):
+        if evo.hamiltonian is None:
+            continue
+        labels = block_labels(evo.hamiltonian)
+        assert labels.max() > 0  # excitation conservation leaves many blocks
+        # a superposition over every other block; the rest carry no amplitude
+        amps = rng.normal(size=labels.size) + 1j * rng.normal(size=labels.size)
+        amps[labels % 2 == 1] = 0.0
+        amps /= np.linalg.norm(amps)
+        times = [0.37 * evo.duration, evo.duration]
+        assert_matches_dense_oracle(evo.hamiltonian, amps, times)
+
+
+def _dense_blocks(h):
+    w, v = np.linalg.eigh(h.matrix)
+    return (SpectralBlocks(np.arange(h.space.total_dim)[None, :], w[None], v[None]),)
+
+
+@pytest.mark.parametrize("gate,n", GATES_UP_TO_4)
+def test_full_report_matches_dense_eigh_report(unit_params, monkeypatch, gate, n):
+    seq = build_sequence(gate, n, hetero_params(unit_params))
+    blocked = report(seq, Mode.FULL, samples_per_step=16)
+    dense_blocks = cached_property(_dense_blocks)
+    dense_blocks.__set_name__(HermitianOperator, "blocks")
+    monkeypatch.setattr(HermitianOperator, "blocks", dense_blocks)
+    dense = report(seq, Mode.FULL, samples_per_step=16)
+    assert blocked.exact_phase_match == dense.exact_phase_match
+    for field in ("process_fidelity", "max_level3_population", "residual_photon"):
+        assert abs(getattr(blocked, field) - getattr(dense, field)) <= 1e-12
 
 
 @pytest.mark.parametrize("gate,n", GATES_UP_TO_4)

@@ -106,6 +106,14 @@ def test_report_cp3_full_mode(unit_params):
     assert not rep.exact_phase_match
 
 
+def test_report_full_ntcnot_n5_at_cpw(cpw_params):
+    # D = 2048, the largest space in the repository; per-block spectral
+    # propagation keeps this at about a second
+    rep = report(ntcnot_sequence(5, cpw_params), Mode.FULL, samples_per_step=0)
+    assert rep.process_fidelity == pytest.approx(0.98072954908888, abs=1e-10)
+    assert rep.process_fidelity >= 0.9
+
+
 def test_report_full_infidelity_improves_with_detuning(unit_params):
     rep10 = report(cp3_sequence(unit_params), Mode.FULL)
     p20 = unit_params.replace(delta_c=20.0, delta_ck=20.0)
