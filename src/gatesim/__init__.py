@@ -27,22 +27,11 @@ from .linalg import (
     HilbertSpace,
     StateVector,
     UnitaryMatrix,
-    evolve,
-    exact_match,
     process_fidelity,
     propagator,
     tensor_embed,
 )
-from .pulses import (
-    Mode,
-    Pulse,
-    PulseKind,
-    dispersive_phase,
-    hadamard,
-    pi_pulse,
-    raman_absorb,
-    raman_emit,
-)
+from .pulses import Mode, Pulse, PulseKind
 from .sequences import (
     GateKind,
     PulseSequence,

@@ -16,6 +16,7 @@ from __future__ import annotations
 import enum
 import json
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -65,12 +66,19 @@ class Role(enum.Enum):
         return 0 if self is Role.ABSORBER else 1
 
 
-def _broadcastable(value) -> PerQubit:
-    if isinstance(value, (int, float)):
-        return float(value)
+def _number(key: str, value) -> float:
+    # bool is an int subclass: JSON true/false must not pass as 1/0.
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
+def _broadcastable(key: str, value) -> PerQubit:
     if isinstance(value, (list, tuple)):
-        return tuple(float(v) for v in value)
-    raise ConfigError(f"expected a number or list of numbers, got {value!r}")
+        if not value:
+            raise ConfigError(f"{key} must not be an empty list")
+        return tuple(_number(key, v) for v in value)
+    return _number(key, value)
 
 
 def _at(value: PerQubit, slot: int) -> float:
@@ -99,11 +107,10 @@ class DeviceParams:
     nu_c: float  # resonator frequency, Hz
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "g", _broadcastable(self.g))
-        object.__setattr__(self, "delta_ck", _broadcastable(self.delta_ck))
-        object.__setattr__(self, "omega_raman", _broadcastable(self.omega_raman))
+        for name in ("g", "delta_ck", "omega_raman"):
+            object.__setattr__(self, name, _broadcastable(name, getattr(self, name)))
         for name in ("delta_c", "omega_resonant", "gamma2_inv", "quality_q", "nu_c"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+            object.__setattr__(self, name, _number(name, getattr(self, name)))
         values = (
             list(_all_values(self.g))
             + [self.delta_c]
@@ -192,8 +199,8 @@ def params_from_dict(raw: dict) -> DeviceParams:
     if missing:
         raise ConfigError(f"missing parameter keys: {sorted(missing)}")
     if "delta_mu" in raw:
-        delta_mu = float(raw["delta_mu"])
-        if not math.isclose(delta_mu, float(raw["delta_c"]), rel_tol=1e-12):
+        delta_mu = _number("delta_mu", raw["delta_mu"])
+        if not math.isclose(delta_mu, _number("delta_c", raw["delta_c"]), rel_tol=1e-12):
             raise ConfigError(
                 "delta_mu must equal delta_c: the pulse recipes assume zero "
                 "second-order detuning"

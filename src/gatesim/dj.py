@@ -26,7 +26,7 @@ from .linalg import (
     apply_local,
     subsystem_level_mask,
 )
-from .pulses import Mode, hadamard
+from .pulses import Mode, hadamard_local
 from .sequences import compose, ntcnot_sequence
 
 PROB_TOL = 1e-10
@@ -147,7 +147,7 @@ def run_dj(
     state = prepare_input(space)
     state = uf_apply(variant, state, params, mode)
     oracle_applications = 1
-    amps = hadamard(0, space).apply(state).amplitudes
+    amps = apply_local(hadamard_local(), space, (0,), state.amplitudes)
     p0 = float(np.sum(np.abs(amps[subsystem_level_mask(space, 0, 0)]) ** 2))
     p1 = float(np.sum(np.abs(amps[subsystem_level_mask(space, 0, 1)]) ** 2))
     if p0 >= p1:
@@ -156,9 +156,3 @@ def run_dj(
         classification, probability = "balanced", p1
     return DJResult(variant.id, classification, probability, oracle_applications)
 
-
-def query_target_schmidt_values(state: StateVector) -> np.ndarray:
-    """Singular values of the query vs. (target, cavity) bipartition."""
-    space = state.space
-    mat = state.amplitudes.reshape(QUDIT_LEVELS, space.total_dim // QUDIT_LEVELS)
-    return np.linalg.svd(mat, compute_uv=False)

@@ -26,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from .device import DeviceParams, Role
-from .linalg import QUDIT_LEVELS, HermitianOperator, HilbertSpace, embed_hermitian
+from .linalg import QUDIT_LEVELS
 
 
 def cavity_ladder(cavity_dim: int) -> np.ndarray:
@@ -93,14 +93,6 @@ def raman_effective_local(
     return h
 
 
-def dispersive_local(params: DeviceParams, slot: int, cavity_dim: int) -> np.ndarray:
-    """Photon-number-dependent shift ``(g²/delta_ck)(|3><3| - |2><2|) a†a``.
-
-    The target's always-on coupling in its dispersive form.
-    """
-    return idle_coupling_local(params, slot, Role.TARGET, cavity_dim, full=False)
-
-
 def resonant_drive_local(omega: float, phi: float, j: int) -> np.ndarray:
     """Resonant Rabi drive ``omega (e^{-i phi}|2><j| + e^{i phi}|j><2|)``.
 
@@ -131,30 +123,3 @@ def idle_coupling_local(
     n_op = a.conj().T @ a
     return (g**2 / delta) * np.kron(_proj(3) - _proj(2), n_op)
 
-
-# Embedded variants returning full-space Hermitian operators.
-
-
-def raman_full(
-    params: DeviceParams, slot: int, role: Role, space: HilbertSpace
-) -> HermitianOperator:
-    local = raman_full_local(params, slot, role, space.cavity_dim)
-    return embed_hermitian(local, space, (slot, space.cavity_slot))
-
-
-def raman_effective(
-    params: DeviceParams, slot: int, role: Role, space: HilbertSpace
-) -> HermitianOperator:
-    local = raman_effective_local(params, slot, role, space.cavity_dim)
-    return embed_hermitian(local, space, (slot, space.cavity_slot))
-
-
-def dispersive(params: DeviceParams, slot: int, space: HilbertSpace) -> HermitianOperator:
-    local = dispersive_local(params, slot, space.cavity_dim)
-    return embed_hermitian(local, space, (slot, space.cavity_slot))
-
-
-def resonant_drive(
-    omega: float, phi: float, j: int, slot: int, space: HilbertSpace
-) -> HermitianOperator:
-    return embed_hermitian(resonant_drive_local(omega, phi, j), space, (slot,))

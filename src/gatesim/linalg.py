@@ -1,4 +1,4 @@
-"""Dense complex linear algebra over composite qudit-cavity Hilbert spaces.
+"""States, operators and block-wise spectral propagation over qudit-cavity spaces.
 
 States and operators live on a :class:`HilbertSpace`: an ordered tuple of
 subsystem dimensions, qudits first and the cavity mode last.  Basis indices
@@ -150,10 +150,6 @@ class StateVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
-    def overlap(self, other: "StateVector") -> complex:
-        _require_same_space(self.space, other.space)
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
     def probability(self, indices: Sequence[int]) -> float:
         return float(np.sum(np.abs(self.amplitudes[list(indices)]) ** 2))
 
@@ -285,16 +281,9 @@ class UnitaryMatrix:
         dim = self.space.total_dim
         return float(np.linalg.norm(self.matrix.conj().T @ self.matrix - np.eye(dim)))
 
-    def dagger(self) -> "UnitaryMatrix":
-        return UnitaryMatrix(self.space, self.matrix.conj().T)
-
     def __matmul__(self, other: "UnitaryMatrix") -> "UnitaryMatrix":
         _require_same_space(self.space, other.space)
         return UnitaryMatrix(self.space, self.matrix @ other.matrix)
-
-    def apply(self, state: StateVector) -> StateVector:
-        _require_same_space(self.space, state.space)
-        return StateVector(self.space, self.matrix @ state.amplitudes)
 
 
 def _require_same_space(a: HilbertSpace, b: HilbertSpace) -> None:
@@ -382,26 +371,6 @@ def tensor_embed(local: np.ndarray, space: HilbertSpace, slots: Sequence[int]) -
     return out
 
 
-def embed_hermitian(
-    local: np.ndarray, space: HilbertSpace, slots: Sequence[int]
-) -> HermitianOperator:
-    return HermitianOperator(space, tensor_embed(local, space, slots))
-
-
-def embed_unitary(local: np.ndarray, space: HilbertSpace, slots: Sequence[int]) -> UnitaryMatrix:
-    return UnitaryMatrix(space, tensor_embed(local, space, slots))
-
-
-def evolve(state: StateVector, h: HermitianOperator, t: float) -> StateVector:
-    """Propagate ``state`` under ``exp(-i H t)`` via spectral decomposition."""
-    _require_same_space(state.space, h.space)
-    if not math.isfinite(t):
-        raise ValueError("evolution time must be finite")
-    if t < 0:
-        raise ValueError("evolution time must be non-negative (use propagator for inverses)")
-    return StateVector(state.space, h.propagate(state.amplitudes, t))
-
-
 def evolve_times(state: StateVector, h: HermitianOperator, times: np.ndarray) -> np.ndarray:
     """Amplitudes of ``exp(-i H t)|state>`` for each ``t``; shape ``(len(times), D)``.
 
@@ -446,13 +415,3 @@ def process_fidelity(u: UnitaryMatrix, v: UnitaryMatrix, subspace: Sequence[int]
     tr = np.sum(np.conj(u.matrix[:, idx]) * v.matrix[:, idx])
     return float(abs(tr) ** 2 / len(idx) ** 2)
 
-
-def exact_match(
-    u: UnitaryMatrix, v: UnitaryMatrix, subspace: Sequence[int], tol: float = UNITARY_TOL
-) -> bool:
-    """Entrywise agreement, phases included, of the action on the subspace."""
-    _require_same_space(u.space, v.space)
-    idx = list(subspace)
-    if not idx:
-        raise ValueError("comparison subspace must not be empty")
-    return bool(np.max(np.abs(u.matrix[:, idx] - v.matrix[:, idx])) <= tol)

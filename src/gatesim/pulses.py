@@ -32,12 +32,7 @@ import numpy as np
 
 from . import hamiltonians as ham
 from .device import DeviceParams, Role
-from .linalg import (
-    QUDIT_LEVELS,
-    HilbertSpace,
-    UnitaryMatrix,
-    embed_unitary,
-)
+from .linalg import QUDIT_LEVELS
 
 
 class Mode(enum.Enum):
@@ -156,7 +151,8 @@ def _analytic_pi_pulse(j: int, dagger: bool) -> np.ndarray:
     return u
 
 
-def _analytic_hadamard() -> np.ndarray:
+def hadamard_local() -> np.ndarray:
+    """Idealized zero-duration Hadamard on the logical levels of one qudit."""
     u = np.eye(QUDIT_LEVELS, dtype=complex)
     s = 1.0 / math.sqrt(2.0)
     u[0, 0] = u[0, 1] = u[1, 0] = s
@@ -198,7 +194,7 @@ def pulse_local_unitary(
     role = _check_role(pulse.kind, pulse.slot, roles)
     kind = pulse.kind
     if kind is PulseKind.HADAMARD:
-        return _analytic_hadamard(), False
+        return hadamard_local(), False
     if mode is not Mode.ANALYTIC:
         h, with_cavity = pulse_local_hamiltonian(pulse, params, roles, cavity_dim, mode)
         return _local_propagator(h, pulse.duration), with_cavity
@@ -207,59 +203,6 @@ def pulse_local_unitary(
     if kind is PulseKind.DISPERSIVE_PHASE:
         return _analytic_dispersive(cavity_dim), True
     return _analytic_swap(role.pulse_level, cavity_dim), True
-
-
-def pulse_unitary(
-    pulse: Pulse,
-    params: DeviceParams,
-    roles: tuple[Role, ...],
-    space: HilbertSpace,
-    mode: Mode = Mode.ANALYTIC,
-) -> UnitaryMatrix:
-    local, with_cavity = pulse_local_unitary(pulse, params, roles, space.cavity_dim, mode)
-    slots = (pulse.slot, space.cavity_slot) if with_cavity else (pulse.slot,)
-    return embed_unitary(local, space, slots)
-
-
-def _build(
-    kind: PulseKind,
-    params: DeviceParams,
-    roles: tuple[Role, ...],
-    slot: int,
-    space: HilbertSpace,
-    mode: Mode,
-) -> UnitaryMatrix:
-    return pulse_unitary(make_pulse(kind, slot, params, roles), params, roles, space, mode)
-
-
-def raman_emit(params, roles, slot, space, mode=Mode.ANALYTIC) -> UnitaryMatrix:
-    """Photon-emitting swap ``|1,0>_c <-> |2,1>_c`` on an emitter qubit."""
-    return _build(PulseKind.RAMAN_EMIT, params, roles, slot, space, mode)
-
-
-def raman_absorb(params, roles, slot, space, mode=Mode.ANALYTIC) -> UnitaryMatrix:
-    """Photon-absorbing swap ``|0,0>_c <-> |2,1>_c`` on an absorber qubit."""
-    return _build(PulseKind.RAMAN_ABSORB, params, roles, slot, space, mode)
-
-
-def dispersive_phase(params, roles, slot, space, mode=Mode.ANALYTIC) -> UnitaryMatrix:
-    """Single-photon pi phase on ``|2>`` and ``|3>`` of a target qubit."""
-    return _build(PulseKind.DISPERSIVE_PHASE, params, roles, slot, space, mode)
-
-
-def pi_pulse(params, roles, slot, space, dagger=False, mode=Mode.ANALYTIC) -> UnitaryMatrix:
-    """Resonant swap between the role's logical level and level 2.
-
-    Plain: ``|2> -> |j>``, ``|j> -> -|2>``.  Dagger: ``|2> -> -|j>``,
-    ``|j> -> |2>``.
-    """
-    kind = PulseKind.PI_PULSE_DAG if dagger else PulseKind.PI_PULSE
-    return _build(kind, params, roles, slot, space, mode)
-
-
-def hadamard(slot: int, space: HilbertSpace) -> UnitaryMatrix:
-    """Idealized zero-duration Hadamard on the logical levels of one qubit."""
-    return embed_unitary(_analytic_hadamard(), space, (slot,))
 
 
 def closed_form_domain(role: Role, cavity_dim: int) -> list[int]:

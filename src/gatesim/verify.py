@@ -10,7 +10,6 @@ fidelity.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
@@ -19,17 +18,18 @@ import numpy as np
 from . import hamiltonians as ham
 from .device import DeviceParams, Role
 from .linalg import (
+    HermitianOperator,
     HilbertSpace,
     StateVector,
+    UnitaryMatrix,
     evolve_times,
     level_count_weights,
     process_fidelity,
 )
-from .pulses import Mode, closed_form_domain, raman_emit
+from .pulses import Mode, PulseKind, closed_form_domain, make_pulse, pulse_local_unitary
 from .sequences import (
     GateKind,
     PulseSequence,
-    TruthRow,
     apply_evolutions,
     build_evolutions,
     photon_number_vector,
@@ -298,8 +298,12 @@ def swap_fidelity_vs_full(params: DeviceParams, cavity_dim: int = 3) -> float:
     """
     space = HilbertSpace.for_qubits(1, cavity_dim)
     roles = (Role.EMITTER,)
-    analytic = raman_emit(params, roles, 0, space, Mode.ANALYTIC)
-    full = raman_emit(params, roles, 0, space, Mode.FULL)
+    pulse = make_pulse(PulseKind.RAMAN_EMIT, 0, params, roles)
+    # On one qubit plus the cavity the local (qudit, cavity) unitary is the full matrix.
+    analytic, full = (
+        UnitaryMatrix(space, pulse_local_unitary(pulse, params, roles, cavity_dim, mode)[0])
+        for mode in (Mode.ANALYTIC, Mode.FULL)
+    )
     return process_fidelity(analytic, full, elimination_comparison_indices(cavity_dim))
 
 
@@ -311,7 +315,7 @@ def swap_peak_level3(params: DeviceParams, cavity_dim: int = 3, samples: int = 4
     sampling is required to see it.
     """
     space = HilbertSpace.for_qubits(1, cavity_dim)
-    h = ham.raman_full(params, 0, Role.EMITTER, space)
+    h = HermitianOperator(space, ham.raman_full_local(params, 0, Role.EMITTER, cavity_dim))
     duration = math.pi * params.delta_c / (2.0 * params.g_at(0) ** 2)
     state = space.basis_state((1, 0))
     times = np.linspace(0.0, duration, samples + 1)
@@ -319,17 +323,3 @@ def swap_peak_level3(params: DeviceParams, cavity_dim: int = 3, samples: int = 4
     weights3 = level_count_weights(space, 3)
     return float(np.max(np.abs(trajectory) ** 2 @ weights3))
 
-
-def truth_table_csv(rows: list[TruthRow]) -> str:
-    """Render a truth table to CSV: one output column per labelled state."""
-    labels = [row.input_label for row in rows]
-    buf = io.StringIO()
-    buf.write("input," + ",".join(f"amp[{l}]" for l in labels) + ",leakage\n")
-    for row in rows:
-        cells = [row.input_label]
-        for label in labels:
-            a = row.amplitudes.get(label, 0.0 + 0.0j)
-            cells.append(f"{a.real:.12g}{a.imag:+.12g}j")
-        cells.append(f"{row.leakage:.12g}")
-        buf.write(",".join(cells) + "\n")
-    return buf.getvalue()

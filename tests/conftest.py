@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from gatesim.device import DeviceParams, load_params
+from gatesim.linalg import UnitaryMatrix, tensor_embed
+from gatesim.pulses import Mode, make_pulse, pulse_local_unitary
 
 
 @pytest.fixture(scope="session")
@@ -62,6 +64,14 @@ def cavity_level(n, dim):
     return v
 
 
+def embedded_pulse(kind, params, roles, slot, space, mode=Mode.ANALYTIC):
+    """Dense unitary of one pulse on ``space``: its local unitary placed by ``tensor_embed``."""
+    pulse = make_pulse(kind, slot, params, roles)
+    local, with_cavity = pulse_local_unitary(pulse, params, roles, space.cavity_dim, mode)
+    slots = (slot, space.cavity_slot) if with_cavity else (slot,)
+    return UnitaryMatrix(space, tensor_embed(local, space, slots))
+
+
 def rel_err(a, ref):
     """Largest entrywise deviation relative to the largest reference entry."""
     return float(np.max(np.abs(np.asarray(a) - ref)) / np.max(np.abs(ref)))
@@ -89,14 +99,14 @@ def block_labels(h):
 
 
 def assert_matches_dense_oracle(h, amps, times, tol=1e-12):
-    """``evolve``, ``propagator`` and ``evolve_times`` against dense ``eigh`` of ``h.matrix``.
+    """``propagate``, ``propagator`` and ``evolve_times`` against dense ``eigh`` of ``h.matrix``.
 
     Relative deviations must stay within ``tol``, or within the phase error
     ``16 eps max|w| t`` that dense ``eigh`` itself makes once ``max|w| t``
     reaches hundreds of radians (1.6e-12 against ``expm`` for a cavity-dim-3
     fanout-CNOT window at n = 4, where the block path was 4.9e-13 off).
     """
-    from gatesim.linalg import StateVector, evolve, evolve_times, propagator
+    from gatesim.linalg import StateVector, evolve_times, propagator
 
     w, v = np.linalg.eigh(h.matrix)
     bound = lambda t: max(tol, 16 * np.finfo(float).eps * np.max(np.abs(w)) * abs(t))
@@ -106,5 +116,5 @@ def assert_matches_dense_oracle(h, amps, times, tol=1e-12):
         dense = (v * np.exp(-1j * w * t)) @ v.conj().T
         expected.append(dense @ amps)
         assert rel_err(propagator(h, t).matrix, dense) <= bound(t)
-        assert rel_err(evolve(state, h, t).amplitudes, expected[-1]) <= bound(t)
+        assert rel_err(h.propagate(amps, t), expected[-1]) <= bound(t)
     assert rel_err(evolve_times(state, h, times), np.array(expected)) <= bound(max(times))

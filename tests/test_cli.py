@@ -3,6 +3,7 @@ import json
 import pytest
 
 from gatesim.cli import main
+from gatesim.device import load_params
 
 
 def run_cli(capsys, *argv):
@@ -55,6 +56,17 @@ def test_verify_nonexistent_params_exits_two(capsys):
     code, _, err = run_cli(capsys, "verify", "cp3", "--params", "no/such/file.json")
     assert code == 2
     assert "no parameter file" in err
+
+
+def test_verify_null_param_exits_two(capsys, tmp_path):
+    _, raw = load_params("cpw")
+    raw["delta_c"] = None
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    code, out, err = run_cli(capsys, "verify", "cp3", "--params", str(bad))
+    assert code == 2
+    assert out == ""
+    assert "delta_c" in err
 
 
 def test_verify_empty_file_exits_two(capsys, tmp_path):

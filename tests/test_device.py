@@ -70,6 +70,33 @@ def test_nonpositive_or_nonfinite_rejected(value):
         params_from_dict(raw)
 
 
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("delta_c", None),
+        ("delta_c", [10.0]),
+        ("delta_c", "1e9"),
+        ("quality_q", {}),
+        ("nu_c", True),
+        ("g", True),
+        ("g", "1.0"),
+        ("g", None),
+        ("g", {"0": 1.0}),
+        ("g", []),
+        ("g", [1.0, None]),
+        ("g", [1.0, "1.0"]),
+        ("omega_raman", [False]),
+        ("delta_mu", None),
+        ("delta_mu", "10.0"),
+    ],
+)
+def test_non_numbers_rejected_naming_the_key(key, value):
+    raw = base_dict()
+    raw[key] = value
+    with pytest.raises(ConfigError, match=rf"^{key} must"):
+        params_from_dict(raw)
+
+
 def test_second_order_detuning_rejected_at_parse():
     raw = base_dict()
     raw["delta_mu"] = 9.0  # != delta_c

@@ -6,16 +6,19 @@ import pytest
 from gatesim.device import Role
 from gatesim.hamiltonians import (
     cavity_ladder,
-    dispersive_local,
     idle_coupling_local,
-    raman_effective,
     raman_effective_local,
-    raman_full,
     raman_full_local,
-    resonant_drive,
     resonant_drive_local,
 )
-from gatesim.linalg import HilbertSpace, process_fidelity, propagator, tensor_embed
+from gatesim.linalg import (
+    HermitianOperator,
+    HilbertSpace,
+    process_fidelity,
+    propagator,
+    tensor_embed,
+)
+from gatesim.pulses import Mode, PulseKind, make_pulse, pulse_local_hamiltonian
 
 CAV = 3
 
@@ -26,6 +29,10 @@ def space1(cavity=CAV):
 
 def idx(level, n, cavity=CAV):
     return level * cavity + n
+
+
+def resonant_drive_1q(omega, phi, j, space):
+    return HermitianOperator(space, tensor_embed(resonant_drive_local(omega, phi, j), space, (0,)))
 
 
 # --- structure -------------------------------------------------------------
@@ -44,7 +51,7 @@ def test_builders_are_hermitian(unit_params, role):
     for local in (
         raman_full_local(unit_params, 0, role, CAV),
         raman_effective_local(unit_params, 0, role, CAV),
-        dispersive_local(unit_params, 0, CAV),
+        idle_coupling_local(unit_params, 0, Role.TARGET, CAV, full=False),
         resonant_drive_local(10.0, 0.7, role.pulse_level),
         idle_coupling_local(unit_params, 0, role, CAV, full=True),
         idle_coupling_local(unit_params, 0, role, CAV, full=False),
@@ -66,9 +73,12 @@ def test_raman_full_is_idle_coupling_minus_drive(unit_params, role):
 
 def test_dispersive_is_idle_coupling_of_target(unit_params):
     params = unit_params.replace(g=(1.0, 1.3), delta_ck=(10.0, 17.0))
+    roles = (Role.TARGET, Role.TARGET)
     for slot in (0, 1):
+        pulse = make_pulse(PulseKind.DISPERSIVE_PHASE, slot, params, roles)
+        local, _ = pulse_local_hamiltonian(pulse, params, roles, CAV, Mode.EFFECTIVE)
         expected = idle_coupling_local(params, slot, Role.TARGET, CAV, full=False)
-        assert np.array_equal(dispersive_local(params, slot, CAV), expected)
+        assert np.array_equal(local, expected)
 
 
 def test_raman_builders_reject_target_role(unit_params):
@@ -150,7 +160,7 @@ def test_raman_effective_conserves_excitation(unit_params):
     # photon number plus occupation of the role's pulse level commutes with H
     space = space1()
     for role in (Role.EMITTER, Role.ABSORBER):
-        h = raman_effective(unit_params, 0, role, space).matrix
+        h = raman_effective_local(unit_params, 0, role, CAV)
         j = role.pulse_level
         proj = np.zeros((4, 4))
         proj[j, j] = 1.0
@@ -164,7 +174,7 @@ def test_raman_effective_conserves_excitation(unit_params):
 
 
 def test_dispersive_eigenvalues(unit_params):
-    h = dispersive_local(unit_params, 0, CAV)
+    h = idle_coupling_local(unit_params, 0, Role.TARGET, CAV, full=False)
     g = unit_params.g_at(0)
     delta = unit_params.delta_ck_at(0)
     assert h[idx(2, 0), idx(2, 0)] == 0.0  # vacuum
@@ -187,7 +197,7 @@ def test_resonant_drive_closed_form(unit_params):
     # propagator must reproduce cos/sin rotation with the e^{+-i phi} weights
     space = space1()
     omega, phi, j = 10.0, 0.9, 1
-    h = resonant_drive(omega, phi, j, 0, space)
+    h = resonant_drive_1q(omega, phi, j, space)
     tau = 0.123
     u = propagator(h, tau).matrix
     c, s = math.cos(omega * tau), math.sin(omega * tau)
@@ -209,14 +219,14 @@ def test_resonant_drive_closed_form(unit_params):
 def test_resonant_drive_quarter_period_maps(phi, expect_j, expect_2):
     space = space1()
     omega, j = 10.0, 1
-    u = propagator(resonant_drive(omega, phi, j, 0, space), math.pi / (2 * omega)).matrix
+    u = propagator(resonant_drive_1q(omega, phi, j, space), math.pi / (2 * omega)).matrix
     assert u[space.index((2, 0)), space.index((j, 0))] == pytest.approx(expect_j, abs=1e-12)
     assert u[space.index((j, 0)), space.index((2, 0))] == pytest.approx(expect_2, abs=1e-12)
 
 
 def test_resonant_drive_zero_time_identity():
     space = space1()
-    u = propagator(resonant_drive(10.0, 0.3, 0, 0, space), 0.0)
+    u = propagator(resonant_drive_1q(10.0, 0.3, 0, space), 0.0)
     assert np.allclose(u.matrix, np.eye(space.total_dim), atol=1e-14)
 
 
@@ -235,8 +245,11 @@ def test_full_vs_effective_infidelity_shrinks_with_detuning(unit_params):
     for ratio in (10.0, 20.0, 50.0):
         p = unit_params.replace(delta_c=ratio, delta_ck=ratio)
         t1 = math.pi * p.delta_c / (2.0 * p.g_at(0) ** 2)
-        u_full = propagator(raman_full(p, 0, Role.EMITTER, space), t1)
-        u_eff = propagator(raman_effective(p, 0, Role.EMITTER, space), t1)
+        # on one qubit plus the cavity the local generators are the full matrices
+        h_full = HermitianOperator(space, raman_full_local(p, 0, Role.EMITTER, CAV))
+        h_eff = HermitianOperator(space, raman_effective_local(p, 0, Role.EMITTER, CAV))
+        u_full = propagator(h_full, t1)
+        u_eff = propagator(h_eff, t1)
         fid = process_fidelity(u_eff, u_full, comparison_indices())
         infidelities.append(1.0 - fid)
     assert infidelities[0] < (1.0 / 10.0) ** 2  # O((g/delta)^2) scale

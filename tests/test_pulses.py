@@ -3,20 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from conftest import embedded_pulse
 from gatesim.device import Role
-from gatesim.linalg import HilbertSpace, exact_match
+from gatesim.linalg import HilbertSpace
 from gatesim.pulses import (
     Mode,
     PulseKind,
     closed_form_domain,
-    dispersive_phase,
-    hadamard,
     make_pulse,
-    pi_pulse,
     pulse_duration,
     pulse_local_hamiltonian,
-    raman_absorb,
-    raman_emit,
 )
 from gatesim.verify import (
     elimination_comparison_indices,
@@ -34,11 +30,11 @@ def space1(cavity=3):
 
 
 ALL_BUILDERS = [
-    ("emit", lambda p, s, m: raman_emit(p, EMITTER, 0, s, m)),
-    ("absorb", lambda p, s, m: raman_absorb(p, ABSORBER, 0, s, m)),
-    ("gpi", lambda p, s, m: dispersive_phase(p, TARGET, 0, s, m)),
-    ("pi", lambda p, s, m: pi_pulse(p, TARGET, 0, s, dagger=False, mode=m)),
-    ("pidag", lambda p, s, m: pi_pulse(p, EMITTER, 0, s, dagger=True, mode=m)),
+    ("emit", lambda p, s, m: embedded_pulse(PulseKind.RAMAN_EMIT, p, EMITTER, 0, s, m)),
+    ("absorb", lambda p, s, m: embedded_pulse(PulseKind.RAMAN_ABSORB, p, ABSORBER, 0, s, m)),
+    ("gpi", lambda p, s, m: embedded_pulse(PulseKind.DISPERSIVE_PHASE, p, TARGET, 0, s, m)),
+    ("pi", lambda p, s, m: embedded_pulse(PulseKind.PI_PULSE, p, TARGET, 0, s, m)),
+    ("pidag", lambda p, s, m: embedded_pulse(PulseKind.PI_PULSE_DAG, p, EMITTER, 0, s, m)),
 ]
 
 
@@ -50,7 +46,8 @@ def test_every_primitive_is_unitary(unit_params, name, build, mode):
 
 
 def test_hadamard_is_unitary(unit_params):
-    assert hadamard(0, space1()).unitarity_defect() < 1e-12
+    u = embedded_pulse(PulseKind.HADAMARD, unit_params, TARGET, 0, space1())
+    assert u.unitarity_defect() < 1e-12
 
 
 # --- durations ---------------------------------------------------------------
@@ -75,11 +72,11 @@ def test_durations_match_formulas(unit_params):
 
 def test_wrong_role_rejected(unit_params):
     with pytest.raises(ValueError):
-        raman_emit(unit_params, ABSORBER, 0, space1())
+        embedded_pulse(PulseKind.RAMAN_EMIT, unit_params, ABSORBER, 0, space1())
     with pytest.raises(ValueError):
-        raman_absorb(unit_params, TARGET, 0, space1())
+        embedded_pulse(PulseKind.RAMAN_ABSORB, unit_params, TARGET, 0, space1())
     with pytest.raises(ValueError):
-        dispersive_phase(unit_params, EMITTER, 0, space1())
+        embedded_pulse(PulseKind.DISPERSIVE_PHASE, unit_params, EMITTER, 0, space1())
 
 
 @pytest.mark.parametrize(
@@ -107,7 +104,7 @@ def test_unmatched_raman_drive_rejected(unit_params):
 
 def test_emit_swap_table(unit_params):
     space = space1()
-    u = raman_emit(unit_params, EMITTER, 0, space).matrix
+    u = embedded_pulse(PulseKind.RAMAN_EMIT, unit_params, EMITTER, 0, space).matrix
     assert u[space.index((2, 1)), space.index((1, 0))] == 1.0  # |1,0> -> |2,1>
     assert u[space.index((1, 0)), space.index((2, 1))] == 1.0
     assert u[space.index((0, 0)), space.index((0, 0))] == 1.0  # |0,0> fixed
@@ -118,7 +115,7 @@ def test_emit_swap_table(unit_params):
 
 def test_absorb_swap_table(unit_params):
     space = space1()
-    u = raman_absorb(unit_params, ABSORBER, 0, space).matrix
+    u = embedded_pulse(PulseKind.RAMAN_ABSORB, unit_params, ABSORBER, 0, space).matrix
     assert u[space.index((0, 0)), space.index((2, 1))] == 1.0  # |2,1> -> |0,0>
     assert u[space.index((2, 1)), space.index((0, 0))] == 1.0
     for n in (0, 1):  # spectator level 1 untouched at any photon number
@@ -130,7 +127,7 @@ def test_absorb_swap_table(unit_params):
 
 def test_dispersive_phase_table(unit_params):
     space = space1()
-    u = dispersive_phase(unit_params, TARGET, 0, space).matrix
+    u = embedded_pulse(PulseKind.DISPERSIVE_PHASE, unit_params, TARGET, 0, space).matrix
     assert u[space.index((2, 1)), space.index((2, 1))] == -1.0
     assert u[space.index((3, 1)), space.index((3, 1))] == -1.0
     assert u[space.index((0, 1)), space.index((0, 1))] == 1.0
@@ -143,8 +140,8 @@ def test_dispersive_phase_table(unit_params):
 )
 def test_pi_pulse_maps_by_role(unit_params, roles, j):
     space = space1()
-    r = pi_pulse(unit_params, roles, 0, space, dagger=False).matrix
-    rdag = pi_pulse(unit_params, roles, 0, space, dagger=True).matrix
+    r = embedded_pulse(PulseKind.PI_PULSE, unit_params, roles, 0, space).matrix
+    rdag = embedded_pulse(PulseKind.PI_PULSE_DAG, unit_params, roles, 0, space).matrix
     assert r[space.index((j, 0)), space.index((2, 0))] == 1.0  # |2> -> |j>
     assert r[space.index((2, 0)), space.index((j, 0))] == -1.0  # |j> -> -|2>
     assert rdag[space.index((2, 0)), space.index((j, 0))] == 1.0  # |j> -> |2>
@@ -154,7 +151,7 @@ def test_pi_pulse_maps_by_role(unit_params, roles, j):
 
 def test_hadamard_table(unit_params):
     space = space1()
-    h = hadamard(0, space).matrix
+    h = embedded_pulse(PulseKind.HADAMARD, unit_params, TARGET, 0, space).matrix
     s = 1 / math.sqrt(2)
     plus = s * (space.basis_vector((0, 0)) + space.basis_vector((1, 0)))
     minus = s * (space.basis_vector((0, 0)) - space.basis_vector((1, 0)))
@@ -167,32 +164,34 @@ def test_hadamard_table(unit_params):
 # --- analytic vs simulated -----------------------------------------------------
 
 
-@pytest.mark.parametrize("roles,build", [
-    (EMITTER, raman_emit),
-    (ABSORBER, raman_absorb),
-])
-def test_raman_analytic_equals_effective_on_closed_form_domain(unit_params, roles, build):
+@pytest.mark.parametrize(
+    "roles,kind",
+    [(EMITTER, PulseKind.RAMAN_EMIT), (ABSORBER, PulseKind.RAMAN_ABSORB)],
+    ids=lambda v: v.value if isinstance(v, PulseKind) else None,
+)
+def test_raman_analytic_equals_effective_on_closed_form_domain(unit_params, roles, kind):
     space = space1()
-    ua = build(unit_params, roles, 0, space, Mode.ANALYTIC)
-    ue = build(unit_params, roles, 0, space, Mode.EFFECTIVE)
+    ua = embedded_pulse(kind, unit_params, roles, 0, space, Mode.ANALYTIC)
+    ue = embedded_pulse(kind, unit_params, roles, 0, space, Mode.EFFECTIVE)
     domain = closed_form_domain(roles[0], space.cavity_dim)
-    assert exact_match(ua, ue, domain, tol=1e-10)
+    assert np.max(np.abs(ua.matrix[:, domain] - ue.matrix[:, domain])) <= 1e-10
 
 
 def test_dispersive_analytic_equals_effective_everywhere(unit_params):
     space = space1()
-    ua = dispersive_phase(unit_params, TARGET, 0, space, Mode.ANALYTIC)
-    ue = dispersive_phase(unit_params, TARGET, 0, space, Mode.EFFECTIVE)
-    assert exact_match(ua, ue, range(space.total_dim), tol=1e-10)
+    ua = embedded_pulse(PulseKind.DISPERSIVE_PHASE, unit_params, TARGET, 0, space, Mode.ANALYTIC)
+    ue = embedded_pulse(PulseKind.DISPERSIVE_PHASE, unit_params, TARGET, 0, space, Mode.EFFECTIVE)
+    assert np.max(np.abs(ua.matrix - ue.matrix)) <= 1e-10
 
 
 @pytest.mark.parametrize("dagger", [False, True])
 def test_pi_pulse_analytic_equals_simulated_everywhere(unit_params, dagger):
     space = space1()
-    ua = pi_pulse(unit_params, EMITTER, 0, space, dagger=dagger, mode=Mode.ANALYTIC)
+    kind = PulseKind.PI_PULSE_DAG if dagger else PulseKind.PI_PULSE
+    ua = embedded_pulse(kind, unit_params, EMITTER, 0, space, Mode.ANALYTIC)
     for mode in (Mode.EFFECTIVE, Mode.FULL):
-        us = pi_pulse(unit_params, EMITTER, 0, space, dagger=dagger, mode=mode)
-        assert exact_match(ua, us, range(space.total_dim), tol=1e-10)
+        us = embedded_pulse(kind, unit_params, EMITTER, 0, space, mode)
+        assert np.max(np.abs(ua.matrix - us.matrix)) <= 1e-10
 
 
 def test_full_emit_matches_analytic_at_large_detuning(unit_params):
@@ -222,8 +221,8 @@ def test_cavity_free_primitives_commute_exactly_across_slots(unit_params):
     # are disjoint and the matrices commute entrywise
     space = HilbertSpace.for_qubits(2, 2)
     roles = (Role.ABSORBER, Role.TARGET)
-    g2 = raman_absorb(unit_params, roles, 0, space).matrix
-    r = pi_pulse(unit_params, roles, 1, space).matrix
+    g2 = embedded_pulse(PulseKind.RAMAN_ABSORB, unit_params, roles, 0, space).matrix
+    r = embedded_pulse(PulseKind.PI_PULSE, unit_params, roles, 1, space).matrix
     assert np.array_equal(g2 @ r, r @ g2)
 
 
@@ -233,8 +232,8 @@ def test_swap_and_dispersive_commute_on_protocol_states(unit_params):
     # the protocols visit
     space = HilbertSpace.for_qubits(2, 2)
     roles = (Role.ABSORBER, Role.TARGET)
-    g2 = raman_absorb(unit_params, roles, 0, space).matrix
-    gpi = dispersive_phase(unit_params, roles, 1, space).matrix
+    g2 = embedded_pulse(PulseKind.RAMAN_ABSORB, unit_params, roles, 0, space).matrix
+    gpi = embedded_pulse(PulseKind.DISPERSIVE_PHASE, unit_params, roles, 1, space).matrix
     comm = g2 @ gpi - gpi @ g2
     logical = [
         space.index((l0, l1, n))

@@ -20,8 +20,8 @@ from gatesim.linalg import (
     HilbertSpace,
     SpectralBlocks,
     StateVector,
-    embed_hermitian,
     level_count_weights,
+    tensor_embed,
 )
 from gatesim.pulses import Mode, Pulse, PulseKind, make_pulse, pulse_local_hamiltonian
 from gatesim.sequences import (
@@ -436,10 +436,10 @@ def dense_window_reference(seq, pulses, idle_slots):
             p, seq.params, seq.roles, space.cavity_dim, Mode.FULL
         )
         slots = (p.slot, space.cavity_slot) if with_cavity else (p.slot,)
-        total += embed_hermitian(local, space, slots).matrix
+        total += tensor_embed(local, space, slots)
     for q in idle_slots:
         local = idle_coupling_local(seq.params, q, seq.roles[q], space.cavity_dim, full=False)
-        total += embed_hermitian(local, space, (q, space.cavity_slot)).matrix
+        total += tensor_embed(local, space, (q, space.cavity_slot))
     return total
 
 

@@ -23,7 +23,6 @@ from gatesim.verify import (
     ideal_toffoli,
     phase_audit,
     report,
-    truth_table_csv,
 )
 
 
@@ -242,7 +241,7 @@ def test_ncp4_audit_exposes_large_idle_absorber_phase(unit_params):
     assert audit.branch_phases["1100"] == pytest.approx(math.pi + 2.0 * math.pi / 200.0)
 
 
-# --- CSV rendering -----------------------------------------------------------------
+# --- truth table rows ----------------------------------------------------------
 
 
 def test_truth_table_csv_layout(unit_params):
@@ -255,10 +254,7 @@ def test_truth_table_csv_layout(unit_params):
         (space.computational_label(k), np.eye(space.total_dim)[:, i])
         for k, i in enumerate(space.computational_indices())
     ]
-    text = truth_table_csv(truth_table(u, inputs))
-    lines = text.strip().split("\n")
-    assert lines[0].startswith("input,amp[000]")
-    assert lines[0].endswith("leakage")
-    assert len(lines) == 9
-    assert lines[-1].startswith("111,")
-    assert "-1" in lines[-1]
+    rows = truth_table(u, inputs)
+    assert len(rows) == 8
+    assert rows[-1].input_label == "111"
+    assert abs(rows[-1].amplitudes["111"] + 1.0) < 1e-12
