@@ -26,7 +26,6 @@ from .linalg import (
     HermitianOperator,
     HilbertSpace,
     StateVector,
-    UnitaryMatrix,
     process_fidelity,
     propagator,
     tensor_embed,
@@ -49,7 +48,6 @@ from .sequences import (
 from .verify import (
     GateReport,
     PhaseAudit,
-    ideal_cp3,
     ideal_ncp,
     ideal_ntcnot,
     ideal_toffoli,

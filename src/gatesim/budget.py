@@ -11,10 +11,10 @@ values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
-from .device import ConfigError, DeviceParams
+from .device import ConfigError, DeviceParams, _number
 from .sequences import GateKind
 
 # CODATA 2018.
@@ -59,6 +59,19 @@ def cavity_lifetime(quality_q: float, nu_c: float) -> float:
     return quality_q / (2.0 * math.pi * nu_c)
 
 
+def _positive(key: str, value) -> float:
+    """``value`` as a finite number > 0; ``key`` names it in the error."""
+    value = _number(key, value)
+    if not math.isfinite(value) or value <= 0:
+        raise ConfigError(f"{key} must be positive and finite, got {value}")
+    return value
+
+
+def _check_section(name: str, raw) -> None:
+    if not isinstance(raw, dict):
+        raise ConfigError(f"the {name} section must be a JSON object, got {raw!r}")
+
+
 @dataclass(frozen=True)
 class SquidParams:
     """rf-SQUID device figures entering the coupling-constant estimate."""
@@ -75,22 +88,9 @@ class SquidParams:
     antinode_factor: float  # cos(kz) at the SQUID position
 
     def __post_init__(self) -> None:
-        for name in (
-            "junction_capacitance",
-            "loop_inductance",
-            "damping_resistance",
-            "beta_l",
-            "external_flux",
-            "coupling_matrix_element",
-            "loop_area",
-            "cavity_volume",
-            "cavity_frequency",
-            "antinode_factor",
-        ):
-            value = float(getattr(self, name))
-            object.__setattr__(self, name, value)
-            if not math.isfinite(value) or value <= 0:
-                raise ConfigError(f"squid parameter {name} must be positive, got {value}")
+        for f in fields(self):
+            value = _positive(f"squid parameter {f.name}", getattr(self, f.name))
+            object.__setattr__(self, f.name, value)
         if self.antinode_factor > 1.0:
             raise ConfigError("antinode factor is a cosine and cannot exceed 1")
 
@@ -110,13 +110,16 @@ _SQUID_KEYS = {
 
 
 def squid_from_dict(raw: dict) -> SquidParams:
+    _check_section("squid", raw)
     unknown = set(raw) - set(_SQUID_KEYS) - {"description"}
     if unknown:
         raise ConfigError(f"unknown squid keys: {sorted(unknown)}")
     missing = set(_SQUID_KEYS) - set(raw)
     if missing:
         raise ConfigError(f"missing squid keys: {sorted(missing)}")
-    return SquidParams(**{attr: raw[key] for key, attr in _SQUID_KEYS.items()})
+    return SquidParams(
+        **{attr: _positive(f"squid.{key}", raw[key]) for key, attr in _SQUID_KEYS.items()}
+    )
 
 
 def squid_coupling(sq: SquidParams) -> float:
@@ -270,8 +273,7 @@ class LevelStructure:
     nu_30: Optional[float] = None
 
 
-_LEVEL_KEYS = {
-    "qubit_type": "qubit_type",
+_LEVEL_FREQS = {
     "nu_10_hz": "nu_10",
     "nu_21_hz": "nu_21",
     "nu_32_hz": "nu_32",
@@ -282,13 +284,18 @@ _LEVEL_KEYS = {
 
 
 def levels_from_dict(raw: dict) -> LevelStructure:
-    unknown = set(raw) - set(_LEVEL_KEYS) - {"description"}
+    _check_section("levels", raw)
+    unknown = set(raw) - set(_LEVEL_FREQS) - {"qubit_type", "description"}
     if unknown:
         raise ConfigError(f"unknown level keys: {sorted(unknown)}")
     for required in ("qubit_type", "nu_21_hz", "nu_32_hz"):
         if required not in raw:
             raise ConfigError(f"missing level key: {required}")
-    return LevelStructure(**{attr: raw[key] for key, attr in _LEVEL_KEYS.items() if key in raw})
+    if not isinstance(raw["qubit_type"], str):
+        raise ConfigError(f"levels.qubit_type must be a string, got {raw['qubit_type']!r}")
+    present = [(key, attr) for key, attr in _LEVEL_FREQS.items() if key in raw]
+    freqs = {attr: _positive(f"levels.{key}", raw[key]) for key, attr in present}
+    return LevelStructure(raw["qubit_type"], **freqs)
 
 
 # Predicate tables: (description, lambda) per qubit type.  The charge-qubit

@@ -17,6 +17,7 @@ import argparse
 import math
 import os
 import sys
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -128,11 +129,11 @@ def _cmd_verify(args) -> int:
     if threshold is None:
         threshold = 0.9 if mode is Mode.FULL else 1.0 - 1e-9
     passed = rep.process_fidelity >= threshold
-    out = rep.to_dict()
+    out = asdict(rep)
     out["threshold"] = threshold
     out["passed"] = passed
     if args.audit:
-        out["phase_audit"] = phase_audit(seq).to_dict()
+        out["phase_audit"] = asdict(phase_audit(seq))
     if args.dump_sequence:
         out["sequence"] = serialize_sequence(seq)
     write_json(out, args.output)
@@ -142,7 +143,7 @@ def _cmd_verify(args) -> int:
 def _cmd_budget(args) -> int:
     params, raw = load_params(args.params)
     rep = budget_mod.feasibility(params, threshold=args.threshold)
-    out = {"params": params.to_dict()}
+    out = {"params": asdict(params)}
     out.update(rep.to_dict())
     if "squid" in raw:
         sq = budget_mod.squid_from_dict(raw["squid"])
@@ -178,11 +179,11 @@ def _cmd_sweep(args) -> int:
     rows = []
     for value in values:
         if args.param == "delta_ratio":
-            p = params.replace(delta_c=value * g0, delta_ck=value * g0)
+            p = replace(params, delta_c=value * g0, delta_ck=value * g0)
         elif args.param == "omega_ratio":
-            p = params.replace(omega_resonant=value * g0)
+            p = replace(params, omega_resonant=value * g0)
         else:
-            p = params.replace(quality_q=value)
+            p = replace(params, quality_q=value)
         rows.append((float(value),) + tuple(_sweep_observable(o, p) for o in args.observable))
     write_csv((args.param, *args.observable), rows, args.output)
     return 0
@@ -191,7 +192,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_dj(args) -> int:
     params, _ = load_params(args.params)
     result = run_dj(args.variant, params, Mode.parse(args.mode))
-    write_json(result.to_dict(), args.output)
+    write_json(asdict(result), args.output)
     return 0
 
 

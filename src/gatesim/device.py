@@ -17,7 +17,6 @@ import enum
 import json
 import math
 import numbers
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Union
@@ -38,10 +37,6 @@ _PARAM_KEYS = {
     "nu_c",
 }
 _OPTIONAL_KEYS = {"delta_mu", "description", "squid", "levels"}
-
-# The dispersive regime the pulse recipes rely on: detunings at least this
-# many times the coupling.  Weaker ratios are allowed but warned about.
-DISPERSIVE_RATIO = 10.0
 
 
 class ConfigError(ValueError):
@@ -137,50 +132,6 @@ class DeviceParams:
             return self.delta_ck_at(slot)
         return self.delta_c
 
-    def check_dispersive(self, n_qubits: int, strict: bool = False) -> None:
-        """Warn (or raise) when detunings fall below the dispersive regime."""
-        for slot in range(n_qubits):
-            g = self.g_at(slot)
-            for name, delta in (("delta_c", self.delta_c), ("delta_ck", self.delta_ck_at(slot))):
-                if delta < DISPERSIVE_RATIO * g:
-                    msg = (
-                        f"{name} = {delta:.3e} rad/s is below {DISPERSIVE_RATIO} x g "
-                        f"= {DISPERSIVE_RATIO * g:.3e} for qubit {slot}; the dispersive "
-                        "approximation degrades"
-                    )
-                    if strict:
-                        raise ConfigError(msg)
-                    warnings.warn(msg, stacklevel=2)
-
-    def replace(self, **changes) -> "DeviceParams":
-        fields = {
-            "g": self.g,
-            "delta_c": self.delta_c,
-            "delta_ck": self.delta_ck,
-            "omega_raman": self.omega_raman,
-            "omega_resonant": self.omega_resonant,
-            "gamma2_inv": self.gamma2_inv,
-            "quality_q": self.quality_q,
-            "nu_c": self.nu_c,
-        }
-        fields.update(changes)
-        return DeviceParams(**fields)
-
-    def to_dict(self) -> dict:
-        def plain(v):
-            return list(v) if isinstance(v, tuple) else v
-
-        return {
-            "g": plain(self.g),
-            "delta_c": self.delta_c,
-            "delta_ck": plain(self.delta_ck),
-            "omega_raman": plain(self.omega_raman),
-            "omega_resonant": self.omega_resonant,
-            "gamma2_inv": self.gamma2_inv,
-            "quality_q": self.quality_q,
-            "nu_c": self.nu_c,
-        }
-
 
 def params_from_dict(raw: dict) -> DeviceParams:
     """Build :class:`DeviceParams` from a parsed JSON object.
@@ -205,16 +156,7 @@ def params_from_dict(raw: dict) -> DeviceParams:
                 "delta_mu must equal delta_c: the pulse recipes assume zero "
                 "second-order detuning"
             )
-    return DeviceParams(
-        g=raw["g"],
-        delta_c=raw["delta_c"],
-        delta_ck=raw["delta_ck"],
-        omega_raman=raw["omega_raman"],
-        omega_resonant=raw["omega_resonant"],
-        gamma2_inv=raw["gamma2_inv"],
-        quality_q=raw["quality_q"],
-        nu_c=raw["nu_c"],
-    )
+    return DeviceParams(**{key: raw[key] for key in _PARAM_KEYS})
 
 
 def resolve_params_path(name_or_path: str) -> Path:

@@ -40,10 +40,6 @@ class OracleVariant:
     f0: int
     f1: int
 
-    @property
-    def is_constant(self) -> bool:
-        return self.f0 == self.f1
-
 
 ORACLES = {
     1: OracleVariant(1, 0, 0),
@@ -92,7 +88,7 @@ def uf_apply(
     if isinstance(variant, int):
         variant = oracle_variant(variant)
     space = state.space
-    cnot = compose(ntcnot_sequence(2, params, space.cavity_dim), mode).matrix
+    cnot = compose(ntcnot_sequence(2, params, space.cavity_dim), mode)
     amps = state.amplitudes.copy()
 
     def apply_cnot():
@@ -125,14 +121,6 @@ class DJResult:
     classification: str
     probability: float
     oracle_applications: int
-
-    def to_dict(self) -> dict:
-        return {
-            "variant": self.variant,
-            "classification": self.classification,
-            "probability": self.probability,
-            "oracle_applications": self.oracle_applications,
-        }
 
 
 def run_dj(

@@ -6,8 +6,10 @@ are mixed-radix numbers with the cavity digit least significant, i.e.
 ``|l1 .. ln> ⊗ |nc>`` maps to ``((l1*d2 + l2)*d3 + ...) * d_cav + nc``.
 Fixing this one convention removes an entire class of indexing bugs.
 
-All values are immutable after construction and every operation is a pure
-function, so everything here is safe to use from concurrent workers.
+Spaces, states and Hamiltonians are immutable after construction and every
+operation is a pure function, so they are safe to share between concurrent
+workers.  Propagators and composed gates are plain, writable ``np.ndarray``
+matrices owned by the caller.
 Hermitian time evolution uses the spectral decomposition of the matrix,
 which is exact up to floating point; no step-wise integrator is involved
 because every Hamiltonian in this package is time independent in its
@@ -147,21 +149,6 @@ class StateVector:
             )
         object.__setattr__(self, "amplitudes", amps)
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def probability(self, indices: Sequence[int]) -> float:
-        return float(np.sum(np.abs(self.amplitudes[list(indices)]) ** 2))
-
-    def level_population(self, slot: int, level: int) -> float:
-        """Total probability of finding subsystem ``slot`` at ``level``."""
-        mask = subsystem_level_mask(self.space, slot, level)
-        return float(np.sum(np.abs(self.amplitudes[mask]) ** 2))
-
-    def residual_photon(self) -> float:
-        """Probability that the cavity is not in vacuum."""
-        return 1.0 - self.level_population(self.space.cavity_slot, 0)
-
 
 def subsystem_level_mask(space: HilbertSpace, slot: int, level: int) -> np.ndarray:
     """Boolean mask over basis indices where subsystem ``slot`` sits at ``level``."""
@@ -262,35 +249,6 @@ class HermitianOperator:
         return out.reshape(arr.shape)
 
 
-@dataclass(frozen=True)
-class UnitaryMatrix:
-    """Dense unitary over a space.  Unitarity is asserted by the test suite."""
-
-    space: HilbertSpace
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        mat = _freeze(self.matrix)
-        dim = self.space.total_dim
-        if mat.shape != (dim, dim):
-            raise ValueError(f"matrix has shape {mat.shape}, expected ({dim}, {dim})")
-        object.__setattr__(self, "matrix", mat)
-
-    def unitarity_defect(self) -> float:
-        """Frobenius norm of ``U†U - I``."""
-        dim = self.space.total_dim
-        return float(np.linalg.norm(self.matrix.conj().T @ self.matrix - np.eye(dim)))
-
-    def __matmul__(self, other: "UnitaryMatrix") -> "UnitaryMatrix":
-        _require_same_space(self.space, other.space)
-        return UnitaryMatrix(self.space, self.matrix @ other.matrix)
-
-
-def _require_same_space(a: HilbertSpace, b: HilbertSpace) -> None:
-    if a.dims != b.dims:
-        raise ValueError(f"operands live on different spaces: {a.dims} vs {b.dims}")
-
-
 def _check_slots(space: HilbertSpace, slots: Sequence[int], local_dim: int) -> tuple[int, ...]:
     slots = tuple(int(s) for s in slots)
     if len(set(slots)) != len(slots):
@@ -376,7 +334,8 @@ def evolve_times(state: StateVector, h: HermitianOperator, times: np.ndarray) ->
 
     Blocks where the state has no amplitude stay exactly zero and are skipped.
     """
-    _require_same_space(state.space, h.space)
+    if state.space.dims != h.space.dims:
+        raise ValueError(f"operands live on different spaces: {state.space.dims} vs {h.space.dims}")
     times = np.asarray(times, dtype=float)
     amps = state.amplitudes
     out = np.zeros((len(times), h.space.total_dim), dtype=complex)
@@ -391,7 +350,7 @@ def evolve_times(state: StateVector, h: HermitianOperator, times: np.ndarray) ->
     return out
 
 
-def propagator(h: HermitianOperator, t: float) -> UnitaryMatrix:
+def propagator(h: HermitianOperator, t: float) -> np.ndarray:
     """Full matrix ``exp(-i H t)``.  Negative ``t`` yields the inverse."""
     if not math.isfinite(t):
         raise ValueError("evolution time must be finite")
@@ -400,18 +359,16 @@ def propagator(h: HermitianOperator, t: float) -> UnitaryMatrix:
     for idx, w, v in h.blocks:
         blocks = (v * np.exp(-1j * w * t)[:, None, :]) @ np.swapaxes(v.conj(), -1, -2)
         out[idx[:, :, None], idx[:, None, :]] = blocks
-    return UnitaryMatrix(h.space, out)
+    return out
 
 
-def process_fidelity(u: UnitaryMatrix, v: UnitaryMatrix, subspace: Sequence[int]) -> float:
+def process_fidelity(u: np.ndarray, v: np.ndarray, subspace: Sequence[int]) -> float:
     """``|Tr(P u† v P)|² / d²`` on the subspace spanned by the given basis indices.
 
     Equals 1 iff the two unitaries agree on the subspace up to a global phase.
     """
-    _require_same_space(u.space, v.space)
     idx = list(subspace)
     if not idx:
         raise ValueError("comparison subspace must not be empty")
-    tr = np.sum(np.conj(u.matrix[:, idx]) * v.matrix[:, idx])
+    tr = np.sum(np.conj(u[:, idx]) * v[:, idx])
     return float(abs(tr) ** 2 / len(idx) ** 2)
-

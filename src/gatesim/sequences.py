@@ -39,7 +39,6 @@ from .linalg import (
     HermitianOperator,
     HilbertSpace,
     StateVector,
-    UnitaryMatrix,
     apply_local,
     local_index_map,
     subsystem_level_mask,
@@ -370,11 +369,10 @@ def apply_evolutions(
     return arr
 
 
-def compose(seq: PulseSequence, mode: Mode, include_idle: bool | None = None) -> UnitaryMatrix:
+def compose(seq: PulseSequence, mode: Mode, include_idle: bool | None = None) -> np.ndarray:
     """Ordered product of the sequence's step unitaries."""
     evolutions = build_evolutions(seq, mode, include_idle)
-    matrix = apply_evolutions(evolutions, seq.space, np.eye(seq.space.total_dim, dtype=complex))
-    return UnitaryMatrix(seq.space, matrix)
+    return apply_evolutions(evolutions, seq.space, np.eye(seq.space.total_dim, dtype=complex))
 
 
 def _swap_domain_defect(seq: PulseSequence, pulse: Pulse, amps: np.ndarray) -> float:
@@ -455,7 +453,7 @@ class TruthRow:
 
 
 def truth_table(
-    u: UnitaryMatrix, inputs: Sequence[tuple[str, np.ndarray]], drop_below: float = 0.0
+    u: np.ndarray, inputs: Sequence[tuple[str, np.ndarray]], drop_below: float = 0.0
 ) -> list[TruthRow]:
     """Decompose the action of ``u`` on labelled states over the same states.
 
@@ -464,7 +462,7 @@ def truth_table(
     """
     labels = [label for label, _ in inputs]
     vectors = np.column_stack([vec for _, vec in inputs])
-    outputs = u.matrix @ vectors
+    outputs = u @ vectors
     overlaps = vectors.conj().T @ outputs
     # residual computed as a vector difference: subtracting probabilities
     # from 1 would lose half the significant digits to cancellation

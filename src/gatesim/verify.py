@@ -10,23 +10,27 @@ fidelity.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import hamiltonians as ham
 from .device import DeviceParams, Role
 from .linalg import (
     HermitianOperator,
     HilbertSpace,
     StateVector,
-    UnitaryMatrix,
     evolve_times,
     level_count_weights,
     process_fidelity,
 )
-from .pulses import Mode, PulseKind, closed_form_domain, make_pulse, pulse_local_unitary
+from .pulses import (
+    Mode,
+    PulseKind,
+    closed_form_domain,
+    make_pulse,
+    pulse_local_hamiltonian,
+    pulse_local_unitary,
+)
 from .sequences import (
     GateKind,
     PulseSequence,
@@ -39,13 +43,6 @@ from .sequences import (
 DEFAULT_TOL = 1e-10
 # The dispersive-phase condition counts as comfortably met above this ratio.
 NEGLIGIBLE_RATIO = 10.0
-
-
-def ideal_cp3() -> np.ndarray:
-    """Three-qubit controlled phase: -1 on |111>, +1 elsewhere."""
-    d = np.ones(8, dtype=complex)
-    d[7] = -1.0
-    return np.diag(d)
 
 
 def ideal_ncp(n: int) -> np.ndarray:
@@ -82,7 +79,7 @@ def ideal_toffoli() -> np.ndarray:
 
 def ideal_gate(gate: GateKind, n: int) -> np.ndarray:
     if gate is GateKind.CP3:
-        return ideal_cp3()
+        return ideal_ncp(3)
     if gate is GateKind.NCP:
         return ideal_ncp(n)
     if gate is GateKind.NTCNOT:
@@ -109,20 +106,6 @@ class GateReport:
     total_duration_s: float
     step_count: int
     tolerance: float
-
-    def to_dict(self) -> dict:
-        return {
-            "gate": self.gate,
-            "n": self.n,
-            "mode": self.mode,
-            "process_fidelity": self.process_fidelity,
-            "exact_phase_match": self.exact_phase_match,
-            "max_level3_population": self.max_level3_population,
-            "residual_photon": self.residual_photon,
-            "total_duration_s": self.total_duration_s,
-            "step_count": self.step_count,
-            "tolerance": self.tolerance,
-        }
 
 
 def report(
@@ -192,27 +175,19 @@ def _condition_denominator(params: DeviceParams, roles: tuple[Role, ...], slot: 
 class PhaseAudit:
     """Dispersive phases picked up by qubits that are not the cavity actor.
 
+    ``condition_ratio`` is the resonant Rabi frequency over the largest
+    dispersive rate in play; well above one, the audit totals are negligible.
     ``step_phases`` lists, per step and qubit, the phase a photon-present
     ``|2>`` component of that qubit would accumulate while it is not the
     step's intended cavity interaction.  ``branch_phases`` walks each
     computational input through the analytic protocol and adds up the
-    entries that actually fire.  ``condition_ratio`` is the resonant Rabi
-    frequency over the largest dispersive rate in play; well above one, the
-    audit totals are negligible.
+    entries that actually fire.  The field order is the JSON output order.
     """
 
-    step_phases: tuple[dict, ...]
-    branch_phases: dict[str, float]
     condition_ratio: float
     negligible: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "condition_ratio": self.condition_ratio,
-            "negligible": self.negligible,
-            "step_phases": list(self.step_phases),
-            "branch_phases": self.branch_phases,
-        }
+    step_phases: tuple[dict, ...]
+    branch_phases: dict[str, float]
 
 
 def phase_audit(seq: PulseSequence) -> PhaseAudit:
@@ -296,12 +271,11 @@ def swap_fidelity_vs_full(params: DeviceParams, cavity_dim: int = 3) -> float:
     the residual infidelity scales as ``(g / delta_c)²`` and must shrink as
     the detuning ratio grows.
     """
-    space = HilbertSpace.for_qubits(1, cavity_dim)
     roles = (Role.EMITTER,)
     pulse = make_pulse(PulseKind.RAMAN_EMIT, 0, params, roles)
     # On one qubit plus the cavity the local (qudit, cavity) unitary is the full matrix.
     analytic, full = (
-        UnitaryMatrix(space, pulse_local_unitary(pulse, params, roles, cavity_dim, mode)[0])
+        pulse_local_unitary(pulse, params, roles, cavity_dim, mode)[0]
         for mode in (Mode.ANALYTIC, Mode.FULL)
     )
     return process_fidelity(analytic, full, elimination_comparison_indices(cavity_dim))
@@ -315,10 +289,12 @@ def swap_peak_level3(params: DeviceParams, cavity_dim: int = 3, samples: int = 4
     sampling is required to see it.
     """
     space = HilbertSpace.for_qubits(1, cavity_dim)
-    h = HermitianOperator(space, ham.raman_full_local(params, 0, Role.EMITTER, cavity_dim))
-    duration = math.pi * params.delta_c / (2.0 * params.g_at(0) ** 2)
+    roles = (Role.EMITTER,)
+    pulse = make_pulse(PulseKind.RAMAN_EMIT, 0, params, roles)
+    local, _ = pulse_local_hamiltonian(pulse, params, roles, cavity_dim, Mode.FULL)
+    h = HermitianOperator(space, local)
     state = space.basis_state((1, 0))
-    times = np.linspace(0.0, duration, samples + 1)
+    times = np.linspace(0.0, pulse.duration, samples + 1)
     trajectory = evolve_times(state, h, times)
     weights3 = level_count_weights(space, 3)
     return float(np.max(np.abs(trajectory) ** 2 @ weights3))

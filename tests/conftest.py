@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gatesim.device import DeviceParams, load_params
-from gatesim.linalg import UnitaryMatrix, tensor_embed
+from gatesim.linalg import subsystem_level_mask, tensor_embed
 from gatesim.pulses import Mode, make_pulse, pulse_local_unitary
 
 
@@ -69,7 +69,18 @@ def embedded_pulse(kind, params, roles, slot, space, mode=Mode.ANALYTIC):
     pulse = make_pulse(kind, slot, params, roles)
     local, with_cavity = pulse_local_unitary(pulse, params, roles, space.cavity_dim, mode)
     slots = (slot, space.cavity_slot) if with_cavity else (slot,)
-    return UnitaryMatrix(space, tensor_embed(local, space, slots))
+    return tensor_embed(local, space, slots)
+
+
+def unitarity_defect(u):
+    """Frobenius norm of ``U†U - I``."""
+    return float(np.linalg.norm(u.conj().T @ u - np.eye(u.shape[0])))
+
+
+def residual_photon(state):
+    """Probability that the cavity of a ``StateVector`` is not in vacuum."""
+    vacuum = subsystem_level_mask(state.space, state.space.cavity_slot, 0)
+    return 1.0 - float(np.sum(np.abs(state.amplitudes[vacuum]) ** 2))
 
 
 def rel_err(a, ref):
@@ -115,6 +126,6 @@ def assert_matches_dense_oracle(h, amps, times, tol=1e-12):
     for t in times:
         dense = (v * np.exp(-1j * w * t)) @ v.conj().T
         expected.append(dense @ amps)
-        assert rel_err(propagator(h, t).matrix, dense) <= bound(t)
+        assert rel_err(propagator(h, t), dense) <= bound(t)
         assert rel_err(h.propagate(amps, t), expected[-1]) <= bound(t)
     assert rel_err(evolve_times(state, h, times), np.array(expected)) <= bound(max(times))

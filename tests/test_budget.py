@@ -1,4 +1,6 @@
 import math
+import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -132,6 +134,35 @@ def test_squid_antinode_bounds(squid_raw):
         squid_from_dict(raw)
 
 
+@pytest.mark.parametrize(
+    "section,key,value",
+    [
+        ("squid", "beta_l", None),
+        ("squid", "beta_l", "1.1"),
+        ("squid", "antinode_factor", True),
+        ("squid", "cavity_frequency_hz", float("nan")),
+        ("levels", "nu_21_hz", "1e10"),
+        ("levels", "nu_21_hz", float("nan")),
+        ("levels", "nu_21_hz", -1),
+        ("levels", "nu_10_hz", 0),
+        ("levels", "qubit_type", ["squid"]),
+    ],
+)
+def test_section_values_rejected_naming_the_key(squid_raw, section, key, value):
+    raw = dict(squid_raw[section])
+    raw[key] = value
+    parse = squid_from_dict if section == "squid" else levels_from_dict
+    with pytest.raises(ConfigError, match=re.escape(f"{section}.{key}")):
+        parse(raw)
+
+
+@pytest.mark.parametrize("value", [None, [1, 2], "beta_l"])
+@pytest.mark.parametrize("parse,section", [(squid_from_dict, "squid"), (levels_from_dict, "levels")])
+def test_section_must_be_an_object(parse, section, value):
+    with pytest.raises(ConfigError, match=f"{section} section must be a JSON object"):
+        parse(value)
+
+
 def test_squid_missing_key(squid_raw):
     raw = dict(squid_raw["squid"])
     del raw["loop_area_m2"]
@@ -188,7 +219,7 @@ def test_squid_budget_passes(squid_params):
 
 
 def test_budget_fails_with_short_relaxation(cpw_params):
-    rep = feasibility(cpw_params.replace(gamma2_inv=10e-9))
+    rep = feasibility(replace(cpw_params, gamma2_inv=10e-9))
     assert not rep.passed
     assert rep.ratios["cp3_vs_gamma2"] > 1.0
 

@@ -164,6 +164,32 @@ def test_budget_accepts_preset_names(capsys):
     assert doc["tau_ntcnot_s"] == pytest.approx(0.146e-6, rel=0.02)
 
 
+def test_budget_renders_per_qubit_lists(capsys, tmp_path):
+    _, raw = load_params("cpw")
+    g = [raw["g"], raw["g"], 1.05 * raw["g"]]
+    raw.update(g=g, omega_raman=g, delta_ck=[10.0 * x for x in g])
+    path = tmp_path / "lists.json"
+    path.write_text(json.dumps(raw))
+    code, out, _ = run_cli(capsys, "budget", "--params", str(path))
+    assert code == 0
+    for key in ("g", "omega_raman", "delta_ck"):
+        assert f'"{key}": [' in out
+    params = json.loads(out)["params"]
+    assert params["g"] == params["omega_raman"] == pytest.approx(g, rel=1e-11)
+    assert params["delta_ck"] == pytest.approx([10.0 * x for x in g], rel=1e-11)
+
+
+def test_budget_null_squid_value_exits_two(capsys, tmp_path):
+    _, raw = load_params("squid")
+    raw["squid"]["beta_l"] = None
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    code, out, err = run_cli(capsys, "budget", "--params", str(bad))
+    assert code == 2
+    assert out == ""
+    assert "squid.beta_l" in err
+
+
 # --- sweep ------------------------------------------------------------------
 
 
@@ -233,6 +259,20 @@ def test_sweep_several_observables_match_single_runs(capsys):
         _, single_out, _ = run_cli(capsys, *sweep, "--observable", name)
         _, single = parse_csv(single_out)
         assert [(r[0], r[col]) for r in rows] == single
+
+
+def test_sweep_leakage3_rejects_unmatched_raman_drive(capsys, tmp_path):
+    # the swap needs omega_raman == g, for the leakage3 observable as for fidelity_full
+    _, raw = load_params("cpw")
+    raw["omega_raman"] = 2.0 * raw["g"]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    sweep = ("sweep", "--param", "delta_ratio", "--from", "10", "--to", "10", "--points", "1")
+    for observable in ("leakage3", "fidelity_full"):
+        code, out, err = run_cli(capsys, *sweep, "--observable", observable, "--params", str(bad))
+        assert code == 2
+        assert out == ""
+        assert "omega_raman == g" in err
 
 
 def test_sweep_decreasing_range_rejected(capsys):

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -33,7 +34,7 @@ def test_roles_pulse_levels():
 def test_scalar_broadcast_and_per_qubit_entries():
     p = params_from_dict(base_dict())
     assert p.g_at(0) == p.g_at(5) == 1.0
-    q = p.replace(g=(1.0, 2.0, 3.0), delta_ck=(10.0, 20.0, 30.0))
+    q = replace(p, g=(1.0, 2.0, 3.0), delta_ck=(10.0, 20.0, 30.0))
     assert q.g_at(1) == 2.0
     assert q.delta_ck_at(2) == 30.0
     with pytest.raises(ConfigError):
@@ -41,7 +42,7 @@ def test_scalar_broadcast_and_per_qubit_entries():
 
 
 def test_detuning_follows_role():
-    p = params_from_dict(base_dict()).replace(delta_ck=12.0)
+    p = replace(params_from_dict(base_dict()), delta_ck=12.0)
     assert p.detuning_for(0, Role.EMITTER) == 10.0
     assert p.detuning_for(1, Role.ABSORBER) == 10.0
     assert p.detuning_for(2, Role.TARGET) == 12.0
@@ -106,19 +107,6 @@ def test_second_order_detuning_rejected_at_parse():
     params_from_dict(raw)
 
 
-def test_weak_dispersive_regime_warns():
-    p = params_from_dict(base_dict()).replace(delta_c=5.0)
-    with pytest.warns(UserWarning):
-        p.check_dispersive(n_qubits=2)
-    with pytest.raises(ConfigError):
-        p.check_dispersive(n_qubits=2, strict=True)
-
-
-def test_strong_regime_does_not_warn(recwarn):
-    params_from_dict(base_dict()).check_dispersive(n_qubits=3)
-    assert not recwarn.list
-
-
 def test_load_params_from_file(tmp_path):
     path = tmp_path / "p.json"
     path.write_text(json.dumps(base_dict()))
@@ -144,4 +132,8 @@ def test_preset_names_resolve():
 def test_shipped_presets_parse():
     for name in ("cpw", "squid"):
         params, _ = load_params(name)
-        params.check_dispersive(n_qubits=3, strict=True)
+        # the dispersive regime the pulse recipes rely on: every detuning >= 10 g
+        for slot in range(3):
+            g = params.g_at(slot)
+            assert params.delta_c >= 10.0 * g
+            assert params.delta_ck_at(slot) >= 10.0 * g

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -61,7 +62,7 @@ def test_builders_are_hermitian(unit_params, role):
 
 @pytest.mark.parametrize("role", [Role.EMITTER, Role.ABSORBER])
 def test_raman_full_is_idle_coupling_minus_drive(unit_params, role):
-    params = unit_params.replace(g=(1.0, 1.3), omega_raman=(1.0, 1.3))
+    params = replace(unit_params, g=(1.0, 1.3), omega_raman=(1.0, 1.3))
     j = role.pulse_level
     for slot in (0, 1):
         drive = np.zeros((4, 4), dtype=complex)
@@ -72,7 +73,7 @@ def test_raman_full_is_idle_coupling_minus_drive(unit_params, role):
 
 
 def test_dispersive_is_idle_coupling_of_target(unit_params):
-    params = unit_params.replace(g=(1.0, 1.3), delta_ck=(10.0, 17.0))
+    params = replace(unit_params, g=(1.0, 1.3), delta_ck=(10.0, 17.0))
     roles = (Role.TARGET, Role.TARGET)
     for slot in (0, 1):
         pulse = make_pulse(PulseKind.DISPERSIVE_PHASE, slot, params, roles)
@@ -199,7 +200,7 @@ def test_resonant_drive_closed_form(unit_params):
     omega, phi, j = 10.0, 0.9, 1
     h = resonant_drive_1q(omega, phi, j, space)
     tau = 0.123
-    u = propagator(h, tau).matrix
+    u = propagator(h, tau)
     c, s = math.cos(omega * tau), math.sin(omega * tau)
     got_jj = u[space.index((j, 0)), space.index((j, 0))]
     got_2j = u[space.index((2, 0)), space.index((j, 0))]
@@ -219,7 +220,7 @@ def test_resonant_drive_closed_form(unit_params):
 def test_resonant_drive_quarter_period_maps(phi, expect_j, expect_2):
     space = space1()
     omega, j = 10.0, 1
-    u = propagator(resonant_drive_1q(omega, phi, j, space), math.pi / (2 * omega)).matrix
+    u = propagator(resonant_drive_1q(omega, phi, j, space), math.pi / (2 * omega))
     assert u[space.index((2, 0)), space.index((j, 0))] == pytest.approx(expect_j, abs=1e-12)
     assert u[space.index((j, 0)), space.index((2, 0))] == pytest.approx(expect_2, abs=1e-12)
 
@@ -227,7 +228,7 @@ def test_resonant_drive_quarter_period_maps(phi, expect_j, expect_2):
 def test_resonant_drive_zero_time_identity():
     space = space1()
     u = propagator(resonant_drive_1q(10.0, 0.3, 0, space), 0.0)
-    assert np.allclose(u.matrix, np.eye(space.total_dim), atol=1e-14)
+    assert np.allclose(u, np.eye(space.total_dim), atol=1e-14)
 
 
 # --- full vs effective oracle ------------------------------------------------
@@ -243,7 +244,7 @@ def test_full_vs_effective_infidelity_shrinks_with_detuning(unit_params):
     space = space1()
     infidelities = []
     for ratio in (10.0, 20.0, 50.0):
-        p = unit_params.replace(delta_c=ratio, delta_ck=ratio)
+        p = replace(unit_params, delta_c=ratio, delta_ck=ratio)
         t1 = math.pi * p.delta_c / (2.0 * p.g_at(0) ** 2)
         # on one qubit plus the cavity the local generators are the full matrices
         h_full = HermitianOperator(space, raman_full_local(p, 0, Role.EMITTER, CAV))
