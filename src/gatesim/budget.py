@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, fields
 from typing import Optional
 
-from .device import ConfigError, DeviceParams, _number
+from .device import ConfigError, DeviceParams, _positive
 from .sequences import GateKind
 
 # CODATA 2018.
@@ -37,6 +37,7 @@ def time_cp3(params: DeviceParams) -> float:
     absorber swaps, one dispersive window on the target (slot 2) and four
     resonant pi-pulses.
     """
+    params.require_qubits(3)
     t1 = math.pi * params.delta_c / (2.0 * params.g_at(0) ** 2)
     t2 = math.pi * params.delta_c / (2.0 * params.g_at(1) ** 2)
     tk = math.pi * params.delta_ck_at(2) / params.g_at(2) ** 2
@@ -46,6 +47,7 @@ def time_cp3(params: DeviceParams) -> float:
 
 def time_ntcnot(params: DeviceParams) -> float:
     """Fanout-CNOT duration ``2 t1 + 2 tau + tk``; no dependence on n."""
+    params.require_qubits(2)
     t1 = math.pi * params.delta_c / (2.0 * params.g_at(0) ** 2)
     tau = math.pi / (2.0 * params.omega_resonant)
     tk = math.pi * params.delta_ck_at(1) / params.g_at(1) ** 2
@@ -57,14 +59,6 @@ def cavity_lifetime(quality_q: float, nu_c: float) -> float:
     if quality_q <= 0 or nu_c <= 0:
         raise ValueError("quality factor and cavity frequency must be positive")
     return quality_q / (2.0 * math.pi * nu_c)
-
-
-def _positive(key: str, value) -> float:
-    """``value`` as a finite number > 0; ``key`` names it in the error."""
-    value = _number(key, value)
-    if not math.isfinite(value) or value <= 0:
-        raise ConfigError(f"{key} must be positive and finite, got {value}")
-    return value
 
 
 def _check_section(name: str, raw) -> None:

@@ -17,7 +17,7 @@ import enum
 import json
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Union
 
@@ -68,6 +68,14 @@ def _number(key: str, value) -> float:
     return float(value)
 
 
+def _positive(key: str, value) -> float:
+    """``value`` as a finite number > 0; ``key`` names it in the error."""
+    value = _number(key, value)
+    if not math.isfinite(value) or value <= 0:
+        raise ConfigError(f"{key} must be positive and finite, got {value}")
+    return value
+
+
 def _broadcastable(key: str, value) -> PerQubit:
     if isinstance(value, (list, tuple)):
         if not value:
@@ -82,10 +90,6 @@ def _at(value: PerQubit, slot: int) -> float:
             raise ConfigError(f"no per-qubit entry for slot {slot}")
         return value[slot]
     return value
-
-
-def _all_values(value: PerQubit):
-    return value if isinstance(value, tuple) else (value,)
 
 
 @dataclass(frozen=True)
@@ -106,16 +110,20 @@ class DeviceParams:
             object.__setattr__(self, name, _broadcastable(name, getattr(self, name)))
         for name in ("delta_c", "omega_resonant", "gamma2_inv", "quality_q", "nu_c"):
             object.__setattr__(self, name, _number(name, getattr(self, name)))
-        values = (
-            list(_all_values(self.g))
-            + [self.delta_c]
-            + list(_all_values(self.delta_ck))
-            + list(_all_values(self.omega_raman))
-            + [self.omega_resonant, self.gamma2_inv, self.quality_q, self.nu_c]
-        )
-        for v in values:
-            if not math.isfinite(v) or v <= 0:
-                raise ConfigError(f"all device parameters must be positive and finite, got {v}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, tuple):
+                for i, v in enumerate(value):
+                    _positive(f"{f.name}[{i}]", v)
+            else:
+                _positive(f.name, value)
+
+    def require_qubits(self, n: int) -> None:
+        """Reject a per-qubit list with fewer entries than the ``n`` qubits of a gate."""
+        for name in ("g", "delta_ck", "omega_raman"):
+            value = getattr(self, name)
+            if isinstance(value, tuple) and len(value) < n:
+                raise ConfigError(f"{name} has {len(value)} per-qubit entries, the gate needs {n}")
 
     def g_at(self, slot: int) -> float:
         return _at(self.g, slot)

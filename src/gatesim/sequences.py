@@ -40,7 +40,6 @@ from .linalg import (
     HilbertSpace,
     StateVector,
     apply_local,
-    local_index_map,
     subsystem_level_mask,
 )
 from .pulses import Mode, Pulse, PulseKind, make_pulse, pulse_local_hamiltonian, pulse_local_unitary
@@ -131,6 +130,7 @@ def ncp_sequence(n: int, params: DeviceParams, cavity_dim: int = 2) -> PulseSequ
     """
     if n < 3:
         raise ValueError("the multi-control phase gate needs at least 3 qubits")
+    params.require_qubits(n)
     roles = ncp_roles(n)
     mk = lambda kind, slot: make_pulse(kind, slot, params, roles)
     target = n - 1
@@ -186,6 +186,7 @@ def ntcnot_sequence(n: int, params: DeviceParams, cavity_dim: int = 2) -> PulseS
     """
     if n < 2:
         raise ValueError("the fanout CNOT needs at least 2 qubits")
+    params.require_qubits(n)
     roles = ntcnot_roles(n)
     mk = lambda kind, slot: make_pulse(kind, slot, params, roles)
     steps = [
@@ -300,8 +301,8 @@ def _full_unit_hamiltonian(
     thus has no cavity coupling here, although the phase audit and the
     effective mode with idles book one for it (they leave out only the
     cavity actors); ``docs/formats.md`` gives the fidelities it would move.
-    Each pulsed member's local generator is added through
-    :func:`gatesim.linalg.local_index_map`, without embedding it densely.
+    The operator is built from the idle diagonal and each pulsed member's
+    local generator, without forming the ``D x D`` matrix.
     """
     space = seq.space
     for p in unit.pulses:
@@ -311,16 +312,14 @@ def _full_unit_hamiltonian(
                 f"got {p.duration} vs {unit.duration}"
             )
     pulsed = frozenset(p.slot for p in unit.pulses)
-    gen = idle_generator_diagonal(seq, pulsed) if include_idle else np.zeros(space.total_dim)
-    total = np.diag(gen.astype(complex))
+    terms = []
     for p in unit.pulses:
         local, with_cavity = pulse_local_hamiltonian(
             p, seq.params, seq.roles, space.cavity_dim, Mode.FULL
         )
-        slots = (p.slot, space.cavity_slot) if with_cavity else (p.slot,)
-        rows = local_index_map(space, slots)
-        total[rows[:, :, None], rows[:, None, :]] += local
-    return HermitianOperator(space, total)
+        terms.append((local, (p.slot, space.cavity_slot) if with_cavity else (p.slot,)))
+    diagonal = idle_generator_diagonal(seq, pulsed) if include_idle else None
+    return HermitianOperator(space, tuple(terms), diagonal)
 
 
 def build_evolutions(

@@ -16,6 +16,7 @@ import pytest
 
 from conftest import (
     cavity_level,
+    dense_operator,
     product_state,
     qudit_level,
     qudit_plus,
@@ -32,7 +33,6 @@ from gatesim.budget import (
     time_ntcnot,
 )
 from gatesim.linalg import (
-    HermitianOperator,
     HilbertSpace,
     StateVector,
     level_count_weights,
@@ -204,7 +204,7 @@ def test_criterion_10_property_suite(unit_params):
         rng = np.random.default_rng(11)
         space = HilbertSpace((4, 3))
         m = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
-        h = HermitianOperator(space, (m + m.conj().T) / 2)
+        h = dense_operator(space, (m + m.conj().T) / 2)
         u = propagator(h, 0.8)
         assert unitarity_defect(u) < 1e-10
         both = propagator(h, 1.1) @ propagator(h, 0.8)

@@ -179,6 +179,60 @@ def test_budget_renders_per_qubit_lists(capsys, tmp_path):
     assert params["delta_ck"] == pytest.approx([10.0 * x for x in g], rel=1e-11)
 
 
+@pytest.mark.parametrize("command", [("budget",), ("verify", "cp3")])
+@pytest.mark.parametrize(
+    "key,value,named",
+    [
+        ("g", [1.0, -1.0, 1.0], "g[1]"),
+        ("delta_ck", [1.0, 1.0, 0.0], "delta_ck[2]"),
+        ("delta_c", -1.0, "delta_c"),
+    ],
+)
+def test_nonpositive_value_exits_two_naming_key_and_index(
+    capsys, tmp_path, command, key, value, named
+):
+    _, raw = load_params("cpw")
+    raw[key] = [v * raw[key] for v in value] if isinstance(value, list) else value * raw[key]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    code, out, err = run_cli(capsys, *command, "--params", str(bad))
+    assert code == 2
+    assert out == ""
+    assert f"{named} must be positive and finite" in err
+
+
+SWEEP_TAU_CP3 = ("sweep", "--param", "q_factor", "--from", "1e4", "--to", "1e4", "--points", "1")
+
+
+@pytest.mark.parametrize(
+    "command,needed",
+    [
+        (("budget",), 3),
+        (("verify", "cp3"), 3),
+        (("verify", "ncp", "-n", "4"), 4),
+        (SWEEP_TAU_CP3 + ("--observable", "tau_cp3"), 3),
+    ],
+)
+def test_short_per_qubit_list_exits_two_naming_key_and_count(capsys, tmp_path, command, needed):
+    _, raw = load_params("cpw")
+    raw["omega_raman"] = [raw["omega_raman"]] * 3
+    raw["g"] = [raw["g"]] * (needed - 1)
+    bad = tmp_path / "short.json"
+    bad.write_text(json.dumps(raw))
+    code, out, err = run_cli(capsys, *command, "--params", str(bad))
+    assert code == 2
+    assert out == ""
+    assert f"g has {needed - 1} per-qubit entries, the gate needs {needed}" in err
+
+
+def test_per_qubit_lists_cover_the_gate_they_build(capsys, tmp_path):
+    _, raw = load_params("cpw")
+    raw["g"] = raw["omega_raman"] = [raw["g"]] * 2
+    path = tmp_path / "two.json"
+    path.write_text(json.dumps(raw))
+    assert run_json(capsys, "verify", "ntcnot", "-n", "2", "--params", str(path))["passed"]
+
+
 def test_budget_null_squid_value_exits_two(capsys, tmp_path):
     _, raw = load_params("squid")
     raw["squid"]["beta_l"] = None

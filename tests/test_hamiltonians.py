@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import dense_operator
 from gatesim.device import Role
 from gatesim.hamiltonians import (
     cavity_ladder,
@@ -13,7 +14,6 @@ from gatesim.hamiltonians import (
     resonant_drive_local,
 )
 from gatesim.linalg import (
-    HermitianOperator,
     HilbertSpace,
     process_fidelity,
     propagator,
@@ -33,7 +33,7 @@ def idx(level, n, cavity=CAV):
 
 
 def resonant_drive_1q(omega, phi, j, space):
-    return HermitianOperator(space, tensor_embed(resonant_drive_local(omega, phi, j), space, (0,)))
+    return dense_operator(space, tensor_embed(resonant_drive_local(omega, phi, j), space, (0,)))
 
 
 # --- structure -------------------------------------------------------------
@@ -247,8 +247,8 @@ def test_full_vs_effective_infidelity_shrinks_with_detuning(unit_params):
         p = replace(unit_params, delta_c=ratio, delta_ck=ratio)
         t1 = math.pi * p.delta_c / (2.0 * p.g_at(0) ** 2)
         # on one qubit plus the cavity the local generators are the full matrices
-        h_full = HermitianOperator(space, raman_full_local(p, 0, Role.EMITTER, CAV))
-        h_eff = HermitianOperator(space, raman_effective_local(p, 0, Role.EMITTER, CAV))
+        h_full = dense_operator(space, raman_full_local(p, 0, Role.EMITTER, CAV))
+        h_eff = dense_operator(space, raman_effective_local(p, 0, Role.EMITTER, CAV))
         u_full = propagator(h_full, t1)
         u_eff = propagator(h_eff, t1)
         fid = process_fidelity(u_eff, u_full, comparison_indices())

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_matches_dense_oracle, block_labels, unitarity_defect
+from conftest import (
+    assert_matches_dense_oracle,
+    block_labels,
+    dense_matrix,
+    dense_operator,
+    unitarity_defect,
+)
 from gatesim.device import Role
 from gatesim.hamiltonians import idle_coupling_local, raman_effective_local
 from gatesim.linalg import (
@@ -28,13 +34,13 @@ def random_hermitian(dim, seed):
 def raman_effective_1q(params, cavity_dim):
     # on one qubit plus the cavity the local (qudit, cavity) generator is the full matrix
     space = HilbertSpace.for_qubits(1, cavity_dim)
-    return HermitianOperator(space, raman_effective_local(params, 0, Role.EMITTER, cavity_dim))
+    return dense_operator(space, raman_effective_local(params, 0, Role.EMITTER, cavity_dim))
 
 
 def dispersive_1q(params, cavity_dim):
     space = HilbertSpace.for_qubits(1, cavity_dim)
     local = idle_coupling_local(params, 0, Role.TARGET, cavity_dim, full=False)
-    return HermitianOperator(space, local)
+    return dense_operator(space, local)
 
 
 def random_state(space, seed):
@@ -221,7 +227,7 @@ def test_evolve_raman_effective_quarter_period_flip(unit_params):
 @settings(max_examples=25, deadline=None)
 def test_evolve_preserves_norm(seed, t):
     space = HilbertSpace((4, 3))
-    h = HermitianOperator(space, random_hermitian(space.total_dim, seed))
+    h = dense_operator(space, random_hermitian(space.total_dim, seed))
     out = h.propagate(random_state(space, seed + 1).amplitudes, t)
     assert abs(np.linalg.norm(out) - 1.0) < 1e-12
 
@@ -231,7 +237,7 @@ def test_non_hermitian_matrix_rejected():
     m = np.zeros((8, 8), dtype=complex)
     m[0, 1] = 1.0
     with pytest.raises(ValueError):
-        HermitianOperator(space, m)
+        dense_operator(space, m)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), complex(0.0, float("nan"))])
@@ -239,7 +245,7 @@ def test_nan_matrix_rejected(bad):
     m = np.zeros((8, 8), dtype=complex)
     m[0, 1] = m[1, 0] = bad
     with pytest.raises(ValueError):
-        HermitianOperator(HilbertSpace((4, 2)), m)
+        dense_operator(HilbertSpace((4, 2)), m)
 
 
 def test_propagator_zero_time_is_identity(unit_params):
@@ -253,7 +259,7 @@ def test_propagator_zero_time_is_identity(unit_params):
 @settings(max_examples=20, deadline=None)
 def test_propagator_inverse_and_unitarity(seed):
     space = HilbertSpace((4, 3))
-    h = HermitianOperator(space, random_hermitian(space.total_dim, seed))
+    h = dense_operator(space, random_hermitian(space.total_dim, seed))
     u = propagator(h, 1.7)
     v = propagator(h, -1.7)
     assert np.linalg.norm(u @ v - np.eye(space.total_dim)) < 1e-10
@@ -268,7 +274,7 @@ def test_propagator_inverse_and_unitarity(seed):
 @settings(max_examples=20, deadline=None)
 def test_propagator_composition(seed, t1, t2):
     space = HilbertSpace((4, 2))
-    h = HermitianOperator(space, random_hermitian(space.total_dim, seed))
+    h = dense_operator(space, random_hermitian(space.total_dim, seed))
     lhs = propagator(h, t1 + t2)
     rhs = propagator(h, t2) @ propagator(h, t1)
     assert np.linalg.norm(lhs - rhs) < 1e-10
@@ -318,14 +324,14 @@ def block_diagonal_hermitian(sizes, seed):
 
 def test_dense_hermitian_is_one_block():
     space = HilbertSpace((4, 3))
-    h = HermitianOperator(space, random_hermitian(12, 5))
+    h = dense_operator(space, random_hermitian(12, 5))
     (group,) = h.blocks
     assert group.idx.tolist() == [list(range(12))]
     assert_matches_dense_oracle(h, random_state(space, 6).amplitudes, [0.0, 0.4, 3.0])
 
 
 def test_zero_matrix_is_all_singletons():
-    h = HermitianOperator(HilbertSpace((4, 2)), np.zeros((8, 8)))
+    h = dense_operator(HilbertSpace((4, 2)), np.zeros((8, 8)))
     (group,) = h.blocks
     assert group.idx.tolist() == [[i] for i in range(8)]
     assert np.array_equal(propagator(h, 2.0), np.eye(8))
@@ -338,7 +344,7 @@ def test_zero_matrix_is_all_singletons():
 @settings(max_examples=30, deadline=None)
 def test_blocks_are_the_uncoupled_components(sizes, seed):
     mat, members = block_diagonal_hermitian(sizes, seed)
-    h = HermitianOperator(HilbertSpace((len(mat),)), mat)
+    h = dense_operator(HilbertSpace((len(mat),)), mat)
     labels = block_labels(h)
     found = sorted(sorted(np.flatnonzero(labels == k).tolist()) for k in range(labels.max() + 1))
     assert found == sorted(members)
@@ -360,9 +366,57 @@ def test_hermiticity_check_sees_defects_inside_blocks(seed, size):
     space = HilbertSpace((len(mat),))
     if defect > 1e-12:
         with pytest.raises(ValueError):
-            HermitianOperator(space, mat)
+            dense_operator(space, mat)
     else:
-        HermitianOperator(space, mat)
+        dense_operator(space, mat)
+
+
+def random_sparse_hermitian(dim, seed, density=0.15):
+    rng = np.random.default_rng(seed)
+    mask = np.triu(rng.random((dim, dim)) < density)
+    a = np.where(mask, rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)), 0.0)
+    return (a + a.conj().T) / 2.0
+
+
+@given(
+    st.lists(st.sampled_from([(0,), (1,), (2,), (0, 2), (1, 2), (2, 0), (1, 0)]), max_size=4),
+    st.booleans(),
+    st.integers(min_value=0, max_value=2**31 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_term_built_blocks_match_the_dense_sum(slot_sets, with_diagonal, seed):
+    # blocks scattered from the terms equal the dense sum's blocks: the same
+    # components and sub-matrices gathered from it to 1e-12
+    space = HilbertSpace((4, 3, 2))
+    rng = np.random.default_rng(seed)
+    terms = tuple(
+        (random_sparse_hermitian(math.prod(space.dims[s] for s in slots), seed + i), slots)
+        for i, slots in enumerate(slot_sets)
+    )
+    diagonal = rng.normal(size=space.total_dim) if with_diagonal else None
+    h = HermitianOperator(space, terms, diagonal)
+    dense = dense_operator(space, dense_matrix(h))
+    for (idx, sub), (dense_idx, dense_sub) in zip(h._parts, dense._parts, strict=True):
+        assert np.array_equal(idx, dense_idx)
+        assert np.max(np.abs(sub - dense_sub)) <= 1e-12 * max(1.0, np.max(np.abs(dense_sub)))
+
+
+def test_non_hermitian_or_nan_term_rejected():
+    space = HilbertSpace((4, 4, 2))
+    good = random_hermitian(8, 3)
+    HermitianOperator(space, ((good, (0, 2)), (good, (1, 2))), np.arange(32.0))
+    skewed = good.copy()
+    skewed[0, 1] += 1e-9
+    nan = good.copy()
+    nan[2, 5] = nan[5, 2] = float("nan")
+    for terms in (((good, (0, 2)), (skewed, (1, 2))), ((nan, (1, 2)),)):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            HermitianOperator(space, terms)
+    for diagonal in (np.full(32, float("nan")), np.full(32, 1j)):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            HermitianOperator(space, ((good, (0, 2)),), diagonal)
+    with pytest.raises(ValueError, match="diagonal has shape"):
+        HermitianOperator(space, (), np.zeros(8))
 
 
 # --- fidelity --------------------------------------------------------------
@@ -383,7 +437,7 @@ def test_process_fidelity_global_phase_invariant():
     space = HilbertSpace((4, 2))
     rng = np.random.default_rng(0)
     h = random_hermitian(8, 1)
-    u = propagator(HermitianOperator(space, h), 0.3)
+    u = propagator(dense_operator(space, h), 0.3)
     v = np.exp(1j * rng.uniform()) * u
     assert process_fidelity(u, v, range(8)) == pytest.approx(1.0)
 

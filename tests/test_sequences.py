@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 from functools import cached_property
 
@@ -9,6 +10,7 @@ from conftest import (
     assert_matches_dense_oracle,
     block_labels,
     cavity_level,
+    dense_matrix,
     product_state,
     qudit_level,
     qudit_plus,
@@ -454,8 +456,44 @@ def test_full_windows_match_dense_reference(unit_params, gate, n, include_idle):
         pulsed = {p.slot for p in evo.unit.pulses}
         idle = [q for q in range(n) if q not in pulsed] if include_idle else []
         ref = dense_window_reference(seq, evo.unit.pulses, idle)
-        err = np.max(np.abs(evo.hamiltonian.matrix - ref))
+        err = np.max(np.abs(dense_matrix(evo.hamiltonian) - ref))
         assert err <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("cavity_dim", [2, 3])
+@pytest.mark.parametrize("include_idle", [True, False])
+@pytest.mark.parametrize("gate,n", GATES_UP_TO_4)
+def test_term_built_blocks_match_dense_reference(unit_params, gate, n, include_idle, cavity_dim):
+    # each window's blocks come from its terms; gathered from the dense
+    # tensor_embed sum, the same blocks hold the same entries and nothing
+    # couples two of them
+    seq = build_sequence(gate, n, hetero_params(unit_params), cavity_dim)
+    for evo in build_evolutions(seq, Mode.FULL, include_idle):
+        if evo.hamiltonian is None:
+            continue
+        pulsed = {p.slot for p in evo.unit.pulses}
+        idle = [q for q in range(n) if q not in pulsed] if include_idle else []
+        ref = dense_window_reference(seq, evo.unit.pulses, idle)
+        labels = np.full(seq.space.total_dim, -1)
+        for idx, sub in evo.hamiltonian._parts:
+            labels[idx] = idx[:, :1]
+            gathered = ref[idx[:, :, None], idx[:, None, :]]
+            assert np.max(np.abs(sub - gathered)) <= 1e-12 * np.max(np.abs(ref))
+        rows, cols = np.nonzero(ref)
+        assert np.all(labels >= 0) and np.array_equal(labels[rows], labels[cols])
+
+
+def test_full_windows_build_without_dense_matrices(cpw_params):
+    # D = 8192, where one dense complex window matrix would take 1 GiB
+    seq = ntcnot_sequence(6, cpw_params)
+    tracemalloc.start()
+    try:
+        windows = build_evolutions(seq, Mode.FULL)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(windows) == 5
+    assert peak < 2**30 / 16
 
 
 @pytest.mark.parametrize("cavity_dim", [2, 3])
@@ -478,7 +516,7 @@ def test_full_window_blocks_match_dense_eigh(unit_params, gate, n, include_idle,
 
 
 def _dense_blocks(h):
-    w, v = np.linalg.eigh(h.matrix)
+    w, v = np.linalg.eigh(dense_matrix(h))
     return (SpectralBlocks(np.arange(h.space.total_dim)[None, :], w[None], v[None]),)
 
 

@@ -105,10 +105,16 @@ def test_report_cp3_full_mode(unit_params):
 
 
 def test_report_full_ntcnot_n5_at_cpw(cpw_params):
-    # D = 2048, the largest space in the repository; per-block spectral
-    # propagation keeps this at about a second
+    # D = 2048; per-block spectral propagation keeps this well under a second
     rep = report(ntcnot_sequence(5, cpw_params), Mode.FULL, samples_per_step=0)
     assert rep.process_fidelity == pytest.approx(0.98072954908888, abs=1e-10)
+    assert rep.process_fidelity >= 0.9
+
+
+def test_report_full_ntcnot_n6_at_cpw(cpw_params):
+    # D = 8192: windows are built block by block from their terms
+    rep = report(ntcnot_sequence(6, cpw_params), Mode.FULL, samples_per_step=0)
+    assert rep.process_fidelity == pytest.approx(0.96523910186087, abs=1e-10)
     assert rep.process_fidelity >= 0.9
 
 
