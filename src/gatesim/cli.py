@@ -96,8 +96,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="scan one parameter, tabulate one or more observables")
     p.add_argument("--param", choices=_SWEEP_PARAMS, required=True)
-    p.add_argument("--from", dest="start", type=float, required=True)
-    p.add_argument("--to", dest="stop", type=float, required=True)
+    p.add_argument("--from", dest="start", type=_finite, required=True)
+    p.add_argument("--to", dest="stop", type=_finite, required=True)
     p.add_argument("--points", type=int, required=True)
     p.add_argument("--observable", choices=_OBSERVABLES, nargs="+", required=True)
     p.add_argument("--params", default="cpw")

@@ -118,9 +118,14 @@ def report(
     observed at each window boundary and, inside Hamiltonian-driven windows,
     by sampling the spectral propagator, since the transient peak sits
     mid-pulse; the samples only observe and never advance the state.  Both
-    run block by block on the window's uncoupled blocks, and sampling
-    reduces only the blocks where the input has amplitude and some qubit
-    sits in ``|3>``.
+    run block by block on the window's uncoupled blocks.  Each window's
+    equally spaced grid of ``samples_per_step + 1`` times is built once and
+    shared by every column.  Sampling reduces only the blocks where the input
+    has amplitude and some qubit sits in ``|3>``, and it needs no
+    per-sample state: :func:`gatesim.linalg.evolve_times` writes the
+    weighted population as a sum over eigenvalue pairs, one frequency
+    ``λ_j - λ_l`` each, and evaluates the whole grid as one matrix product
+    of slow and fast phase factors.
     """
     space = seq.space
     comp = space.computational_indices()
@@ -128,15 +133,21 @@ def report(
     weights3 = level_count_weights(space, 3)
     photon = photon_number_vector(space)
 
+    grids = [
+        np.linspace(0.0, evo.duration, samples_per_step + 1)
+        if evo.hamiltonian is not None and samples_per_step > 0 and evo.duration > 0
+        else None
+        for evo in evolutions
+    ]
+
     max_pop3 = 0.0
     residual = 0.0
     block = np.zeros((len(comp), len(comp)), dtype=complex)
     for col, idx in enumerate(comp):
         amps = np.zeros(space.total_dim, dtype=complex)
         amps[idx] = 1.0
-        for evo in evolutions:
-            if evo.hamiltonian is not None and samples_per_step > 0 and evo.duration > 0:
-                times = np.linspace(0.0, evo.duration, samples_per_step + 1)
+        for evo, times in zip(evolutions, grids):
+            if times is not None:
                 pop3 = evolve_times(StateVector(space, amps), evo.hamiltonian, times, weights3)
                 max_pop3 = max(max_pop3, float(np.max(pop3)))
             amps = apply_evolutions([evo], space, amps)

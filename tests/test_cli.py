@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -338,6 +339,18 @@ def test_sweep_decreasing_range_rejected(capsys):
     )
     assert code == 2
     assert "increasing" in err
+
+
+@pytest.mark.parametrize("flag,other,value", [("--from", "--to", "nan"), ("--to", "--from", "inf")])
+def test_sweep_non_finite_bound_rejected(capsys, flag, other, value):
+    argv = ("sweep", "--param", "delta_ratio", flag, value, other, "10", "--points", "3")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, *argv, "--observable", "leakage3")
+    assert code == 2
+    assert out == ""
+    assert f"argument {flag}: must be a finite number, got '{value}'" in err
+    assert "Warning" not in err
 
 
 # --- dj and squid-g -----------------------------------------------------------

@@ -19,6 +19,7 @@ from gatesim.linalg import (
     HilbertSpace,
     StateVector,
     apply_local,
+    evolve_times,
     process_fidelity,
     propagator,
     tensor_embed,
@@ -417,6 +418,52 @@ def test_non_hermitian_or_nan_term_rejected():
             HermitianOperator(space, ((good, (0, 2)),), diagonal)
     with pytest.raises(ValueError, match="diagonal has shape"):
         HermitianOperator(space, (), np.zeros(8))
+
+
+# --- weighted populations over a time grid ---------------------------------
+
+
+@given(
+    st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=6),
+    st.sampled_from([0, 1, 2, 3, 7, 512, 4096]),
+    st.floats(min_value=0.1, max_value=5.0),
+    st.integers(min_value=0, max_value=2**31 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_evolve_times_matches_the_per_sample_sum(sizes, samples, duration, seed):
+    # the pair form against sum_i w_i |(V exp(-i λ t) c)_i|² at every sample,
+    # block by block; weights vanish on every other block and the state on
+    # the last one, so such blocks drop out
+    mat, members = block_diagonal_hermitian(sizes, seed)
+    h = dense_operator(HilbertSpace((len(mat),)), mat)
+    rng = np.random.default_rng(seed + 1)
+    weights = rng.integers(1, 4, size=len(mat)).astype(float)
+    for block in members[::2]:
+        weights[block] = 0.0
+    amps = random_state(h.space, seed + 2).amplitudes.copy()
+    if len(members) > 1:
+        amps[members[-1]] = 0.0
+    times = np.linspace(0.0, duration, samples + 1)
+    expected = np.zeros(times.size)
+    for group in h.blocks:
+        for rows, lam, vecs in zip(*group):
+            c = vecs.conj().T @ amps[rows]
+            trajectory = (np.exp(-1j * np.outer(times, lam)) * c) @ vecs.T
+            expected += np.abs(trajectory) ** 2 @ weights[rows]
+    got = evolve_times(StateVector(h.space, amps), h, times, weights)
+    assert got.shape == times.shape
+    assert np.max(np.abs(got - expected)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "times",
+    [[0.0, 0.1, 0.3], [0.0, 0.2, 0.1], [0.1, 0.2, 0.3], [-0.1, 0.0, 0.1], [], [[0.0, 1.0]], [0.0, np.nan]],
+)
+def test_evolve_times_rejects_other_grids(times):
+    # only an equally spaced grid t_i = i dt from 0 is accepted
+    h = dense_operator(HilbertSpace((4,)), random_hermitian(4, 0))
+    with pytest.raises(ValueError, match="sample times must be"):
+        evolve_times(random_state(h.space, 1), h, np.array(times), np.ones(4))
 
 
 # --- fidelity --------------------------------------------------------------
