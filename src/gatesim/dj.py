@@ -88,30 +88,17 @@ def uf_apply(
     if isinstance(variant, int):
         variant = oracle_variant(variant)
     space = state.space
-    cnot = compose(ntcnot_sequence(2, params, space.cavity_dim), mode)
-    amps = state.amplitudes.copy()
-
-    def apply_cnot():
-        nonlocal amps
-        amps = cnot @ amps
-
-    def rotate(sign: int):
-        nonlocal amps
-        amps = apply_local(_rotation(sign), space, (0,), amps)
-
+    seq = ntcnot_sequence(2, params, space.cavity_dim)  # checks the device for every variant
+    amps = state.amplitudes
     if variant.id == 1:
-        pass  # constant-0: both systems stay far off resonance
-    elif variant.id == 2:
-        apply_cnot()
-        rotate(+1)
-        apply_cnot()
-        rotate(-1)
-    elif variant.id == 3:
-        apply_cnot()
-    else:
-        rotate(+1)
-        apply_cnot()
-        rotate(-1)
+        return StateVector(space, amps)  # constant-0: both systems stay far off resonance
+    cnot = compose(seq, mode)
+    if variant.id in (2, 3):
+        amps = cnot @ amps
+    if variant.id in (2, 4):
+        amps = apply_local(_rotation(+1), space, (0,), amps)
+        amps = cnot @ amps
+        amps = apply_local(_rotation(-1), space, (0,), amps)
     return StateVector(space, amps)
 
 

@@ -10,6 +10,14 @@ Spaces, states and Hamiltonians are immutable after construction and every
 operation is a pure function, so they are safe to share between concurrent
 workers.  Propagators and composed gates are plain, writable ``np.ndarray``
 matrices owned by the caller.
+
+An operator local to a few subsystems acts through :func:`local_index_map`,
+whose rows each hold the basis indices of one copy of the local space, so
+applying it to a vector is one gather, one matrix product and one scatter.
+The maps are memoized per ``(dims, slots)`` and read-only; the package asks
+for one per qubit, one per qubit with the cavity and one over every
+subsystem, at most about ``(2n + 1) D`` retained index entries per space.
+
 Hermitian time evolution uses the spectral decomposition of the matrix,
 which is exact up to floating point; no step-wise integrator is involved
 because every Hamiltonian in this package is time independent in its
@@ -279,8 +287,8 @@ class HermitianOperator:
     def __post_init__(self) -> None:
         terms = []
         for local, slots in self.terms:
-            local, slots = _check_local(local, self.space, slots)
-            terms.append((_freeze(local), slots))
+            local, _ = _check_local(local, self.space, slots)
+            terms.append((_freeze(local), tuple(int(s) for s in slots)))
         terms = tuple(terms)
         diagonal = self.diagonal
         if diagonal is not None:
@@ -312,7 +320,9 @@ class HermitianOperator:
 
         Blocks where ``array`` is zero stay exactly zero and are skipped.
         """
-        arr = np.asarray(array, dtype=complex)
+        if not math.isfinite(t):
+            raise ValueError("evolution time must be finite")
+        arr = _columns(self.space, array)
         mat = arr.reshape(self.space.total_dim, -1)
         out = np.zeros_like(mat)
         for idx, w, v in self.blocks:
@@ -325,42 +335,57 @@ class HermitianOperator:
         return out.reshape(arr.shape)
 
 
-def _check_slots(space: HilbertSpace, slots: Sequence[int], local_dim: int) -> tuple[int, ...]:
-    slots = tuple(int(s) for s in slots)
-    if len(set(slots)) != len(slots):
-        raise ValueError(f"duplicate slots in {slots}")
-    for s in slots:
-        if not 0 <= s < space.n_subsystems:
-            raise ValueError(f"slot {s} out of range for {space.n_subsystems} subsystems")
-    expected = math.prod(space.dims[s] for s in slots)
-    if local_dim != expected:
-        raise ValueError(
-            f"local operator dimension {local_dim} does not match slot dims (expected {expected})"
-        )
-    return slots
+def _columns(space: HilbertSpace, array: np.ndarray) -> np.ndarray:
+    """``array`` as a complex ``(D,)`` vector or ``(D, m)`` stack; other shapes raise."""
+    arr = np.asarray(array, dtype=complex)
+    dim = space.total_dim
+    if arr.ndim not in (1, 2) or arr.shape[0] != dim:
+        raise ValueError(f"array has shape {arr.shape}, expected ({dim},) or ({dim}, m)")
+    return arr
 
 
 def _check_local(
     local: np.ndarray, space: HilbertSpace, slots: Sequence[int]
-) -> tuple[np.ndarray, tuple[int, ...]]:
+) -> tuple[np.ndarray, np.ndarray]:
+    """``local`` as a complex square matrix, and its :func:`local_index_map` over ``slots``."""
     local = np.asarray(local, dtype=complex)
     if local.ndim != 2 or local.shape[0] != local.shape[1]:
         raise ValueError("local operator must be a square matrix")
-    return local, _check_slots(space, slots, local.shape[0])
+    rows = local_index_map(space, slots)
+    dim, expected = local.shape[0], rows.shape[1]
+    if dim != expected:
+        raise ValueError(
+            f"local operator dimension {dim} does not match slot dims (expected {expected})"
+        )
+    return local, rows
 
 
 def local_index_map(space: HilbertSpace, slots: Sequence[int]) -> np.ndarray:
-    """Full-space basis indices as a ``(D // d, d)`` array, ``d`` the dimension of ``slots``.
+    """Full-space basis indices as a read-only ``(D // d, d)`` array, ``d`` the dim of ``slots``.
 
     Column ``a`` is the local basis index over ``slots`` in the given order;
     each row fixes the levels of every other subsystem.  An operator local to
-    ``slots`` therefore acts on each row's indices alone.
+    ``slots`` therefore acts on each row's indices alone.  The map is
+    memoized per ``(space.dims, slots)`` and shared by every caller; the
+    package's maps total at most about ``(2n + 1) D`` entries per space.
+    Duplicate or out-of-range slots raise ``ValueError``.
     """
-    slots = list(slots)
-    rest = [i for i in range(space.n_subsystems) if i not in slots]
-    local_dim = math.prod(space.dims[s] for s in slots)
-    grid = np.arange(space.total_dim).reshape(space.dims)
-    return np.transpose(grid, rest + slots).reshape(-1, local_dim)
+    return _index_map(space.dims, tuple(int(s) for s in slots))
+
+
+@cache
+def _index_map(dims: tuple[int, ...], slots: tuple[int, ...]) -> np.ndarray:
+    if len(set(slots)) != len(slots):
+        raise ValueError(f"duplicate slots in {slots}")
+    for s in slots:
+        if not 0 <= s < len(dims):
+            raise ValueError(f"slot {s} out of range for {len(dims)} subsystems")
+    rest = [i for i in range(len(dims)) if i not in slots]
+    grid = np.arange(math.prod(dims)).reshape(dims)
+    rows = np.transpose(grid, rest + list(slots)).reshape(-1, math.prod(dims[s] for s in slots))
+    rows = np.ascontiguousarray(rows)  # a reshaped transpose can be a strided view
+    rows.setflags(write=False)
+    return rows
 
 
 def apply_local(
@@ -369,27 +394,19 @@ def apply_local(
     """Apply a local operator on ``slots`` to a vector or a stack of columns.
 
     ``array`` has shape ``(D,)`` or ``(D, m)``; the result has the same shape.
-    This avoids materialising the embedded ``D x D`` matrix, which matters for
-    the larger gate spaces.
+    Each row of :func:`local_index_map` is one copy of the local space, so a
+    vector takes one gather, one matrix product and one scatter,
+    ``out[rows] = x[rows] @ local.T``, and no embedded ``D x D`` matrix is
+    formed.  A stack runs the same product once per column, so each of its
+    columns equals the vector result bitwise.
     """
-    local, slots = _check_local(local, space, slots)
-
-    arr = np.asarray(array, dtype=complex)
-    single = arr.ndim == 1
-    mat = arr.reshape(space.total_dim, -1)
-    m = mat.shape[1]
-    n = space.n_subsystems
-
-    order = list(slots) + [i for i in range(n) if i not in slots]
-    tensor = mat.reshape(space.dims + (m,))
-    tensor = np.transpose(tensor, order + [n])
-    head = math.prod(space.dims[s] for s in slots)
-    tensor = local @ tensor.reshape(head, -1)
-    tensor = tensor.reshape([space.dims[i] for i in order] + [m])
-    inverse = np.argsort(order)
-    tensor = np.transpose(tensor, list(inverse) + [n])
-    out = tensor.reshape(space.total_dim, m)
-    return out[:, 0] if single else out
+    local, rows = _check_local(local, space, slots)
+    cols = _columns(space, array).T  # (D,) or (m, D)
+    if cols.ndim == 2:
+        rows = (slice(None), rows)  # not [..., rows]: an Ellipsis index is slower than a plain one
+    out = np.empty_like(cols)  # every index is in rows exactly once
+    out[rows] = cols[rows] @ local.T
+    return out.T
 
 
 def tensor_embed(local: np.ndarray, space: HilbertSpace, slots: Sequence[int]) -> np.ndarray:
@@ -398,8 +415,7 @@ def tensor_embed(local: np.ndarray, space: HilbertSpace, slots: Sequence[int]) -
     Subsystem ordering is preserved; the result acts on the full space.  The
     local entries are written through :func:`local_index_map`.
     """
-    local, slots = _check_local(local, space, slots)
-    rows = local_index_map(space, slots)
+    local, rows = _check_local(local, space, slots)
     out = np.zeros((space.total_dim, space.total_dim), dtype=complex)
     out[rows[:, :, None], rows[:, None, :]] = local
     return out
@@ -474,14 +490,7 @@ def evolve_times(
 
 def propagator(h: HermitianOperator, t: float) -> np.ndarray:
     """Full matrix ``exp(-i H t)``.  Negative ``t`` yields the inverse."""
-    if not math.isfinite(t):
-        raise ValueError("evolution time must be finite")
-    dim = h.space.total_dim
-    out = np.zeros((dim, dim), dtype=complex)
-    for idx, w, v in h.blocks:
-        blocks = (v * np.exp(-1j * w * t)[:, None, :]) @ np.swapaxes(v.conj(), -1, -2)
-        out[idx[:, :, None], idx[:, None, :]] = blocks
-    return out
+    return h.propagate(np.eye(h.space.total_dim, dtype=complex), t)
 
 
 def process_fidelity(u: np.ndarray, v: np.ndarray, subspace: Sequence[int]) -> float:

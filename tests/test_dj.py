@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -101,3 +103,25 @@ def test_full_mode_still_classifies(unit_params):
         expected = "constant" if variant == 1 else "balanced"
         assert result.classification == expected
         assert result.probability > 0.95
+
+
+@pytest.mark.parametrize("mode", [Mode.ANALYTIC, Mode.EFFECTIVE, Mode.FULL])
+def test_cnot_composed_only_when_the_oracle_uses_it(unit_params, monkeypatch, mode):
+    calls = []
+    original = dj_mod.compose
+
+    def counting(seq, compose_mode, include_idle=None):
+        calls.append(seq.gate)
+        return original(seq, compose_mode, include_idle)
+
+    monkeypatch.setattr(dj_mod, "compose", counting)
+    for variant, expected in ((1, 0), (2, 1), (3, 1), (4, 1)):
+        calls.clear()
+        uf_apply(variant, prepare_input(dj_space()), unit_params, mode)
+        assert len(calls) == expected
+
+
+def test_constant_oracle_still_checks_the_device(unit_params):
+    short = replace(unit_params, g=(unit_params.g_at(0),))
+    with pytest.raises(ValueError, match="the gate needs 2"):
+        uf_apply(1, prepare_input(dj_space()), short)

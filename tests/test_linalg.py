@@ -20,6 +20,7 @@ from gatesim.linalg import (
     StateVector,
     apply_local,
     evolve_times,
+    local_index_map,
     process_fidelity,
     propagator,
     tensor_embed,
@@ -192,6 +193,55 @@ def test_apply_local_matches_embedded_matvec():
     assert np.allclose(apply_local(local, space, (0, 2), vec), full @ vec, atol=1e-12)
 
 
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_apply_local_matches_the_embedded_operator(data):
+    # slots in any order, the cavity among them; a stack is the vector path column by column
+    n_qubits = data.draw(st.integers(1, 3))
+    space = HilbertSpace.for_qubits(n_qubits, data.draw(st.sampled_from([2, 3])))
+    slots = data.draw(st.permutations(range(space.n_subsystems)))
+    slots = tuple(slots[: data.draw(st.integers(1, min(3, space.n_subsystems)))])
+    m = data.draw(st.integers(1, 4))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1)))
+    dim = math.prod(space.dims[s] for s in slots)
+    local = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    stack = rng.normal(size=(space.total_dim, m)) + 1j * rng.normal(size=(space.total_dim, m))
+    full = tensor_embed(local, space, slots)
+    out = apply_local(local, space, slots, stack)
+    assert out.shape == stack.shape
+    assert np.max(np.abs(out - full @ stack)) <= 1e-12
+    for j in range(m):
+        vec = apply_local(local, space, slots, stack[:, j])
+        assert vec.shape == (space.total_dim,)
+        assert np.array_equal(vec, out[:, j])
+
+
+def test_local_index_map_is_shared_and_read_only():
+    space = HilbertSpace.for_qubits(3, 3)
+    rows = local_index_map(space, (2, 0))
+    assert np.array_equal(local_index_map(space, [2, 0]), rows)
+    assert local_index_map(space, (2, 0)) is rows
+    assert rows.shape == (space.total_dim // 16, 16)
+    assert np.array_equal(np.sort(rows.ravel()), np.arange(space.total_dim))
+    with pytest.raises(ValueError):
+        rows[0, 0] = 1
+    for bad in [(0, 0), (4,), (-1,)]:
+        with pytest.raises(ValueError, match="slot"):
+            local_index_map(space, bad)
+
+
+@pytest.mark.parametrize("shape", [(256,), (63,), (64, 2, 1), (32, 2), (2, 64), ()])
+def test_wrong_length_arrays_rejected(shape):
+    # a leading axis that is a multiple of D used to be read as extra columns
+    space = HilbertSpace((4, 4, 4))
+    h = dense_operator(space, random_hermitian(space.total_dim, 0))
+    bad = np.ones(shape, dtype=complex)
+    with pytest.raises(ValueError, match=r"expected \(64,\) or \(64, m\)"):
+        apply_local(np.eye(4), space, (1,), bad)
+    with pytest.raises(ValueError, match=r"expected \(64,\) or \(64, m\)"):
+        h.propagate(bad, 0.5)
+
+
 # --- propagate / propagator ------------------------------------------------
 
 
@@ -254,6 +304,16 @@ def test_propagator_zero_time_is_identity(unit_params):
     h = raman_effective_1q(unit_params, 2)
     u = propagator(h, 0.0)
     assert np.allclose(u, np.eye(space.total_dim), atol=1e-14)
+
+
+@pytest.mark.parametrize("t", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_time_rejected(unit_params, t):
+    space = HilbertSpace.for_qubits(1, 2)
+    h = raman_effective_1q(unit_params, 2)
+    with pytest.raises(ValueError, match="evolution time must be finite"):
+        h.propagate(space.basis_vector((1, 0)), t)
+    with pytest.raises(ValueError, match="evolution time must be finite"):
+        propagator(h, t)
 
 
 @given(st.integers(min_value=0, max_value=2**31 - 1))
