@@ -41,6 +41,9 @@ from .sequences import (
 )
 
 DEFAULT_TOL = 1e-10
+# Amplitudes per stack of columns that report walks through a window together
+# (64 KiB; one column from D = 4096 on).  Wider stacks raise peak memory.
+_STACK_ENTRIES = 4096
 # The dispersive-phase condition counts as comfortably met above this ratio.
 NEGLIGIBLE_RATIO = 10.0
 
@@ -113,18 +116,21 @@ def report(
 ) -> GateReport:
     """Compose the sequence, compare to the ideal gate and record leakage.
 
-    Each computational input is carried across every window by
-    :func:`gatesim.sequences.apply_evolutions`.  Level-3 occupation is
-    observed at each window boundary and, inside Hamiltonian-driven windows,
-    by sampling the spectral propagator, since the transient peak sits
-    mid-pulse; the samples only observe and never advance the state.  Both
-    run block by block on the window's uncoupled blocks.  Each window's
-    equally spaced grid of ``samples_per_step + 1`` times is built once and
-    shared by every column.  Sampling reduces only the blocks where the input
-    has amplitude and some qubit sits in ``|3>``, and it needs no
-    per-sample state: :func:`gatesim.linalg.evolve_times` writes the
-    weighted population as a sum over eigenvalue pairs, one frequency
-    ``λ_j - λ_l`` each, and evaluates the whole grid as one matrix product
+    The computational inputs are walked window by window in stacks of
+    columns, at most ``_STACK_ENTRIES`` amplitudes each (one column from
+    D = 4096 on); every stack is carried across each window by one
+    :func:`gatesim.sequences.apply_evolutions` call.  Level-3 occupation is
+    observed at each window boundary, as one reduction over the stack, and,
+    inside Hamiltonian-driven windows, by sampling the spectral propagator,
+    since the transient peak sits mid-pulse; the samples only observe and
+    never advance the state.  Both run block by block on the window's
+    uncoupled blocks.  Each window's equally spaced grid of
+    ``samples_per_step + 1`` times is built once and shared by every stack.
+    Sampling is one :func:`gatesim.linalg.evolve_times` call per window and
+    stack.  It reduces only the blocks where some column has amplitude and
+    some qubit sits in ``|3>``, and it needs no per-sample state: the
+    weighted population is a sum over eigenvalue pairs, one frequency
+    ``λ_j - λ_l`` each, and each column's whole grid is one matrix product
     of slow and fast phase factors.
     """
     space = seq.space
@@ -143,17 +149,19 @@ def report(
     max_pop3 = 0.0
     residual = 0.0
     block = np.zeros((len(comp), len(comp)), dtype=complex)
-    for col, idx in enumerate(comp):
-        amps = np.zeros(space.total_dim, dtype=complex)
-        amps[idx] = 1.0
+    width = max(1, _STACK_ENTRIES // space.total_dim)
+    for start in range(0, len(comp), width):
+        cols = comp[start : start + width]
+        amps = np.zeros((space.total_dim, len(cols)), dtype=complex)
+        amps[cols, np.arange(len(cols))] = 1.0
         for evo, times in zip(evolutions, grids):
             if times is not None:
                 pop3 = evolve_times(StateVector(space, amps), evo.hamiltonian, times, weights3)
                 max_pop3 = max(max_pop3, float(np.max(pop3)))
             amps = apply_evolutions([evo], space, amps)
-            max_pop3 = max(max_pop3, float(np.abs(amps) ** 2 @ weights3))
-        residual = max(residual, float(np.abs(amps) ** 2 @ (photon > 0)))
-        block[:, col] = amps[comp]
+            max_pop3 = max(max_pop3, float(np.max(weights3 @ np.abs(amps) ** 2)))
+        residual = max(residual, float(np.max((photon > 0) @ np.abs(amps) ** 2)))
+        block[:, start : start + len(cols)] = amps[comp]
 
     target = ideal_gate(seq.gate, seq.n)
     dim = len(comp)

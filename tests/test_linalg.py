@@ -242,6 +242,14 @@ def test_wrong_length_arrays_rejected(shape):
         h.propagate(bad, 0.5)
 
 
+@pytest.mark.parametrize("shape", [(128,), (63,), (64, 2, 1), (2, 64), ()])
+def test_state_vector_rejects_other_shapes(shape):
+    space = HilbertSpace((4, 4, 4))
+    with pytest.raises(ValueError, match=r"expected \(64,\) or \(64, m\)"):
+        StateVector(space, np.ones(shape, dtype=complex))
+    assert StateVector(space, np.ones((64, 3))).amplitudes.shape == (64, 3)
+
+
 # --- propagate / propagator ------------------------------------------------
 
 
@@ -513,6 +521,51 @@ def test_evolve_times_matches_the_per_sample_sum(sizes, samples, duration, seed)
     got = evolve_times(StateVector(h.space, amps), h, times, weights)
     assert got.shape == times.shape
     assert np.max(np.abs(got - expected)) <= 1e-12
+
+
+@given(
+    st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=6),
+    st.integers(min_value=1, max_value=5),
+    st.sampled_from([0, 1, 7, 512]),
+    st.integers(min_value=0, max_value=2**31 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_stacked_evolve_times_matches_each_column(sizes, m, samples, seed):
+    # each column of a stack reaches a random set of blocks, so columns share
+    # blocks or sit on disjoint ones; with m >= 2 the first column reaches
+    # every block, and with m >= 3 the third reaches only the first block,
+    # whose weights vanish, so it has no live block
+    mat, members = block_diagonal_hermitian(sizes, seed)
+    h = dense_operator(HilbertSpace((len(mat),)), mat)
+    rng = np.random.default_rng(seed + 1)
+    weights = rng.integers(1, 4, size=len(mat)).astype(float)
+    weights[members[0]] = 0.0
+    amps = rng.normal(size=(len(mat), m)) + 1j * rng.normal(size=(len(mat), m))
+    reach = rng.random((len(members), m)) < 0.5
+    if m >= 2:
+        reach[:, 0] = True
+    if m >= 3:
+        reach[:, 2] = False
+        reach[0, 2] = True
+    for block, columns in zip(members, reach):
+        amps[np.ix_(block, ~columns)] = 0.0
+    times = np.linspace(0.0, 1.3, samples + 1)
+    got = evolve_times(StateVector(h.space, amps), h, times, weights)
+    assert got.shape == (times.size, m)
+    for col in range(m):
+        single = evolve_times(StateVector(h.space, amps[:, col]), h, times, weights)
+        assert single.shape == times.shape
+        assert np.max(np.abs(got[:, col] - single)) <= 1e-12
+    if m >= 3:
+        assert not np.any(got[:, 2])
+
+
+@pytest.mark.parametrize("shape", [(8,), (3,), (4, 1), ()])
+def test_evolve_times_rejects_other_weight_shapes(shape):
+    # a length-2D vector used to be read as its first D entries
+    h = dense_operator(HilbertSpace((4,)), random_hermitian(4, 0))
+    with pytest.raises(ValueError, match=r"weights have shape .*, expected \(4,\)"):
+        evolve_times(random_state(h.space, 1), h, np.linspace(0.0, 1.0, 5), np.ones(shape))
 
 
 @pytest.mark.parametrize(

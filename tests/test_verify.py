@@ -5,6 +5,7 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
+from gatesim import verify as verify_mod
 from gatesim.pulses import Mode
 from gatesim.sequences import (
     GateKind,
@@ -134,6 +135,22 @@ def test_report_sampling_only_observes(unit_params, build):
     assert sampled.process_fidelity == plain.process_fidelity
     assert sampled.residual_photon == plain.residual_photon
     assert sampled.max_level3_population >= plain.max_level3_population
+
+
+@pytest.mark.parametrize("samples", [0, 16])
+@pytest.mark.parametrize("gate,n", [("ntcnot", 4), ("ncp", 4), ("toffoli", 3)])
+def test_report_does_not_depend_on_the_stack_width(unit_params, monkeypatch, gate, n, samples):
+    # one column per stack, the default width (two stacks at D = 512), and
+    # every computational column in one stack; without samples the level-3
+    # peak comes from the window boundaries alone
+    seq = build_sequence(GateKind.parse(gate), n, unit_params)
+    default = report(seq, Mode.FULL, samples_per_step=samples)
+    for entries in (1, seq.space.total_dim * 2**n):
+        monkeypatch.setattr(verify_mod, "_STACK_ENTRIES", entries)
+        rep = report(seq, Mode.FULL, samples_per_step=samples)
+        assert rep.exact_phase_match == default.exact_phase_match
+        for field in ("process_fidelity", "max_level3_population", "residual_photon"):
+            assert abs(getattr(rep, field) - getattr(default, field)) <= 1e-12
 
 
 @pytest.mark.parametrize("mode", list(Mode))
