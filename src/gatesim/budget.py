@@ -30,6 +30,18 @@ FLUX_QUANTUM = PLANCK_H / (2.0 * ELEMENTARY_CHARGE)  # Wb
 FEASIBILITY_THRESHOLD = 0.1
 
 
+def _swap_time(params: DeviceParams, slot: int) -> float:
+    return math.pi * params.delta_c / (2.0 * params.g_at(slot) ** 2)
+
+
+def _dispersive_time(params: DeviceParams, slot: int) -> float:
+    return math.pi * params.delta_ck_at(slot) / params.g_at(slot) ** 2
+
+
+def _pi_time(params: DeviceParams) -> float:
+    return math.pi / (2.0 * params.omega_resonant)
+
+
 def time_cp3(params: DeviceParams) -> float:
     """Three-qubit controlled-phase duration.
 
@@ -38,20 +50,14 @@ def time_cp3(params: DeviceParams) -> float:
     resonant pi-pulses.
     """
     params.require_qubits(3)
-    t1 = math.pi * params.delta_c / (2.0 * params.g_at(0) ** 2)
-    t2 = math.pi * params.delta_c / (2.0 * params.g_at(1) ** 2)
-    tk = math.pi * params.delta_ck_at(2) / params.g_at(2) ** 2
-    tau = math.pi / (2.0 * params.omega_resonant)
-    return 2.0 * t1 + 2.0 * t2 + tk + 4.0 * tau
+    swaps = 2.0 * _swap_time(params, 0) + 2.0 * _swap_time(params, 1)
+    return swaps + _dispersive_time(params, 2) + 4.0 * _pi_time(params)
 
 
 def time_ntcnot(params: DeviceParams) -> float:
     """Fanout-CNOT duration ``2 t1 + 2 tau + tk``; no dependence on n."""
     params.require_qubits(2)
-    t1 = math.pi * params.delta_c / (2.0 * params.g_at(0) ** 2)
-    tau = math.pi / (2.0 * params.omega_resonant)
-    tk = math.pi * params.delta_ck_at(1) / params.g_at(1) ** 2
-    return 2.0 * t1 + 2.0 * tau + tk
+    return 2.0 * _swap_time(params, 0) + 2.0 * _pi_time(params) + _dispersive_time(params, 1)
 
 
 def cavity_lifetime(quality_q: float, nu_c: float) -> float:
@@ -225,10 +231,10 @@ def feasibility(params: DeviceParams, threshold: float = FEASIBILITY_THRESHOLD) 
         "ntcnot_vs_kappa": tau_nt / kappa_inv,
     }
     durations = {
-        "t1_s": math.pi * params.delta_c / (2.0 * params.g_at(0) ** 2),
-        "t2_s": math.pi * params.delta_c / (2.0 * params.g_at(1) ** 2),
-        "tk_s": math.pi * params.delta_ck_at(1) / params.g_at(1) ** 2,
-        "tau_s": math.pi / (2.0 * params.omega_resonant),
+        "t1_s": _swap_time(params, 0),
+        "t2_s": _swap_time(params, 1),
+        "tk_s": _dispersive_time(params, 1),
+        "tau_s": _pi_time(params),
     }
     counts = {
         "cp3": step_count(GateKind.CP3),

@@ -71,6 +71,8 @@ def _checked(convert, accept, need: str):
 
 _finite = _checked(float, math.isfinite, "a finite number")
 _count = _checked(int, lambda v: v >= 0, "an integer >= 0")
+# Every budget ratio is positive, so a cut at or below 0 could never pass.
+_positive = _checked(float, lambda v: math.isfinite(v) and v > 0, "a finite number > 0")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -91,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("budget", help="feasibility report for a parameter file")
     p.add_argument("--params", default="cpw")
-    p.add_argument("--threshold", type=_finite, default=budget_mod.FEASIBILITY_THRESHOLD)
+    p.add_argument("--threshold", type=_positive, default=budget_mod.FEASIBILITY_THRESHOLD)
     p.add_argument("--output", default=None)
 
     p = sub.add_parser("sweep", help="scan one parameter, tabulate one or more observables")

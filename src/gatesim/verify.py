@@ -37,7 +37,6 @@ from .sequences import (
     apply_evolutions,
     build_evolutions,
     photon_number_vector,
-    sequence_units,
 )
 
 DEFAULT_TOL = 1e-10
@@ -201,7 +200,10 @@ class PhaseAudit:
     ``|2>`` component of that qubit would accumulate while it is not the
     step's intended cavity interaction.  ``branch_phases`` walks each
     computational input through the analytic protocol and adds up the
-    entries that actually fire.  The field order is the JSON output order.
+    entries that actually fire.  An input whose analytic chain leaves a
+    single basis state is omitted: every Toffoli input does so behind its
+    Hadamard, so the Toffoli's table is empty.  The field order is the JSON
+    output order.
     """
 
     condition_ratio: float
@@ -214,51 +216,39 @@ def phase_audit(seq: PulseSequence) -> PhaseAudit:
     space = seq.space
     params = seq.params
     roles = seq.roles
-    units = sequence_units(seq)
 
     # Dispersive rate of each qubit while it is not the cavity actor.
     rates = [params.g_at(q) ** 2 / params.detuning_for(q, roles[q]) for q in range(space.n_qubits)]
     entries: dict[tuple[int, int], float] = {}
-    for unit in units:
-        if unit.duration == 0.0:
-            continue
-        for q in range(space.n_qubits):
-            if q in unit.cavity_actors:
-                continue
-            key = (unit.step_index, q)
-            entries[key] = entries.get(key, 0.0) + rates[q] * unit.duration
+    # All computational inputs at once, one row of levels each (cavity last);
+    # an analytic window moves a kept input's digits, never a state vector.
+    levels = np.array([space.levels(i) for i in space.computational_indices()])
+    totals = np.zeros(len(levels))
+    pure = np.ones(len(levels), dtype=bool)
+    for evo in build_evolutions(seq, Mode.ANALYTIC):
+        if evo.duration > 0:
+            for q in range(space.n_qubits):
+                if q in evo.unit.cavity_actors:
+                    continue
+                phase = rates[q] * evo.duration
+                key = (evo.unit.step_index, q)
+                entries[key] = entries.get(key, 0.0) + phase
+                totals += phase * levels[:, -1] * (levels[:, q] == 2)
+        for local, slots in evo.applications:
+            dims = tuple(space.dims[s] for s in slots)
+            here = np.ravel_multi_index(tuple(levels[:, slots].T), dims)
+            column = np.abs(local[:, here])
+            pure &= np.abs(np.max(column, axis=0) - 1.0) <= 1e-9
+            levels[:, slots] = np.transpose(np.unravel_index(np.argmax(column, axis=0), dims))
     step_phases = tuple(
         {"step": step, "qubit": qubit, "phase_rad": phase}
         for (step, qubit), phase in sorted(entries.items())
     )
-
-    # Branch bookkeeping is defined for protocols whose analytic intermediates
-    # stay single basis states (the phase gates); inputs that branch into
-    # superpositions (e.g. behind a Hadamard) are omitted rather than guessed.
-    branch_phases: dict[str, float] = {}
-    comp = space.computational_indices()
-    evolutions = build_evolutions(seq, Mode.ANALYTIC)
-    for k, idx in enumerate(comp):
-        label = space.computational_label(k)
-        amps = np.zeros(space.total_dim, dtype=complex)
-        amps[idx] = 1.0
-        total = 0.0
-        pure_chain = True
-        for evo in evolutions:
-            here = int(np.argmax(np.abs(amps)))
-            if abs(abs(amps[here]) - 1.0) > 1e-9:
-                pure_chain = False
-                break
-            levels = space.levels(here)
-            photon = levels[-1]
-            if photon > 0 and evo.duration > 0:
-                for q in range(space.n_qubits):
-                    if q in evo.unit.cavity_actors or levels[q] != 2:
-                        continue
-                    total += rates[q] * evo.duration * photon
-            amps = apply_evolutions([evo], space, amps)
-        if pure_chain:
-            branch_phases[label] = total
+    # Inputs that branch into superpositions (e.g. behind a Hadamard) are
+    # omitted rather than guessed.
+    branch_phases = {
+        space.computational_label(k): float(totals[k]) for k in range(len(levels)) if pure[k]
+    }
 
     ratio = params.omega_resonant / max(
         _condition_denominator(params, roles, q) for q in range(space.n_qubits)

@@ -114,6 +114,8 @@ def test_tolerance_env_rejects_nonfinite_or_negative(capsys, monkeypatch, raw):
         (("verify", "cp3", "--threshold", "nan"), "--threshold"),
         (("verify", "cp3", "--threshold", "inf"), "--threshold"),
         (("budget", "--threshold", "nan"), "--threshold"),
+        (("budget", "--threshold", "0"), "--threshold"),
+        (("budget", "--threshold", "-1"), "--threshold"),
     ],
 )
 def test_bad_numbers_rejected_at_parse_time(capsys, argv, flag):

@@ -5,10 +5,14 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
+from gatesim import linalg as linalg_mod
+from gatesim import sequences as sequences_mod
 from gatesim import verify as verify_mod
 from gatesim.pulses import Mode
 from gatesim.sequences import (
     GateKind,
+    apply_evolutions,
+    build_evolutions,
     build_sequence,
     compose,
     cp3_sequence,
@@ -223,20 +227,69 @@ def test_cp3_branch_phases(unit_params):
     assert audit.branch_phases["000"] == 0.0
 
 
-def test_branch_phases_match_factorized_composition(unit_params):
+_HETEROGENEOUS = {
+    "g": (1.0, 0.9, 1.1, 0.95, 1.05),
+    "omega_raman": (1.0, 0.9, 1.1, 0.95, 1.05),
+    "delta_ck": (11.0, 9.0, 12.0, 10.5, 9.5),
+}
+
+
+def _assert_branch_phases_match_composition(seq):
     """Two code paths: analytic bookkeeping vs composed idle-phase factors."""
-    seq = ncp_sequence(4, unit_params)
     audit = phase_audit(seq)
-    u_idle = compose(seq, Mode.EFFECTIVE, include_idle=True)
-    u_plain = compose(seq, Mode.ANALYTIC)
     comp = seq.space.computational_indices()
-    for k, idx in enumerate(comp):
+    assert len(audit.branch_phases) == len(comp)
+    # the computational columns of the composed unitaries, without forming D x D
+    inputs = np.zeros((seq.space.total_dim, len(comp)), dtype=complex)
+    inputs[comp, np.arange(len(comp))] = 1.0
+    idle = build_evolutions(seq, Mode.EFFECTIVE, include_idle=True)
+    u_idle = apply_evolutions(idle, seq.space, inputs)
+    u_plain = apply_evolutions(build_evolutions(seq, Mode.ANALYTIC), seq.space, inputs)
+    for k in range(len(comp)):
         label = seq.space.computational_label(k)
-        out_idx = int(np.argmax(np.abs(u_plain[:, idx])))
-        measured = cmath.phase(u_idle[out_idx, idx] / u_plain[out_idx, idx])
+        out_idx = int(np.argmax(np.abs(u_plain[:, k])))
+        measured = cmath.phase(u_idle[out_idx, k] / u_plain[out_idx, k])
         booked = audit.branch_phases[label]
         diff = cmath.phase(cmath.exp(1j * (measured - booked)))
         assert abs(diff) < 1e-8
+
+
+def test_branch_phases_match_factorized_composition(unit_params):
+    _assert_branch_phases_match_composition(ncp_sequence(4, unit_params))
+
+
+@pytest.mark.parametrize(
+    "gate,n,cavity_dim,device",
+    [
+        ("ncp", 4, 2, "heterogeneous"),
+        ("ncp", 5, 2, "heterogeneous"),
+        ("ncp", 4, 3, "heterogeneous"),
+        ("ntcnot", 4, 2, "uniform"),
+        ("ntcnot", 4, 2, "heterogeneous"),
+        ("ntcnot", 3, 3, "heterogeneous"),
+        ("cp3", 3, 2, "heterogeneous"),
+        ("cp3", 3, 3, "uniform"),
+    ],
+)
+def test_branch_phases_match_factorized_composition_across_devices(
+    unit_params, gate, n, cavity_dim, device
+):
+    params = replace(unit_params, **_HETEROGENEOUS) if device == "heterogeneous" else unit_params
+    seq = build_sequence(GateKind.parse(gate), n, params, cavity_dim)
+    _assert_branch_phases_match_composition(seq)
+
+
+@pytest.mark.parametrize("gate,n", [("ncp", 5), ("ntcnot", 7)])
+def test_audit_walks_levels_not_state_vectors(unit_params, monkeypatch, gate, n):
+    seq = build_sequence(GateKind.parse(gate), n, unit_params)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the phase audit must not propagate state vectors")
+
+    monkeypatch.setattr(verify_mod, "apply_evolutions", forbidden)
+    monkeypatch.setattr(linalg_mod, "apply_local", forbidden)
+    monkeypatch.setattr(sequences_mod, "apply_local", forbidden)
+    assert len(phase_audit(seq).branch_phases) == 2**n
 
 
 def test_ntcnot_branch_phases_count_both_pi_windows(unit_params):
