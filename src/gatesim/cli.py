@@ -5,7 +5,7 @@ Subcommands: ``verify`` (compose a gate and score it against its ideal),
 (parameter scans to CSV), ``dj`` (the Deutsch-Jozsa demo) and ``squid-g``
 (the SQUID coupling-constant estimate).  Structured output is JSON on
 stdout, or a file via ``--output``; sweeps emit CSV.  Exit codes: 0 success,
-1 verification below threshold, 2 usage or configuration error.
+1 verification below threshold, 2 usage, configuration or out-of-memory error.
 
 The entrywise comparison tolerance defaults to 1e-10 and can be overridden
 with the ``GATESIM_TOL`` environment variable (a finite value >= 0).
@@ -224,7 +224,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ConfigError, ValueError, OSError, MemoryError) as exc:
         print(f"gatesim: error: {exc}", file=sys.stderr)
         return 2
 

@@ -11,12 +11,12 @@ operation is a pure function, so they are safe to share between concurrent
 workers.  Propagators and composed gates are plain, writable ``np.ndarray``
 matrices owned by the caller.
 
-An operator local to a few subsystems acts through :func:`local_index_map`,
-whose rows each hold the basis indices of one copy of the local space, so
-applying it to a vector is one gather, one matrix product and one scatter.
-The maps are memoized per ``(dims, slots)`` and read-only; the package asks
-for one per qubit, one per qubit with the cavity and one over every
-subsystem, at most about ``(2n + 1) D`` retained index entries per space.
+A local operator acts on a state's :class:`Support`, flat arrays of column
+id, basis index and amplitude, through the entries' mixed-radix digits
+(:func:`apply_local`): one ``(R, d) @ (d, d)`` product over the ``R`` live
+copies of the local space, so its cost follows the support, not ``D``.
+Hamiltonian terms are placed through :func:`local_index_map`, whose rows
+each hold the basis indices of one copy of the local space.
 
 Hermitian time evolution uses the spectral decomposition of the matrix,
 which is exact up to floating point; no step-wise integrator is involved
@@ -290,7 +290,7 @@ class HermitianOperator:
     def __post_init__(self) -> None:
         terms = []
         for local, slots in self.terms:
-            local, _ = _check_local(local, self.space, slots)
+            local = _check_local(local, self.space, slots)[0]
             terms.append((_freeze(local), tuple(int(s) for s in slots)))
         terms = tuple(terms)
         diagonal = self.diagonal
@@ -347,20 +347,26 @@ def _columns(space: HilbertSpace, array: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _check_local(
-    local: np.ndarray, space: HilbertSpace, slots: Sequence[int]
-) -> tuple[np.ndarray, np.ndarray]:
-    """``local`` as a complex square matrix, and its :func:`local_index_map` over ``slots``."""
+def _check_local(local: np.ndarray, space: HilbertSpace, slots: Sequence[int]) -> tuple:
+    """``local`` as a complex square matrix, and the :func:`_slot_layout` of ``slots``."""
     local = np.asarray(local, dtype=complex)
     if local.ndim != 2 or local.shape[0] != local.shape[1]:
         raise ValueError("local operator must be a square matrix")
-    rows = local_index_map(space, slots)
-    dim, expected = local.shape[0], rows.shape[1]
-    if dim != expected:
-        raise ValueError(
-            f"local operator dimension {dim} does not match slot dims (expected {expected})"
-        )
-    return local, rows
+    radix, offset = _slot_layout(space.dims, tuple(int(s) for s in slots))
+    if len(local) != offset.size:
+        raise ValueError(f"local operator has dimension {len(local)}, its slots need {offset.size}")
+    return local, radix, offset
+
+
+@cache
+def _slot_layout(dims: tuple[int, ...], slots: tuple[int, ...]) -> tuple[tuple, np.ndarray]:
+    """``(dim, stride)`` of each slot, and the full-index offset of each local basis index."""
+    if len(set(slots)) != len(slots) or not all(0 <= s < len(dims) for s in slots):
+        raise ValueError(f"slots {slots} must be distinct subsystem indices below {len(dims)}")
+    radix = tuple((dims[s], math.prod(dims[s + 1 :])) for s in slots)
+    offset = sum(np.ix_(*(stride * np.arange(size) for size, stride in radix))).ravel()
+    offset.setflags(write=False)
+    return radix, offset
 
 
 def local_index_map(space: HilbertSpace, slots: Sequence[int]) -> np.ndarray:
@@ -378,39 +384,52 @@ def local_index_map(space: HilbertSpace, slots: Sequence[int]) -> np.ndarray:
 
 @cache
 def _index_map(dims: tuple[int, ...], slots: tuple[int, ...]) -> np.ndarray:
-    if len(set(slots)) != len(slots):
-        raise ValueError(f"duplicate slots in {slots}")
-    for s in slots:
-        if not 0 <= s < len(dims):
-            raise ValueError(f"slot {s} out of range for {len(dims)} subsystems")
-    rest = [i for i in range(len(dims)) if i not in slots]
-    grid = np.arange(math.prod(dims)).reshape(dims)
-    rows = np.transpose(grid, rest + list(slots)).reshape(-1, math.prod(dims[s] for s in slots))
-    rows = np.ascontiguousarray(rows)  # a reshaped transpose can be a strided view
+    radix, offset = _slot_layout(dims, slots)
+    index = np.arange(math.prod(dims))
+    rows = index[sum(index // stride % size for size, stride in radix) == 0, None] + offset
     rows.setflags(write=False)
     return rows
 
 
-def apply_local(
-    local: np.ndarray, space: HilbertSpace, slots: Sequence[int], array: np.ndarray
-) -> np.ndarray:
-    """Apply a local operator on ``slots`` to a vector or a stack of columns.
+class Support(NamedTuple):
+    """Columns by their nonzeros: amplitude ``amp[k]`` at index ``idx[k]`` of column ``col[k]``."""
 
-    ``array`` has shape ``(D,)`` or ``(D, m)``; the result has the same shape.
-    Each row of :func:`local_index_map` is one copy of the local space, so a
-    vector takes one gather, one matrix product and one scatter,
-    ``out[rows] = x[rows] @ local.T``, and no embedded ``D x D`` matrix is
-    formed.  A stack loops the vector product over its columns, so each of
-    its columns equals the vector result bitwise; at D = 2048 that is also
-    faster per column than one batched ``(m, D // d, d) @ (d, d)`` product.
+    col: np.ndarray
+    idx: np.ndarray
+    amp: np.ndarray
+
+
+def apply_local(local: np.ndarray, space: HilbertSpace, slots: Sequence[int], array):
+    """Apply a local operator on ``slots`` to a vector, a stack of columns or a :class:`Support`.
+
+    The result has the input's form; a dense array goes through its nonzeros.
+    Entries are grouped by column and by their index with the slot digits
+    zeroed (mixed-radix digits), each group a row of one product with
+    ``local.T``; exact zeros are dropped.  A lone row is padded with a zero row,
+    as BLAS rounds a one-row product differently from a row in a larger one.
     """
-    local, rows = _check_local(local, space, slots)
-    arr = _columns(space, array)
-    out = np.empty_like(arr)  # every index is in rows exactly once
+    local, radix, offset = _check_local(local, space, slots)
     dim = space.total_dim
-    for x, y in zip(arr.reshape(dim, -1).T, out.reshape(dim, -1).T):
-        y[rows] = x[rows] @ local.T
-    return out
+    if isinstance(array, Support):
+        code, amp = array.col * dim + array.idx, array.amp
+    else:
+        mat = _columns(space, array).reshape(dim, -1)
+        code = np.flatnonzero((mat != 0).T)  # col * D + idx, like a support's entries
+        amp = mat.T.flat[code]
+    digit = 0  # code and idx share their slot digits, as each slot's radix divides D
+    for size, stride in radix:
+        digit = digit * size + code // stride % size
+    groups, row = np.unique(code - offset[digit], return_inverse=True)
+    gathered = np.zeros((max(groups.size, 2), offset.size), dtype=complex)
+    gathered[row, digit] = amp
+    values = (gathered @ local.T)[: groups.size].ravel()
+    keep = np.flatnonzero(values)
+    code = (groups[:, None] + offset).ravel()[keep]
+    if isinstance(array, Support):
+        return Support(*np.divmod(code, dim), values[keep])
+    out = np.zeros_like(mat)
+    out.T.flat[code] = values[keep]
+    return out.reshape(np.shape(array))
 
 
 def tensor_embed(local: np.ndarray, space: HilbertSpace, slots: Sequence[int]) -> np.ndarray:
@@ -419,7 +438,8 @@ def tensor_embed(local: np.ndarray, space: HilbertSpace, slots: Sequence[int]) -
     Subsystem ordering is preserved; the result acts on the full space.  The
     local entries are written through :func:`local_index_map`.
     """
-    local, rows = _check_local(local, space, slots)
+    local = _check_local(local, space, slots)[0]
+    rows = local_index_map(space, slots)
     out = np.zeros((space.total_dim, space.total_dim), dtype=complex)
     out[rows[:, :, None], rows[:, None, :]] = local
     return out

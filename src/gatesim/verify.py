@@ -11,6 +11,7 @@ fidelity.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -19,6 +20,8 @@ from .linalg import (
     HermitianOperator,
     HilbertSpace,
     StateVector,
+    Support,
+    apply_local,
     evolve_times,
     level_count_weights,
     process_fidelity,
@@ -40,7 +43,7 @@ from .sequences import (
 )
 
 DEFAULT_TOL = 1e-10
-# Amplitudes per stack of columns that report walks through a window together
+# Amplitudes per stack of columns that report walks through Hamiltonian windows
 # (64 KiB; one column from D = 4096 on).  Wider stacks raise peak memory.
 _STACK_ENTRIES = 4096
 # The dispersive-phase condition counts as comfortably met above this ratio.
@@ -115,55 +118,57 @@ def report(
 ) -> GateReport:
     """Compose the sequence, compare to the ideal gate and record leakage.
 
-    The computational inputs are walked window by window in stacks of
-    columns, at most ``_STACK_ENTRIES`` amplitudes each (one column from
-    D = 4096 on); every stack is carried across each window by one
-    :func:`gatesim.sequences.apply_evolutions` call.  Level-3 occupation is
-    observed at each window boundary, as one reduction over the stack, and,
-    inside Hamiltonian-driven windows, by sampling the spectral propagator,
-    since the transient peak sits mid-pulse; the samples only observe and
-    never advance the state.  Both run block by block on the window's
-    uncoupled blocks.  Each window's equally spaced grid of
-    ``samples_per_step + 1`` times is built once and shared by every stack.
-    Sampling is one :func:`gatesim.linalg.evolve_times` call per window and
-    stack.  It reduces only the blocks where some column has amplitude and
-    some qubit sits in ``|3>``, and it needs no per-sample state: the
-    weighted population is a sum over eigenvalue pairs, one frequency
-    ``λ_j - λ_l`` each, and each column's whole grid is one matrix product
-    of slow and fast phase factors.
+    All computational inputs walk the windows together as one
+    :class:`gatesim.linalg.Support`, so a closed-form window costs what the
+    support holds.  A run of Hamiltonian windows scatters it into dense stacks
+    of at most ``_STACK_ENTRIES`` amplitudes, propagates each stack block by
+    block and gathers the nonzeros back.  Level-3 population is taken per column
+    at each window boundary and sampled inside Hamiltonian windows, where its
+    transient peaks (one :func:`gatesim.linalg.evolve_times` call per window and
+    stack, which only observes); photon population after the last window.
     """
     space = seq.space
-    comp = space.computational_indices()
+    comp = np.array(space.computational_indices())
+    dim = len(comp)
     evolutions = build_evolutions(seq, mode)
-    weights3 = level_count_weights(space, 3)
-    photon = photon_number_vector(space)
-
-    grids = [
-        np.linspace(0.0, evo.duration, samples_per_step + 1)
-        if evo.hamiltonian is not None and samples_per_step > 0 and evo.duration > 0
-        else None
-        for evo in evolutions
-    ]
+    figures = level3, photon = level_count_weights(space, 3), photon_number_vector(space) > 0
+    block = np.zeros((dim, dim), dtype=complex)
 
     max_pop3 = 0.0
-    residual = 0.0
-    block = np.zeros((len(comp), len(comp)), dtype=complex)
+    walk = Support(np.arange(dim), comp, np.ones(dim, dtype=complex))
     width = max(1, _STACK_ENTRIES // space.total_dim)
-    for start in range(0, len(comp), width):
-        cols = comp[start : start + width]
-        amps = np.zeros((space.total_dim, len(cols)), dtype=complex)
-        amps[cols, np.arange(len(cols))] = 1.0
-        for evo, times in zip(evolutions, grids):
-            if times is not None:
-                pop3 = evolve_times(StateVector(space, amps), evo.hamiltonian, times, weights3)
+    for closed, run in groupby(evolutions, lambda evo: evo.hamiltonian is None):
+        if closed:
+            for evo in run:
+                if evo.diagonal is not None:
+                    walk = walk._replace(amp=evo.diagonal[walk.idx] * walk.amp)
+                for local, slots in evo.applications:
+                    walk = apply_local(local, space, slots, walk)
+                prob = np.abs(walk.amp) ** 2
+                pop3, light = (np.bincount(walk.col, w[walk.idx] * prob, dim) for w in figures)
                 max_pop3 = max(max_pop3, float(np.max(pop3)))
-            amps = apply_evolutions([evo], space, amps)
-            max_pop3 = max(max_pop3, float(np.max(weights3 @ np.abs(amps) ** 2)))
-        residual = max(residual, float(np.max((photon > 0) @ np.abs(amps) ** 2)))
-        block[:, start : start + len(cols)] = amps[comp]
+            continue
+        # the walk is ordered by stack (col // width), so the stacks are slices of it
+        cuts, parts = np.searchsorted(walk.col, np.arange(0, dim + width, width)), []
+        run = [(evo, np.linspace(0.0, evo.duration, samples_per_step + 1)) for evo in run]
+        for start, lo, hi in zip(range(0, dim, width), cuts, cuts[1:]):
+            amps = np.zeros((space.total_dim, min(width, dim - start)), dtype=complex)
+            amps[walk.idx[lo:hi], walk.col[lo:hi] - start] = walk.amp[lo:hi]
+            for evo, times in run:
+                if samples_per_step > 0 and evo.duration > 0:
+                    pop = evolve_times(StateVector(space, amps), evo.hamiltonian, times, level3)
+                    max_pop3 = max(max_pop3, float(np.max(pop)))
+                amps = apply_evolutions([evo], space, amps)
+                max_pop3 = max(max_pop3, float(np.max(level3 @ np.abs(amps) ** 2)))
+            on, at = np.divmod(code := np.flatnonzero(amps != 0), amps.shape[1])
+            parts.append((at + start, on, amps.ravel()[code], photon @ np.abs(amps) ** 2))
+        *entries, light = map(np.concatenate, zip(*parts))
+        walk = Support(*entries)
+    row = np.searchsorted(comp, walk.idx).clip(max=dim - 1)
+    kept = comp[row] == walk.idx
+    block[row[kept], walk.col[kept]] = walk.amp[kept]
 
     target = ideal_gate(seq.gate, seq.n)
-    dim = len(comp)
     fidelity = float(abs(np.sum(np.conj(target) * block)) ** 2 / dim**2)
     exact = bool(np.max(np.abs(block - target)) <= tol)
     return GateReport(
@@ -173,7 +178,7 @@ def report(
         process_fidelity=fidelity,
         exact_phase_match=exact,
         max_level3_population=max_pop3,
-        residual_photon=residual,
+        residual_photon=float(np.max(light)),
         total_duration_s=seq.total_duration,
         step_count=seq.step_count,
         tolerance=tol,

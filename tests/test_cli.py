@@ -247,6 +247,23 @@ def test_budget_null_squid_value_exits_two(capsys, tmp_path):
     assert "squid.beta_l" in err
 
 
+
+def test_out_of_memory_exits_two_with_the_message(capsys, monkeypatch):
+    # an infeasible n runs out of memory in numpy; stand in for it without allocating
+    from gatesim import cli
+
+    message = "Unable to allocate 16.0 TiB for an array with shape (2199023255552,)"
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "report", exhausted)
+    code, out, err = run_cli(capsys, "verify", "ntcnot", "-n", "3")
+    assert code == 2
+    assert out == ""
+    assert err == f"gatesim: error: {message}\n"
+
+
 # --- sweep ------------------------------------------------------------------
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from gatesim.linalg import (
     HermitianOperator,
     HilbertSpace,
     StateVector,
+    Support,
     apply_local,
     evolve_times,
     local_index_map,
@@ -216,6 +218,56 @@ def test_apply_local_matches_the_embedded_operator(data):
         assert np.array_equal(vec, out[:, j])
 
 
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_apply_local_on_sparse_stacks(data):
+    # exact zeros and all-zero columns, slots in any order with the cavity among
+    # them: the product matches the embedded operator, each column is bitwise
+    # its own one-column call, and the support form is the dense form's nonzeros
+    n_qubits = data.draw(st.integers(1, 3))
+    space = HilbertSpace.for_qubits(n_qubits, data.draw(st.sampled_from([2, 3])))
+    slots = data.draw(st.permutations(range(space.n_subsystems)))
+    slots = tuple(slots[: data.draw(st.integers(1, min(3, space.n_subsystems)))])
+    m = data.draw(st.integers(1, 5))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1)))
+    dim = math.prod(space.dims[s] for s in slots)
+    local = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    stack = rng.normal(size=(space.total_dim, m)) + 1j * rng.normal(size=(space.total_dim, m))
+    stack[rng.random(stack.shape) < data.draw(st.floats(0.0, 1.0))] = 0.0
+    stack[:, data.draw(st.lists(st.integers(0, m - 1), max_size=m))] = 0.0
+    out = apply_local(local, space, slots, stack)
+    assert out.shape == stack.shape
+    assert np.max(np.abs(out - tensor_embed(local, space, slots) @ stack)) <= 1e-12
+    for j in range(m):
+        assert np.array_equal(apply_local(local, space, slots, stack[:, j]), out[:, j])
+    idx, col = np.nonzero(stack)
+    support = apply_local(local, space, slots, Support(col, idx, stack[idx, col]))
+    assert np.all(np.diff(support.col) >= 0) and np.all(support.amp != 0)
+    dense = np.zeros_like(stack)
+    dense[support.idx, support.col] = support.amp
+    assert np.array_equal(dense, out)
+    assert np.count_nonzero(out) == support.amp.size
+
+
+@pytest.mark.parametrize("slots", [(0,), (0, 2), (2, 1)])
+def test_apply_local_pads_a_lone_row(slots):
+    # one live copy of the local space: BLAS rounds a (1, d) @ (d, d) product
+    # differently from the same row inside a larger one, so the lone row must
+    # come out as it does next to another row
+    space = HilbertSpace.for_qubits(2, 3)
+    rows = local_index_map(space, slots)
+    rng = np.random.default_rng(sum(slots))
+    d = rows.shape[1]
+    local = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    x = np.zeros(space.total_dim, dtype=complex)
+    x[rows[1]] = rng.normal(size=d) + 1j * rng.normal(size=d)
+    expected = np.zeros_like(x)
+    expected[rows[1]] = (x[rows[:2]] @ local.T)[1]
+    assert np.array_equal(apply_local(local, space, slots, x), expected)
+    support = apply_local(local, space, slots, Support(np.zeros(d, dtype=int), rows[1], x[rows[1]]))
+    assert np.array_equal(expected[support.idx], support.amp)
+    assert support.amp.size == np.count_nonzero(expected)
+
 def test_local_index_map_is_shared_and_read_only():
     space = HilbertSpace.for_qubits(3, 3)
     rows = local_index_map(space, (2, 0))
@@ -229,6 +281,24 @@ def test_local_index_map_is_shared_and_read_only():
         with pytest.raises(ValueError, match="slot"):
             local_index_map(space, bad)
 
+
+
+@pytest.mark.parametrize("slots", [(1,), (2, 0), (0, 2), (1, 3, 0), (3,)])
+def test_local_index_map_matches_basis_tuples(slots):
+    # oracle: row r walks the other subsystems' levels in index order, column a
+    # the slot levels in the given slot order, first slot most significant
+    space = HilbertSpace((4, 3, 2, 3))
+    rest = [s for s in range(space.n_subsystems) if s not in slots]
+    rest_levels = list(itertools.product(*(range(space.dims[s]) for s in rest)))
+    slot_levels = list(itertools.product(*(range(space.dims[s]) for s in slots)))
+    expected = np.empty((len(rest_levels), len(slot_levels)), dtype=int)
+    for r, fixed in enumerate(rest_levels):
+        for a, local in enumerate(slot_levels):
+            levels = [0] * space.n_subsystems
+            for s, level in zip(rest + list(slots), fixed + local):
+                levels[s] = level
+            expected[r, a] = space.index(levels)
+    assert np.array_equal(local_index_map(space, slots), expected)
 
 @pytest.mark.parametrize("shape", [(256,), (63,), (64, 2, 1), (32, 2), (2, 64), ()])
 def test_wrong_length_arrays_rejected(shape):

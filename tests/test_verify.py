@@ -173,6 +173,47 @@ def test_report_agrees_with_composed_block(unit_params, gate, n, mode):
     assert rep.residual_photon == pytest.approx(residual, abs=1e-12)
 
 
+
+@pytest.mark.parametrize("gate,n", [("cp3", 3), ("ncp", 4), ("ntcnot", 3)])
+def test_report_walks_effective_idle_windows_like_compose(unit_params, monkeypatch, gate, n):
+    # effective idle phases are diagonal windows, which build_evolutions
+    # emits only on request; the walk multiplies each entry by its phase
+    seq = build_sequence(GateKind.parse(gate), n, unit_params)
+    with_idle = lambda s, m: build_evolutions(s, m, include_idle=True)
+    monkeypatch.setattr(verify_mod, "build_evolutions", with_idle)
+    rep = report(seq, Mode.EFFECTIVE)
+    comp = seq.space.computational_indices()
+    u = compose(seq, Mode.EFFECTIVE, include_idle=True)
+    block = u[np.ix_(comp, comp)]
+    fidelity = abs(np.sum(np.conj(ideal_gate(seq.gate, n)) * block)) ** 2 / len(comp) ** 2
+    residual = np.max((photon_number_vector(seq.space) > 0) @ np.abs(u[:, comp]) ** 2)
+    assert rep.process_fidelity == pytest.approx(fidelity, abs=1e-12)
+    assert rep.residual_photon == pytest.approx(residual, abs=1e-12)
+    assert (rep.process_fidelity < 0.5) == (gate == "ncp")  # ncp 4 loses its phase to idles
+
+@pytest.mark.parametrize("mode", [Mode.ANALYTIC, Mode.EFFECTIVE])
+@pytest.mark.parametrize("gate,n", [("ncp", 5), ("ntcnot", 5)])
+def test_closed_form_report_reads_no_index_map(unit_params, monkeypatch, gate, n, mode):
+    # closed-form windows act on the support's mixed-radix digits, not on D-sized maps
+    seq = build_sequence(GateKind.parse(gate), n, unit_params)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("closed-form reports must not build an index map")
+
+    monkeypatch.setattr(linalg_mod, "_index_map", forbidden)
+    rep = report(seq, mode, samples_per_step=0)
+    assert rep.exact_phase_match
+    assert rep.process_fidelity == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("mode", [Mode.ANALYTIC, Mode.EFFECTIVE])
+@pytest.mark.parametrize("gate,n", [("ntcnot", 8), ("ncp", 7)])
+def test_closed_form_report_reaches_large_n(cpw_params, gate, n, mode):
+    # D = 131072 and 32768: the walk costs what each column's support holds
+    rep = report(build_sequence(GateKind.parse(gate), n, cpw_params), mode)
+    assert rep.exact_phase_match
+    assert rep.n == n
+
 def test_report_to_dict_fields(unit_params):
     d = asdict(report(cp3_sequence(unit_params), Mode.ANALYTIC))
     assert list(d) == [
