@@ -11,12 +11,14 @@ operation is a pure function, so they are safe to share between concurrent
 workers.  Propagators and composed gates are plain, writable ``np.ndarray``
 matrices owned by the caller.
 
-A local operator acts on a state's :class:`Support`, flat arrays of column
-id, basis index and amplitude, through the entries' mixed-radix digits
+States move as a :class:`Support`, flat arrays of column id, basis index
+and amplitude, so every kernel costs what the support holds, not ``D`` per
+column; dense vectors and ``(D, m)`` stacks go through their nonzeros.  A
+local operator acts through the entries' mixed-radix digits
 (:func:`apply_local`): one ``(R, d) @ (d, d)`` product over the ``R`` live
-copies of the local space, so its cost follows the support, not ``D``.
-Hamiltonian terms are placed through :func:`local_index_map`, whose rows
-each hold the basis indices of one copy of the local space.
+copies of the local space.  Hamiltonian terms are placed through
+:func:`local_index_map`, whose rows each hold the basis indices of one copy
+of the local space.
 
 Hermitian time evolution uses the spectral decomposition of the matrix,
 which is exact up to floating point; no step-wise integrator is involved
@@ -26,27 +28,25 @@ operator is given by its terms (a diagonal plus local operators on a few
 subsystems), the connected components of the terms' nonzero patterns are
 uncoupled (every window Hamiltonian conserves excitations), and each
 block's entries are added straight from the terms, so no ``D x D`` matrix
-is formed.  Blocks of one size share one stacked ``eigh`` call, and
-propagation and sampling run on the blocks that carry amplitude.  A dense
-matrix is one term over every subsystem, and without zero structure it is a
-single block.  On a 2-CPU VM a full-mode fanout CNOT report at n = 5
-(D = 2048, 486-1280 blocks per window, none larger than 32) takes about
-0.1 s without level-3 sampling, against about 26 s with dense ``eigh``; at
-n = 7 (D = 32768, blocks of at most 128) it takes about 1 s and 72 MiB.
+is formed.  Blocks of one size share one stacked ``eigh`` call.  The
+partition labels every basis index with its block, so propagation and
+sampling find the blocks a support reaches from its entries alone and
+take one row per reached (column, block) pair.  A dense matrix is one term
+over every subsystem, and without zero structure it is a single block.  On
+a 2-CPU VM a full-mode fanout CNOT report at n = 5 (D = 2048, 486-1280
+blocks per window, none larger than 32) takes about 0.02 s without level-3
+sampling, against about 26 s with dense ``eigh``; at n = 7 (D = 32768,
+blocks of at most 128) it takes about 0.4 s and 77 MiB.
 
 Sampling a weighted population on an equally spaced time grid
 (:func:`evolve_times`) forms no state at any sample time.  In each block
-the population is a constant plus one oscillating term per pair of
-eigenvalues, at their difference frequency.  The phases of all pairs on
-the grid ``t = (q S + r) dt`` factor into ``S`` fast and about ``S`` slow
-columns (``S² >= T`` for ``T`` sample times), so the grid costs one matrix
-product and ``O(sqrt(T))`` complex exponentials per pair.  This pays where
-blocks are small next to ``T``: the pair form costs about ``b³`` per block of
-size ``b`` against ``T b²`` for stepping the state through every sample.
-The state may be a ``(D, m)`` stack of columns: the live blocks, the
-projections ``v† x`` and each block's weighted ``v† diag(weights) v`` are
-then found once for the stack, the phases once for all its live pairs, and
-each column takes one product over the pairs of its own blocks.
+the population is a sum of oscillations at the differences of its
+eigenvalues.  Their phases on the grid ``t = (q S + r) dt`` factor into
+``S`` fast and about ``S`` slow columns (``S² >= T`` for ``T`` sample
+times), so a column's grid costs one matrix product and ``O(sqrt(T))``
+complex exponentials per pair.  This pays where blocks are small next to
+``T``: the pair form costs about ``b³`` per block of size ``b`` against
+``T b²`` for stepping the state through every sample.
 """
 
 from __future__ import annotations
@@ -222,16 +222,16 @@ def _components(dim: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
         labels = new
 
 
-def _partition(
-    space: HilbertSpace, terms: tuple[Term, ...], diagonal: np.ndarray | None
-) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+def _partition(space: HilbertSpace, terms: tuple[Term, ...], diagonal: np.ndarray | None) -> tuple:
     """Uncoupled blocks of ``diag(diagonal) + sum of the embedded terms``, grouped by size.
 
-    Returns ``(idx (k, b), sub-matrices (k, b, b))`` pairs.  The blocks are the
-    connected components of the terms' nonzero off-diagonal entries, each
-    local pattern placed through :func:`local_index_map`; the term entries
-    are then added straight into the sub-matrices, so no ``D x D`` array is
-    formed.
+    Returns ``(idx (k, b), sub-matrices (k, b, b))`` pairs, and the labels
+    :meth:`HermitianOperator._rows` reads: each basis index's block (numbered
+    group by group), position in it and block size as a ``(3, D)`` array, with
+    each group's first block number.  The blocks are the connected components
+    of the terms' nonzero off-diagonal entries, each local pattern placed
+    through :func:`local_index_map`; the term entries are then added straight
+    into the sub-matrices, so no ``D x D`` array is formed.
     """
     dim = space.total_dim
     placed = []
@@ -242,32 +242,33 @@ def _partition(
         placed.append((rows, a, b, local[a, b]))
         src.append(rows[:, a[a != b]].ravel())
         dst.append(rows[:, b[a != b]].ravel())
-    labels = _components(dim, np.concatenate(src), np.concatenate(dst))
-    order = np.argsort(labels, kind="stable")
-    roots = np.flatnonzero(labels == np.arange(dim))  # a label is its component's smallest index
-    sizes = np.bincount(labels)[roots]
+    component = _components(dim, np.concatenate(src), np.concatenate(dst))
+    order = np.argsort(component, kind="stable")
+    roots = np.flatnonzero(component == np.arange(dim))  # a label is its component's smallest index
+    sizes = np.bincount(component)[roots]
     starts = np.cumsum(sizes) - sizes
-    # Entry (i, j) of a block lives at flat[base[i] + col[j]] of one buffer for all blocks.
+    # Entry (i, j) of a block lives at flat[base[i] + pos[j]] of one buffer for all blocks.
+    labels = block, pos, width = np.empty((3, dim), dtype=np.int32)  # kept with the operator
     base = np.empty(dim, dtype=int)
-    col = np.empty(dim, dtype=int)
-    groups = []
-    offset = 0
+    groups, first, offset = [], [0], 0
     for size in np.unique(sizes):
         idx = order[starts[sizes == size][:, None] + np.arange(size)]
-        col[idx] = np.arange(size)
+        block[idx] = first[-1] + np.arange(len(idx))[:, None]
+        pos[idx], width[idx] = np.arange(size), size
         base[idx] = offset + size * np.arange(idx.size).reshape(idx.shape)
         groups.append((idx, offset))
+        first.append(first[-1] + len(idx))
         offset += idx.size * size
     flat = np.zeros(offset, dtype=complex)
     if diagonal is not None:
-        flat[base + col] += diagonal
+        flat[base + pos] += diagonal
     for rows, a, b, values in placed:
-        flat[base[rows[:, a]] + col[rows[:, b]]] += values
+        flat[base[rows[:, a]] + pos[rows[:, b]]] += values
     out = []
     for idx, start in groups:
         k, b = idx.shape
         out.append((idx, flat[start : start + k * b * b].reshape(k, b, b)))
-    return tuple(out)
+    return tuple(out), (labels, np.array(first))
 
 
 @dataclass(frozen=True)
@@ -286,6 +287,8 @@ class HermitianOperator:
     terms: tuple[Term, ...]
     diagonal: np.ndarray | None = None
     _parts: tuple[tuple[np.ndarray, np.ndarray], ...] = field(init=False, repr=False, compare=False)
+    _labels: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
+    _last: tuple = field(default=(None, ()), init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         terms = []
@@ -300,13 +303,14 @@ class HermitianOperator:
                 raise ValueError(
                     f"diagonal has shape {diagonal.shape}, expected ({self.space.total_dim},)"
                 )
-        parts = _partition(self.space, terms, diagonal)
+        parts, labels = _partition(self.space, terms, diagonal)
         defect = np.max([np.max(np.abs(sub - np.swapaxes(sub.conj(), -1, -2))) for _, sub in parts])
         if not defect <= HERMITIAN_TOL:  # a NaN entry fails too
             raise ValueError(f"operator is not Hermitian (defect {defect:.3e})")
         object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "diagonal", diagonal)
         object.__setattr__(self, "_parts", parts)
+        object.__setattr__(self, "_labels", labels)
 
     @cached_property
     def blocks(self) -> tuple[SpectralBlocks, ...]:
@@ -318,24 +322,62 @@ class HermitianOperator:
         object.__setattr__(self, "_parts", ())
         return blocks
 
-    def propagate(self, array: np.ndarray, t: float) -> np.ndarray:
-        """``exp(-i H t) @ array`` for a vector or a stack of columns, block by block.
+    def _rows(self, state: "Support") -> list:
+        """The blocks ``state`` reaches, by size group, and its coefficients on them.
 
-        Blocks where ``array`` is zero stay exactly zero and are skipped.
+        Each reached (column, block) pair is one row.  Lists the live blocks'
+        :class:`SpectralBlocks`, ``c (L, b, m)`` and ``col (L, m)`` per group:
+        ``c[l, :, s]`` is ``v† x`` for column ``col[l, s]`` on live block ``l``,
+        ``m`` being the most columns any block holds; other slots are zero, with
+        ``col = -1``.  The rows of the last support are kept, as a report samples
+        each window and then propagates the same support through it.
+        """
+        last = self._last
+        if last[0] is state:
+            return last[1]
+        labels, first = self._labels
+        order = np.lexsort((state.col, labels[0, state.idx]))  # by block, then by column
+        block, pos, size = labels[:, state.idx[order]]
+        col, amp = state.col[order], state.amp[order]
+        opens = np.ones((2, order.size), dtype=bool)  # entries that open a live block, a row
+        opens[0, 1:] = block[1:] != block[:-1]
+        opens[1, 1:] = opens[0, 1:] | (col[1:] != col[:-1])
+        at, row = np.cumsum(opens, axis=1) - 1  # each entry's live block and row
+        slot = row - row[opens[0]][at]
+        live, size = block[opens[0]], size[opens[0]]
+        start = np.cumsum(size) - size  # each live block's first row in x
+        x = np.zeros((size.sum(), slot.max(initial=0) + 1), dtype=complex)
+        x[start[at] + pos, slot] = amp
+        cols = np.full((live.size, x.shape[1]), -1)
+        cols[at, slot] = col
+        bounds, rows = np.searchsorted(live, first), []
+        for g, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+            if lo < hi:
+                k = live[lo:hi] - first[g]
+                idx, w, v = self.blocks[g]
+                idx, w, v = idx[k], w[k], v[k]
+                sub = x[start[lo] : start[lo] + idx.size].reshape(idx.shape + x.shape[1:])
+                c = (np.swapaxes(v, -1, -2) @ sub.conj()).conj()  # v† x, without conjugating v
+                rows.append((SpectralBlocks(idx, w, v), c, cols[lo:hi]))
+        object.__setattr__(self, "_last", (state, rows))
+        return rows
+
+    def propagate(self, array, t: float):
+        """``exp(-i H t)`` on a vector, a stack of columns or a :class:`Support`, in its form.
+
+        One kernel on the support: each live block takes the rows that reach it
+        (:meth:`_rows`) through ``v @ (exp(-i w t) * (v† @ x))``.  Blocks that
+        ``array`` does not reach stay exactly zero and are skipped.
         """
         if not math.isfinite(t):
             raise ValueError("evolution time must be finite")
-        arr = _columns(self.space, array)
-        mat = arr.reshape(self.space.total_dim, -1)
-        out = np.zeros_like(mat)
-        for idx, w, v in self.blocks:
-            sub = mat[idx]  # (k, b, m)
-            live = sub.any(axis=(1, 2))
-            if not live.all():
-                idx, w, v, sub = idx[live], w[live], v[live], sub[live]
-            coeff = np.swapaxes(v.conj(), -1, -2) @ sub
-            out[idx] = v @ (np.exp(-1j * w * t)[:, :, None] * coeff)
-        return out.reshape(arr.shape)
+        state = Support.of(self.space, array)
+        parts = [(state.col[:0], state.idx[:0], state.amp[:0])]
+        for (idx, w, v), c, col in self._rows(state):
+            y = v @ (np.exp(-1j * w * t)[:, :, None] * c)
+            live, j, s = np.nonzero(y)  # padded columns stay exactly zero
+            parts.append((col[live, s], idx[live, j], y[live, j, s]))
+        return Support(self.space, *map(np.concatenate, zip(*parts))).like(array)
 
 
 def _columns(space: HilbertSpace, array: np.ndarray) -> np.ndarray:
@@ -392,11 +434,34 @@ def _index_map(dims: tuple[int, ...], slots: tuple[int, ...]) -> np.ndarray:
 
 
 class Support(NamedTuple):
-    """Columns by their nonzeros: amplitude ``amp[k]`` at index ``idx[k]`` of column ``col[k]``."""
+    """Columns over ``space`` by their nonzeros.
 
+    Column ``col[k]`` holds amplitude ``amp[k]`` at basis index ``idx[k]``.
+    Like every state here, a support is never changed in place.
+    """
+
+    space: HilbertSpace
     col: np.ndarray
     idx: np.ndarray
     amp: np.ndarray
+
+    @classmethod
+    def of(cls, space: HilbertSpace, array) -> "Support":
+        """A support as it is; a vector or a ``(D, m)`` stack by its nonzeros, column by column."""
+        if isinstance(array, Support):
+            return array
+        dim = space.total_dim
+        mat = _columns(space, array).reshape(dim, -1)
+        code = np.flatnonzero((mat != 0).T)  # col * D + idx
+        return cls(space, *np.divmod(code, dim), mat.T.flat[code])
+
+    def like(self, array):
+        """This support in the form of ``array``: itself, or a dense array of ``array``'s shape."""
+        if isinstance(array, Support):
+            return self
+        out = np.zeros(np.shape(array), dtype=complex)
+        out.reshape(len(out), -1)[self.idx, self.col] = self.amp
+        return out
 
 
 def apply_local(local: np.ndarray, space: HilbertSpace, slots: Sequence[int], array):
@@ -410,26 +475,18 @@ def apply_local(local: np.ndarray, space: HilbertSpace, slots: Sequence[int], ar
     """
     local, radix, offset = _check_local(local, space, slots)
     dim = space.total_dim
-    if isinstance(array, Support):
-        code, amp = array.col * dim + array.idx, array.amp
-    else:
-        mat = _columns(space, array).reshape(dim, -1)
-        code = np.flatnonzero((mat != 0).T)  # col * D + idx, like a support's entries
-        amp = mat.T.flat[code]
+    state = Support.of(space, array)
+    code = state.col * dim + state.idx
     digit = 0  # code and idx share their slot digits, as each slot's radix divides D
     for size, stride in radix:
         digit = digit * size + code // stride % size
     groups, row = np.unique(code - offset[digit], return_inverse=True)
     gathered = np.zeros((max(groups.size, 2), offset.size), dtype=complex)
-    gathered[row, digit] = amp
+    gathered[row, digit] = state.amp
     values = (gathered @ local.T)[: groups.size].ravel()
     keep = np.flatnonzero(values)
     code = (groups[:, None] + offset).ravel()[keep]
-    if isinstance(array, Support):
-        return Support(*np.divmod(code, dim), values[keep])
-    out = np.zeros_like(mat)
-    out.T.flat[code] = values[keep]
-    return out.reshape(np.shape(array))
+    return Support(space, *np.divmod(code, dim), values[keep]).like(array)
 
 
 def tensor_embed(local: np.ndarray, space: HilbertSpace, slots: Sequence[int]) -> np.ndarray:
@@ -446,11 +503,12 @@ def tensor_embed(local: np.ndarray, space: HilbertSpace, slots: Sequence[int]) -
 
 
 @cache
-def _pairs(size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column indices ``j < l`` of a ``size x size`` matrix's strict upper triangle."""
-    pairs = np.triu_indices(size, 1)
-    for index in pairs:
-        index.setflags(write=False)  # shared by every caller
+def _pairs(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Indices ``j <= l`` of a ``size x size`` upper triangle; weight 1 at ``j = l``, else 2."""
+    j, l = np.triu_indices(size)
+    pairs = j, l, np.where(j == l, 1.0, 2.0)
+    for array in pairs:
+        array.setflags(write=False)  # shared by every caller
     return pairs
 
 
@@ -465,25 +523,22 @@ def _grid_step(times: np.ndarray) -> float:
 
 
 def evolve_times(
-    state: StateVector, h: HermitianOperator, times: np.ndarray, weights: np.ndarray
+    state: "StateVector | Support", h: HermitianOperator, times: np.ndarray, weights: np.ndarray
 ) -> np.ndarray:
     """``sum_i weights[i] |<i| exp(-i H t) |state>|²`` for each ``t`` and each column of ``state``.
 
-    The result has shape ``(len(times),)`` for a vector and
-    ``(len(times), m)`` for a ``(D, m)`` stack; ``weights`` must have shape
-    ``(D,)`` and ``times`` be an equally spaced grid ``t_i = i dt`` starting
-    at 0.  A block contributes to a column where the column has amplitude
-    and ``weights`` a nonzero entry; the live blocks of the whole stack are
-    found once.  In a block with eigenvectors ``v`` and eigenvalues ``λ``,
-    take ``c = v† x`` for every column at once and ``M = v† diag(weights) v``
-    once per block; with ``A_jl = conj(c_j) M_jl c_l`` the population is
-    ``sum_j A_jj + 2 Re sum_{j<l} A_jl exp(i (λ_j - λ_l) t)``.  The pairs of
-    every live block form one list of frequencies ``ω``.  For
-    ``T = len(times)``, writing ``i = q S + r`` with ``S = isqrt(T - 1) + 1``
-    splits each phase into ``exp(i ω q S dt) exp(i ω r dt)``; these ``Q + S``
-    phases, ``Q = ceil(T / S)``, are taken once per call.  Each column then
-    selects the ``P_k`` pairs of its own live blocks, so its whole grid is one
-    ``(Q, P_k) @ (P_k, S)`` product.
+    The result has shape ``(len(times),)`` for a vector, ``(len(times), m)``
+    for a ``(D, m)`` stack and ``(len(times), col.max() + 1)`` for a
+    :class:`Support`; ``weights`` must have shape ``(D,)`` and ``times`` be an
+    equally spaced grid ``t_i = i dt`` starting at 0.  Each reached (column,
+    block) pair whose block has a nonzero weight is one row.  With ``c = v† x``
+    per row and ``M = v† diag(weights) v`` per block, a row's population is
+    ``Re sum_{j<=l} s_jl conj(c_j) M_jl c_l exp(i (λ_j - λ_l) t)``, ``s`` being
+    1 on the diagonal and 2 above it.  Writing ``i = q S + r`` with
+    ``S = isqrt(T - 1) + 1`` for ``T`` times splits each phase in two, so a
+    column's ``P_k`` pairs need ``Q + S`` phases each, ``Q = ceil(T / S)``, and
+    its whole grid is one ``(Q, P_k) @ (P_k, S)`` product.  Only one column's
+    phases exist at a time; the next column reuses them if its frequencies agree.
     """
     if state.space.dims != h.space.dims:
         raise ValueError(f"operands live on different spaces: {state.space.dims} vs {h.space.dims}")
@@ -493,40 +548,40 @@ def evolve_times(
         raise ValueError(f"weights have shape {weights.shape}, expected ({dim},)")
     times = np.asarray(times, dtype=float)
     dt = _grid_step(times)
-    amps = state.amplitudes.reshape(dim, -1)
-    m = amps.shape[1]
-    steady = np.zeros(m)
-    coeffs, freqs, lives = [], [], []
-    for idx, w, v in h.blocks:
-        x, wx = amps[idx], weights[idx]  # (k, b, m), (k, b)
-        reached = x.any(axis=1)  # (k, m): the column has amplitude in the block
-        blocks = reached.any(axis=1) & wx.any(axis=1)
-        if not blocks.any():
-            continue
-        x, wx, w, v, live = x[blocks], wx[blocks], w[blocks], v[blocks], reached[blocks]
-        vh = np.swapaxes(v.conj(), -1, -2)
-        c = vh @ x  # (k, b, m): v† x
-        mat = (vh * wx[:, None, :]) @ v  # (k, b, b): v† diag(weights) v
-        diag = np.diagonal(mat, axis1=1, axis2=2)[:, :, None]
-        steady += (c.conj() * diag * c).real.sum(axis=(0, 1))
-        j, l = _pairs(w.shape[1])
-        coeffs.append((c.conj()[:, j] * mat[:, j, l, None] * c[:, l]).reshape(-1, m))
-        freqs.append((w[:, j] - w[:, l]).ravel())
-        lives.append(np.repeat(live, j.size, axis=0))
-    shape = (times.size,) + state.amplitudes.shape[1:]
-    if not coeffs:
+    if isinstance(state, StateVector):
+        shape = (times.size,) + state.amplitudes.shape[1:]
+        state = Support.of(state.space, state.amplitudes)
+    else:
+        shape = (times.size, int(state.col.max(initial=-1)) + 1)
+    coeffs, freqs, cols = [], [], []
+    for (idx, w, v), c, col in h._rows(state):
+        wx = weights[idx]
+        mat = (np.swapaxes(v.conj(), -1, -2) * wx[:, None, :]) @ v  # v† diag(weights) v
+        live, slot = np.nonzero((col >= 0) & wx.any(axis=1)[:, None])  # the weighted rows
+        j, l, scale = _pairs(w.shape[1])
+        pair = c.conj()[:, j] * (scale * mat[:, j, l])[..., None] * c[:, l]  # s_jl A_jl
+        coeffs.append(pair[live, :, slot])
+        freqs.append((w[:, j] - w[:, l])[live])
+        cols.append(np.repeat(col[live, slot], j.size))
+    m = math.prod(shape[1:])
+    if not cols:
         return np.zeros(shape)
     s = math.isqrt(times.size - 1) + 1
     q = -(-times.size // s)
-    # q slow steps of S dt, then S fast steps of dt
-    steps = np.concatenate([np.arange(q) * s, np.arange(s)]) * dt
-    phases = np.exp(1j * steps[:, None] * np.concatenate(freqs))  # (Q + S, P)
-    coeffs, lives = np.concatenate(coeffs), np.concatenate(lives)
-    out = np.empty((times.size, m))
-    for col, live in enumerate(lives.T):
-        own, a = (phases, coeffs[:, col]) if live.all() else (phases[:, live], coeffs[live, col])
-        slow = 2.0 * a * own[:q]
-        out[:, col] = steady[col] + (slow @ own[q:].T).real.ravel()[: times.size]
+    # i t at q slow steps of S dt, then at S fast steps of dt
+    steps = np.concatenate([np.arange(q) * s, np.arange(s)]) * (1j * dt)
+    col = np.concatenate(cols)
+    order = np.argsort(col, kind="stable")  # the pairs column by column
+    coeffs, freqs = (np.concatenate(a, axis=None)[order] for a in (coeffs, freqs))
+    bounds = np.searchsorted(col[order], np.arange(m + 1))
+    out, own = np.empty((times.size, m)), None
+    for k, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        if own is None or own.size != hi - lo or np.any(freqs[lo:hi] != own):  # new frequencies
+            own, phases = freqs[lo:hi], None
+            phases = np.multiply.outer(steps, own)  # (Q + S, P_k), one column's only
+            np.exp(phases, out=phases)
+        grid = (coeffs[lo:hi] * phases[:q]) @ phases[q:].T
+        out[:, k] = grid.real.ravel()[: times.size]
     return out.reshape(shape)
 
 

@@ -39,6 +39,7 @@ from .linalg import (
     HermitianOperator,
     HilbertSpace,
     StateVector,
+    Support,
     apply_local,
     subsystem_level_mask,
 )
@@ -352,20 +353,21 @@ def build_evolutions(
     return out
 
 
-def apply_evolutions(
-    evolutions: Iterable[SubEvolution], space: HilbertSpace, array: np.ndarray
-) -> np.ndarray:
-    """Apply the factors in order to a vector or a stack of columns."""
-    arr = np.asarray(array, dtype=complex)
+def apply_evolutions(evolutions: Iterable[SubEvolution], space: HilbertSpace, array):
+    """Apply the factors in order to a vector, a stack of columns or a :class:`Support`.
+
+    The state walks every window as a :class:`Support` and leaves in the input's form.
+    """
+    state = Support.of(space, array)
     for evo in evolutions:
         if evo.diagonal is not None:
-            arr = evo.diagonal * arr if arr.ndim == 1 else evo.diagonal[:, None] * arr
+            state = state._replace(amp=evo.diagonal[state.idx] * state.amp)
         elif evo.hamiltonian is not None:
-            arr = evo.hamiltonian.propagate(arr, evo.duration)
+            state = evo.hamiltonian.propagate(state, evo.duration)
         else:
             for local, slots in evo.applications:
-                arr = apply_local(local, space, slots, arr)
-    return arr
+                state = apply_local(local, space, slots, state)
+    return state.like(array)
 
 
 def compose(seq: PulseSequence, mode: Mode, include_idle: bool | None = None) -> np.ndarray:

@@ -11,7 +11,6 @@ fidelity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby
 
 import numpy as np
 
@@ -19,9 +18,7 @@ from .device import DeviceParams, Role
 from .linalg import (
     HermitianOperator,
     HilbertSpace,
-    StateVector,
     Support,
-    apply_local,
     evolve_times,
     level_count_weights,
     process_fidelity,
@@ -43,9 +40,6 @@ from .sequences import (
 )
 
 DEFAULT_TOL = 1e-10
-# Amplitudes per stack of columns that report walks through Hamiltonian windows
-# (64 KiB; one column from D = 4096 on).  Wider stacks raise peak memory.
-_STACK_ENTRIES = 4096
 # The dispersive-phase condition counts as comfortably met above this ratio.
 NEGLIGIBLE_RATIO = 10.0
 
@@ -119,51 +113,32 @@ def report(
     """Compose the sequence, compare to the ideal gate and record leakage.
 
     All computational inputs walk the windows together as one
-    :class:`gatesim.linalg.Support`, so a closed-form window costs what the
-    support holds.  A run of Hamiltonian windows scatters it into dense stacks
-    of at most ``_STACK_ENTRIES`` amplitudes, propagates each stack block by
-    block and gathers the nonzeros back.  Level-3 population is taken per column
-    at each window boundary and sampled inside Hamiltonian windows, where its
-    transient peaks (one :func:`gatesim.linalg.evolve_times` call per window and
-    stack, which only observes); photon population after the last window.
+    :class:`gatesim.linalg.Support`, so every window costs what the support
+    holds: closed-form windows act on its digits and Hamiltonian windows on the
+    blocks it reaches.  Level-3 population is taken per column at each window
+    boundary and sampled inside Hamiltonian windows, where its transient peaks
+    (one :func:`gatesim.linalg.evolve_times` call per window, which only
+    observes); photon population after the last window.
     """
     space = seq.space
     comp = np.array(space.computational_indices())
     dim = len(comp)
-    evolutions = build_evolutions(seq, mode)
     figures = level3, photon = level_count_weights(space, 3), photon_number_vector(space) > 0
     block = np.zeros((dim, dim), dtype=complex)
 
     max_pop3 = 0.0
-    walk = Support(np.arange(dim), comp, np.ones(dim, dtype=complex))
-    width = max(1, _STACK_ENTRIES // space.total_dim)
-    for closed, run in groupby(evolutions, lambda evo: evo.hamiltonian is None):
-        if closed:
-            for evo in run:
-                if evo.diagonal is not None:
-                    walk = walk._replace(amp=evo.diagonal[walk.idx] * walk.amp)
-                for local, slots in evo.applications:
-                    walk = apply_local(local, space, slots, walk)
-                prob = np.abs(walk.amp) ** 2
-                pop3, light = (np.bincount(walk.col, w[walk.idx] * prob, dim) for w in figures)
-                max_pop3 = max(max_pop3, float(np.max(pop3)))
-            continue
-        # the walk is ordered by stack (col // width), so the stacks are slices of it
-        cuts, parts = np.searchsorted(walk.col, np.arange(0, dim + width, width)), []
-        run = [(evo, np.linspace(0.0, evo.duration, samples_per_step + 1)) for evo in run]
-        for start, lo, hi in zip(range(0, dim, width), cuts, cuts[1:]):
-            amps = np.zeros((space.total_dim, min(width, dim - start)), dtype=complex)
-            amps[walk.idx[lo:hi], walk.col[lo:hi] - start] = walk.amp[lo:hi]
-            for evo, times in run:
-                if samples_per_step > 0 and evo.duration > 0:
-                    pop = evolve_times(StateVector(space, amps), evo.hamiltonian, times, level3)
-                    max_pop3 = max(max_pop3, float(np.max(pop)))
-                amps = apply_evolutions([evo], space, amps)
-                max_pop3 = max(max_pop3, float(np.max(level3 @ np.abs(amps) ** 2)))
-            on, at = np.divmod(code := np.flatnonzero(amps != 0), amps.shape[1])
-            parts.append((at + start, on, amps.ravel()[code], photon @ np.abs(amps) ** 2))
-        *entries, light = map(np.concatenate, zip(*parts))
-        walk = Support(*entries)
+    walk = Support(space, np.arange(dim), comp, np.ones(dim, dtype=complex))
+    evolutions = build_evolutions(seq, mode)
+    while evolutions:  # a window's spectra are released once it is walked
+        evo = evolutions.pop(0)
+        if evo.hamiltonian is not None and samples_per_step > 0 and evo.duration > 0:
+            times = np.linspace(0.0, evo.duration, samples_per_step + 1)
+            pop = evolve_times(walk, evo.hamiltonian, times, level3)
+            max_pop3 = max(max_pop3, float(np.max(pop)))
+        walk = apply_evolutions([evo], space, walk)
+        prob = np.abs(walk.amp) ** 2
+        pop3, light = (np.bincount(walk.col, w[walk.idx] * prob, dim) for w in figures)
+        max_pop3 = max(max_pop3, float(np.max(pop3)))
     row = np.searchsorted(comp, walk.idx).clip(max=dim - 1)
     kept = comp[row] == walk.idx
     block[row[kept], walk.col[kept]] = walk.amp[kept]

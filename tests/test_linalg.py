@@ -241,7 +241,7 @@ def test_apply_local_on_sparse_stacks(data):
     for j in range(m):
         assert np.array_equal(apply_local(local, space, slots, stack[:, j]), out[:, j])
     idx, col = np.nonzero(stack)
-    support = apply_local(local, space, slots, Support(col, idx, stack[idx, col]))
+    support = apply_local(local, space, slots, Support(space, col, idx, stack[idx, col]))
     assert np.all(np.diff(support.col) >= 0) and np.all(support.amp != 0)
     dense = np.zeros_like(stack)
     dense[support.idx, support.col] = support.amp
@@ -264,7 +264,8 @@ def test_apply_local_pads_a_lone_row(slots):
     expected = np.zeros_like(x)
     expected[rows[1]] = (x[rows[:2]] @ local.T)[1]
     assert np.array_equal(apply_local(local, space, slots, x), expected)
-    support = apply_local(local, space, slots, Support(np.zeros(d, dtype=int), rows[1], x[rows[1]]))
+    lone = Support(space, np.zeros(d, dtype=int), rows[1], x[rows[1]])
+    support = apply_local(local, space, slots, lone)
     assert np.array_equal(expected[support.idx], support.amp)
     assert support.amp.size == np.count_nonzero(expected)
 
@@ -461,6 +462,37 @@ def block_diagonal_hermitian(sizes, seed):
     return mat, members
 
 
+@given(
+    st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=6),
+    st.integers(min_value=1, max_value=5),
+    st.floats(min_value=-3.0, max_value=3.0),
+    st.integers(min_value=0, max_value=2**31 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_propagate_on_a_support_matches_the_propagator(sizes, m, t, seed):
+    # each column reaches a random set of blocks, so columns share blocks or
+    # sit on disjoint ones; with m >= 2 the first column reaches every block
+    # and the last none.  The support is read in another order than the
+    # dense form's, which must give the same result bitwise
+    mat, members = block_diagonal_hermitian(sizes, seed)
+    h = dense_operator(HilbertSpace((len(mat),)), mat)
+    rng = np.random.default_rng(seed + 1)
+    amps = rng.normal(size=(len(mat), m)) + 1j * rng.normal(size=(len(mat), m))
+    reach = rng.random((len(members), m)) < 0.5
+    if m >= 2:
+        reach[:, 0], reach[:, -1] = True, False
+    for block, columns in zip(members, reach):
+        amps[np.ix_(block, ~columns)] = 0.0
+    idx, col = np.nonzero(amps)
+    out = h.propagate(Support(h.space, col, idx, amps[idx, col]), t)
+    assert np.all(out.amp != 0)
+    got = np.zeros_like(amps)
+    got[out.idx, out.col] = out.amp
+    assert np.count_nonzero(got) == out.amp.size
+    assert np.max(np.abs(got - propagator(h, t) @ amps)) <= 1e-12
+    assert np.array_equal(h.propagate(amps, t), got)
+
+
 def test_dense_hermitian_is_one_block():
     space = HilbertSpace((4, 3))
     h = dense_operator(space, random_hermitian(12, 5))
@@ -604,7 +636,8 @@ def test_stacked_evolve_times_matches_each_column(sizes, m, samples, seed):
     # each column of a stack reaches a random set of blocks, so columns share
     # blocks or sit on disjoint ones; with m >= 2 the first column reaches
     # every block, and with m >= 3 the third reaches only the first block,
-    # whose weights vanish, so it has no live block
+    # whose weights vanish, so it has no live block.  The support form reads
+    # the stack's nonzeros in another order and gives the same figures bitwise
     mat, members = block_diagonal_hermitian(sizes, seed)
     h = dense_operator(HilbertSpace((len(mat),)), mat)
     rng = np.random.default_rng(seed + 1)
@@ -628,6 +661,11 @@ def test_stacked_evolve_times_matches_each_column(sizes, m, samples, seed):
         assert np.max(np.abs(got[:, col] - single)) <= 1e-12
     if m >= 3:
         assert not np.any(got[:, 2])
+    idx, col = np.nonzero(amps)
+    support = evolve_times(Support(h.space, col, idx, amps[idx, col]), h, times, weights)
+    width = col.max(initial=-1) + 1  # trailing all-zero columns have no entry
+    assert support.shape == (times.size, width)
+    assert np.array_equal(support, got[:, :width]) and not np.any(got[:, width:])
 
 
 @pytest.mark.parametrize("shape", [(8,), (3,), (4, 1), ()])

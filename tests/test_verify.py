@@ -142,19 +142,18 @@ def test_report_sampling_only_observes(unit_params, build):
 
 
 @pytest.mark.parametrize("samples", [0, 16])
-@pytest.mark.parametrize("gate,n", [("ntcnot", 4), ("ncp", 4), ("toffoli", 3)])
-def test_report_does_not_depend_on_the_stack_width(unit_params, monkeypatch, gate, n, samples):
-    # one column per stack, the default width (two stacks at D = 512), and
-    # every computational column in one stack; without samples the level-3
-    # peak comes from the window boundaries alone
-    seq = build_sequence(GateKind.parse(gate), n, unit_params)
-    default = report(seq, Mode.FULL, samples_per_step=samples)
-    for entries in (1, seq.space.total_dim * 2**n):
-        monkeypatch.setattr(verify_mod, "_STACK_ENTRIES", entries)
-        rep = report(seq, Mode.FULL, samples_per_step=samples)
-        assert rep.exact_phase_match == default.exact_phase_match
-        for field in ("process_fidelity", "max_level3_population", "residual_photon"):
-            assert abs(getattr(rep, field) - getattr(default, field)) <= 1e-12
+@pytest.mark.parametrize("gate,n", [("ntcnot", 5), ("ncp", 4)])
+def test_full_report_forms_no_dense_state(cpw_params, monkeypatch, gate, n, samples):
+    # every window, Hamiltonian ones included, moves the computational columns
+    # as one support: no state passes through the dense-array conversion
+    seq = build_sequence(GateKind.parse(gate), n, cpw_params)
+    expected = report(seq, Mode.FULL, samples_per_step=samples)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a full-mode report must not form a dense state")
+
+    monkeypatch.setattr(linalg_mod, "_columns", forbidden)
+    assert report(seq, Mode.FULL, samples_per_step=samples) == expected
 
 
 @pytest.mark.parametrize("mode", list(Mode))
