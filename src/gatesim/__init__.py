@@ -25,7 +25,6 @@ from .dj import DJResult, OracleVariant, oracle_variant, run_dj, uf_apply
 from .linalg import (
     HermitianOperator,
     HilbertSpace,
-    StateVector,
     process_fidelity,
     propagator,
     tensor_embed,

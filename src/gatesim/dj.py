@@ -19,13 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .device import DeviceParams
-from .linalg import (
-    QUDIT_LEVELS,
-    HilbertSpace,
-    StateVector,
-    apply_local,
-    subsystem_level_mask,
-)
+from .linalg import QUDIT_LEVELS, HilbertSpace, Support, apply_local
 from .pulses import Mode, hadamard_local
 from .sequences import compose, ntcnot_sequence
 
@@ -70,36 +64,34 @@ def dj_space(cavity_dim: int = 2) -> HilbertSpace:
     return HilbertSpace.for_qubits(2, cavity_dim)
 
 
-def prepare_input(space: HilbertSpace) -> StateVector:
-    amps = np.zeros(space.total_dim, dtype=complex)
-    s = 1.0 / np.sqrt(2.0)
-    amps[space.index((0, 1, 0))] = s
-    amps[space.index((1, 1, 0))] = s
-    return StateVector(space, amps)
+def prepare_input(space: HilbertSpace) -> Support:
+    """``(|0> + |1>)/sqrt(2) (x) |1>`` with the cavity in vacuum: a two-entry support."""
+    idx = np.array([space.index((0, 1, 0)), space.index((1, 1, 0))])
+    return Support(space, np.zeros(2, dtype=int), idx, np.full(2, 1.0 / np.sqrt(2.0), dtype=complex))
 
 
 def uf_apply(
     variant: OracleVariant | int,
-    state: StateVector,
+    state: Support,
     params: DeviceParams,
     mode: Mode = Mode.ANALYTIC,
-) -> StateVector:
+) -> Support:
     """Apply one oracle to the prepared state, following its pulse recipe."""
     if isinstance(variant, int):
         variant = oracle_variant(variant)
     space = state.space
     seq = ntcnot_sequence(2, params, space.cavity_dim)  # checks the device for every variant
-    amps = state.amplitudes
     if variant.id == 1:
-        return StateVector(space, amps)  # constant-0: both systems stay far off resonance
+        return state  # constant-0: both systems stay far off resonance
     cnot = compose(seq, mode)
+    every_slot = tuple(range(space.n_subsystems))
     if variant.id in (2, 3):
-        amps = cnot @ amps
+        state = apply_local(cnot, space, every_slot, state)
     if variant.id in (2, 4):
-        amps = apply_local(_rotation(+1), space, (0,), amps)
-        amps = cnot @ amps
-        amps = apply_local(_rotation(-1), space, (0,), amps)
-    return StateVector(space, amps)
+        state = apply_local(_rotation(+1), space, (0,), state)
+        state = apply_local(cnot, space, every_slot, state)
+        state = apply_local(_rotation(-1), space, (0,), state)
+    return state
 
 
 @dataclass(frozen=True)
@@ -122,9 +114,10 @@ def run_dj(
     state = prepare_input(space)
     state = uf_apply(variant, state, params, mode)
     oracle_applications = 1
-    amps = apply_local(hadamard_local(), space, (0,), state.amplitudes)
-    p0 = float(np.sum(np.abs(amps[subsystem_level_mask(space, 0, 0)]) ** 2))
-    p1 = float(np.sum(np.abs(amps[subsystem_level_mask(space, 0, 1)]) ** 2))
+    state = apply_local(hadamard_local(), space, (0,), state)
+    query = state.idx // (space.total_dim // space.dims[0])  # the query qubit's level
+    p0 = float(np.sum(np.abs(state.amp[query == 0]) ** 2))
+    p1 = float(np.sum(np.abs(state.amp[query == 1]) ** 2))
     if p0 >= p1:
         classification, probability = "constant", p0
     else:

@@ -6,14 +6,14 @@ are mixed-radix numbers with the cavity digit least significant, i.e.
 ``|l1 .. ln> ⊗ |nc>`` maps to ``((l1*d2 + l2)*d3 + ...) * d_cav + nc``.
 Fixing this one convention removes an entire class of indexing bugs.
 
-Spaces, states and Hamiltonians are immutable after construction and every
-operation is a pure function, so they are safe to share between concurrent
-workers.  Propagators and composed gates are plain, writable ``np.ndarray``
-matrices owned by the caller.
+No operation changes a space, a state or a Hamiltonian's value; propagators
+and composed gates are plain, writable ``np.ndarray`` matrices owned by the
+caller.
 
-States move as a :class:`Support`, flat arrays of column id, basis index
-and amplitude, so every kernel costs what the support holds, not ``D`` per
-column; dense vectors and ``(D, m)`` stacks go through their nonzeros.  A
+A state is a dense ``(D,)`` vector or ``(D, m)`` stack, or a
+:class:`Support`: flat arrays of column id, basis index and amplitude.
+Every kernel walks a :class:`Support`, so it costs what the support holds,
+not ``D`` per column; dense vectors and stacks go through their nonzeros.  A
 local operator acts through the entries' mixed-radix digits
 (:func:`apply_local`): one ``(R, d) @ (d, d)`` product over the ``R`` live
 copies of the local space.  Hamiltonian terms are placed through
@@ -35,8 +35,8 @@ take one row per reached (column, block) pair.  A dense matrix is one term
 over every subsystem, and without zero structure it is a single block.  On
 a 2-CPU VM a full-mode fanout CNOT report at n = 5 (D = 2048, 486-1280
 blocks per window, none larger than 32) takes about 0.02 s without level-3
-sampling, against about 26 s with dense ``eigh``; at n = 7 (D = 32768,
-blocks of at most 128) it takes about 0.4 s and 77 MiB.
+sampling; at n = 7 (D = 32768, blocks of at most 128) it takes about 0.4 s
+and 77 MiB.
 
 Sampling a weighted population on an equally spaced time grid
 (:func:`evolve_times`) forms no state at any sample time.  In each block
@@ -140,9 +140,6 @@ class HilbertSpace:
         vec[self.index(levels)] = 1.0
         return vec
 
-    def basis_state(self, levels: Sequence[int]) -> "StateVector":
-        return StateVector(self, self.basis_vector(levels))
-
     def computational_indices(self) -> list[int]:
         """Indices of qubit-{0,1} product states with the cavity in vacuum.
 
@@ -159,21 +156,6 @@ class HilbertSpace:
     def computational_label(self, k: int) -> str:
         n = self.n_qubits
         return format(k, f"0{n}b")
-
-
-@dataclass(frozen=True)
-class StateVector:
-    """Complex amplitudes over a :class:`HilbertSpace`: one state or a stack of states.
-
-    ``amplitudes`` is a ``(D,)`` vector or a ``(D, m)`` stack whose columns
-    are ``m`` states; any other shape raises ``ValueError``.
-    """
-
-    space: HilbertSpace
-    amplitudes: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "amplitudes", _freeze(_columns(self.space, self.amplitudes)))
 
 
 def subsystem_level_mask(space: HilbertSpace, slot: int, level: int) -> np.ndarray:
@@ -447,7 +429,12 @@ class Support(NamedTuple):
 
     @classmethod
     def of(cls, space: HilbertSpace, array) -> "Support":
-        """A support as it is; a vector or a ``(D, m)`` stack by its nonzeros, column by column."""
+        """A support as it is; a vector or a ``(D, m)`` stack by its nonzeros, column by column.
+
+        A support of another space or an array of another shape raises ``ValueError``.
+        """
+        if isinstance(array, Support) and array.space.dims != space.dims:
+            raise ValueError(f"operands live on different spaces: {array.space.dims} vs {space.dims}")
         if isinstance(array, Support):
             return array
         dim = space.total_dim
@@ -523,36 +510,30 @@ def _grid_step(times: np.ndarray) -> float:
 
 
 def evolve_times(
-    state: "StateVector | Support", h: HermitianOperator, times: np.ndarray, weights: np.ndarray
+    state: Support, h: HermitianOperator, times: np.ndarray, weights: np.ndarray
 ) -> np.ndarray:
     """``sum_i weights[i] |<i| exp(-i H t) |state>|²`` for each ``t`` and each column of ``state``.
 
-    The result has shape ``(len(times),)`` for a vector, ``(len(times), m)``
-    for a ``(D, m)`` stack and ``(len(times), col.max() + 1)`` for a
-    :class:`Support`; ``weights`` must have shape ``(D,)`` and ``times`` be an
-    equally spaced grid ``t_i = i dt`` starting at 0.  Each reached (column,
-    block) pair whose block has a nonzero weight is one row.  With ``c = v† x``
-    per row and ``M = v† diag(weights) v`` per block, a row's population is
-    ``Re sum_{j<=l} s_jl conj(c_j) M_jl c_l exp(i (λ_j - λ_l) t)``, ``s`` being
-    1 on the diagonal and 2 above it.  Writing ``i = q S + r`` with
+    ``state`` is a :class:`Support` of ``h``'s space and the result has shape
+    ``(len(times), col.max() + 1)``; ``weights`` must have shape ``(D,)`` and
+    ``times`` be an equally spaced grid ``t_i = i dt`` starting at 0.  Each
+    reached (column, block) pair whose block has a nonzero weight is one row.
+    With ``c = v† x`` per row and ``M = v† diag(weights) v`` per block, a
+    row's population is ``Re sum_{j<=l} s_jl conj(c_j) M_jl c_l exp(i (λ_j - λ_l) t)``,
+    ``s`` being 1 on the diagonal and 2 above it.  Writing ``i = q S + r`` with
     ``S = isqrt(T - 1) + 1`` for ``T`` times splits each phase in two, so a
     column's ``P_k`` pairs need ``Q + S`` phases each, ``Q = ceil(T / S)``, and
     its whole grid is one ``(Q, P_k) @ (P_k, S)`` product.  Only one column's
     phases exist at a time; the next column reuses them if its frequencies agree.
     """
-    if state.space.dims != h.space.dims:
-        raise ValueError(f"operands live on different spaces: {state.space.dims} vs {h.space.dims}")
+    state = Support.of(h.space, state)
     dim = h.space.total_dim
     weights = np.asarray(weights, dtype=float)
     if weights.shape != (dim,):
         raise ValueError(f"weights have shape {weights.shape}, expected ({dim},)")
     times = np.asarray(times, dtype=float)
     dt = _grid_step(times)
-    if isinstance(state, StateVector):
-        shape = (times.size,) + state.amplitudes.shape[1:]
-        state = Support.of(state.space, state.amplitudes)
-    else:
-        shape = (times.size, int(state.col.max(initial=-1)) + 1)
+    m = int(state.col.max(initial=-1)) + 1
     coeffs, freqs, cols = [], [], []
     for (idx, w, v), c, col in h._rows(state):
         wx = weights[idx]
@@ -563,9 +544,8 @@ def evolve_times(
         coeffs.append(pair[live, :, slot])
         freqs.append((w[:, j] - w[:, l])[live])
         cols.append(np.repeat(col[live, slot], j.size))
-    m = math.prod(shape[1:])
     if not cols:
-        return np.zeros(shape)
+        return np.zeros((times.size, m))
     s = math.isqrt(times.size - 1) + 1
     q = -(-times.size // s)
     # i t at q slow steps of S dt, then at S fast steps of dt
@@ -582,7 +562,7 @@ def evolve_times(
             np.exp(phases, out=phases)
         grid = (coeffs[lo:hi] * phases[:q]) @ phases[q:].T
         out[:, k] = grid.real.ravel()[: times.size]
-    return out.reshape(shape)
+    return out
 
 
 def propagator(h: HermitianOperator, t: float) -> np.ndarray:

@@ -38,7 +38,6 @@ from .device import DeviceParams, Role
 from .linalg import (
     HermitianOperator,
     HilbertSpace,
-    StateVector,
     Support,
     apply_local,
     subsystem_level_mask,
@@ -386,19 +385,18 @@ def _swap_domain_defect(seq: PulseSequence, pulse: Pulse, amps: np.ndarray) -> f
     return float(np.sum(np.abs(amps[bad]) ** 2))
 
 
-def intermediate_states(seq: PulseSequence, state: StateVector, mode: Mode) -> list[StateVector]:
-    """States after each step.  Flags inputs the closed forms do not cover.
+def intermediate_states(seq: PulseSequence, amps: np.ndarray, mode: Mode) -> list[np.ndarray]:
+    """``(D,)`` states after each step.  Flags inputs the closed forms do not cover.
 
     In analytic and effective modes, applying a Raman swap to a state with
     weight on (pulse level, photon >= 1) or (level 2, photon >= 2) would rely
     on the identity convention for states the protocols never visit; such a
     sequence is rejected rather than silently accepted.
     """
-    if state.space.dims != seq.space.dims:
-        raise ValueError("state lives on a different space than the sequence")
+    if np.shape(amps) != (seq.space.total_dim,):
+        raise ValueError(f"state has shape {np.shape(amps)}, expected ({seq.space.total_dim},)")
     evolutions = build_evolutions(seq, mode)
-    amps = state.amplitudes.copy()
-    out: list[StateVector] = []
+    out: list[np.ndarray] = []
     last_step: int | None = None
     for evo in evolutions:
         if mode is not Mode.FULL:
@@ -413,10 +411,10 @@ def intermediate_states(seq: PulseSequence, state: StateVector, mode: Mode) -> l
                         )
         amps = apply_evolutions([evo], seq.space, amps)
         if evo.unit.step_index != last_step:
-            out.append(StateVector(seq.space, amps))
+            out.append(amps)
             last_step = evo.unit.step_index
         else:
-            out[-1] = StateVector(seq.space, amps)
+            out[-1] = amps
     return out
 
 

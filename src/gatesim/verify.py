@@ -283,7 +283,7 @@ def swap_peak_level3(params: DeviceParams, cavity_dim: int = 3, samples: int = 4
     pulse = make_pulse(PulseKind.RAMAN_EMIT, 0, params, roles)
     local, _ = pulse_local_hamiltonian(pulse, params, roles, cavity_dim, Mode.FULL)
     h = HermitianOperator(space, ((local, (0, space.cavity_slot)),))
-    state = space.basis_state((1, 0))
+    state = Support.of(space, space.basis_vector((1, 0)))
     times = np.linspace(0.0, pulse.duration, samples + 1)
     return float(np.max(evolve_times(state, h, times, level_count_weights(space, 3))))
 

@@ -14,6 +14,14 @@ from gatesim.dj import (
 )
 
 MODES = [Mode.ANALYTIC, Mode.EFFECTIVE]
+# each mode at both cavity truncations; the default truncation keeps the bare mode id
+MODES_AND_CAVITIES = [pytest.param(mode, 2, id=str(mode)) for mode in MODES] + [
+    pytest.param(mode, 3, id=f"{mode}-cavity3") for mode in MODES
+]
+
+
+def _dense(state):
+    return state.like(np.zeros(state.space.total_dim))
 
 
 def test_variant_table():
@@ -27,11 +35,11 @@ def test_variant_table():
 
 def test_prepared_state():
     space = dj_space()
-    state = prepare_input(space)
-    assert np.linalg.norm(state.amplitudes) == pytest.approx(1.0)
+    state = _dense(prepare_input(space))
+    assert np.linalg.norm(state) == pytest.approx(1.0)
     s = 1.0 / np.sqrt(2.0)
-    assert state.amplitudes[space.index((0, 1, 0))] == pytest.approx(s)
-    assert state.amplitudes[space.index((1, 1, 0))] == pytest.approx(s)
+    assert state[space.index((0, 1, 0))] == pytest.approx(s)
+    assert state[space.index((1, 1, 0))] == pytest.approx(s)
 
 
 def _signed_input(space, sign0, sign1):
@@ -51,20 +59,21 @@ def test_oracle_output_signs(unit_params, mode):
     expected_signs = {1: (1, 1), 2: (-1, -1), 3: (1, -1), 4: (-1, 1)}
     for variant, (s0, s1) in expected_signs.items():
         out = uf_apply(variant, state, unit_params, mode)
-        assert np.max(np.abs(out.amplitudes - _signed_input(space, s0, s1))) < 1e-10
+        assert np.max(np.abs(_dense(out) - _signed_input(space, s0, s1))) < 1e-10
 
 
 def test_identity_oracle_leaves_state(unit_params):
     space = dj_space()
     state = prepare_input(space)
     out = uf_apply(1, state, unit_params)
-    assert np.array_equal(out.amplitudes, state.amplitudes)
+    assert np.array_equal(_dense(out), _dense(state))
 
 
-@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("mode, cavity_dim", MODES_AND_CAVITIES)
 @pytest.mark.parametrize("variant", [1, 2, 3, 4])
-def test_classification_is_deterministic(unit_params, variant, mode):
-    result = run_dj(variant, unit_params, mode)
+def test_classification_is_deterministic(unit_params, variant, mode, cavity_dim):
+    # the readout takes the query digit as idx // (D // dims[0]), which moves with the truncation
+    result = run_dj(variant, unit_params, mode, cavity_dim)
     expected = "constant" if variant in (1, 2) else "balanced"
     assert result.classification == expected
     assert result.probability == pytest.approx(1.0, abs=1e-10)
@@ -91,7 +100,7 @@ def test_target_stays_unentangled(unit_params, variant):
     space = dj_space()
     out = uf_apply(variant, prepare_input(space), unit_params)
     # singular values of the query vs. (target, cavity) bipartition
-    sv = np.linalg.svd(out.amplitudes.reshape(4, space.total_dim // 4), compute_uv=False)
+    sv = np.linalg.svd(_dense(out).reshape(4, space.total_dim // 4), compute_uv=False)
     assert sv[0] == pytest.approx(1.0, abs=1e-10)
     assert np.max(sv[1:]) < 1e-10
 

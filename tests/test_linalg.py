@@ -18,7 +18,6 @@ from gatesim.hamiltonians import idle_coupling_local, raman_effective_local
 from gatesim.linalg import (
     HermitianOperator,
     HilbertSpace,
-    StateVector,
     Support,
     apply_local,
     evolve_times,
@@ -50,7 +49,7 @@ def dispersive_1q(params, cavity_dim):
 def random_state(space, seed):
     rng = np.random.default_rng(seed)
     v = rng.normal(size=space.total_dim) + 1j * rng.normal(size=space.total_dim)
-    return StateVector(space, v / np.linalg.norm(v))
+    return v / np.linalg.norm(v)
 
 
 # --- HilbertSpace ----------------------------------------------------------
@@ -317,8 +316,9 @@ def test_wrong_length_arrays_rejected(shape):
 def test_state_vector_rejects_other_shapes(shape):
     space = HilbertSpace((4, 4, 4))
     with pytest.raises(ValueError, match=r"expected \(64,\) or \(64, m\)"):
-        StateVector(space, np.ones(shape, dtype=complex))
-    assert StateVector(space, np.ones((64, 3))).amplitudes.shape == (64, 3)
+        Support.of(space, np.ones(shape, dtype=complex))
+    support = Support.of(space, np.ones((64, 3)))
+    assert support.col.max() + 1 == 3 and support.idx.size == 64 * 3
 
 
 # --- propagate / propagator ------------------------------------------------
@@ -328,8 +328,8 @@ def test_evolve_zero_time_is_identity(unit_params):
     space = HilbertSpace.for_qubits(1, 3)
     h = raman_effective_1q(unit_params, 3)
     state = random_state(space, 3)
-    out = h.propagate(state.amplitudes, 0.0)
-    assert np.allclose(out, state.amplitudes, atol=1e-14)
+    out = h.propagate(state, 0.0)
+    assert np.allclose(out, state, atol=1e-14)
 
 
 def test_evolve_dispersive_single_photon_pi_phase(unit_params):
@@ -358,7 +358,7 @@ def test_evolve_raman_effective_quarter_period_flip(unit_params):
 def test_evolve_preserves_norm(seed, t):
     space = HilbertSpace((4, 3))
     h = dense_operator(space, random_hermitian(space.total_dim, seed))
-    out = h.propagate(random_state(space, seed + 1).amplitudes, t)
+    out = h.propagate(random_state(space, seed + 1), t)
     assert abs(np.linalg.norm(out) - 1.0) < 1e-12
 
 
@@ -498,7 +498,7 @@ def test_dense_hermitian_is_one_block():
     h = dense_operator(space, random_hermitian(12, 5))
     (group,) = h.blocks
     assert group.idx.tolist() == [list(range(12))]
-    assert_matches_dense_oracle(h, random_state(space, 6).amplitudes, [0.0, 0.4, 3.0])
+    assert_matches_dense_oracle(h, random_state(space, 6), [0.0, 0.4, 3.0])
 
 
 def test_zero_matrix_is_all_singletons():
@@ -521,7 +521,7 @@ def test_blocks_are_the_uncoupled_components(sizes, seed):
     assert found == sorted(members)
     # one stacked eigh per block size
     assert [g.idx.shape[1] for g in h.blocks] == sorted(set(sizes))
-    amps = random_state(h.space, seed + 1).amplitudes.copy()
+    amps = random_state(h.space, seed + 1)
     amps[members[0]] = 0.0  # one block without amplitude
     if np.any(amps):
         assert_matches_dense_oracle(h, amps / np.linalg.norm(amps), [0.0, 0.7, 2.5])
@@ -610,7 +610,7 @@ def test_evolve_times_matches_the_per_sample_sum(sizes, samples, duration, seed)
     weights = rng.integers(1, 4, size=len(mat)).astype(float)
     for block in members[::2]:
         weights[block] = 0.0
-    amps = random_state(h.space, seed + 2).amplitudes.copy()
+    amps = random_state(h.space, seed + 2)
     if len(members) > 1:
         amps[members[-1]] = 0.0
     times = np.linspace(0.0, duration, samples + 1)
@@ -620,9 +620,9 @@ def test_evolve_times_matches_the_per_sample_sum(sizes, samples, duration, seed)
             c = vecs.conj().T @ amps[rows]
             trajectory = (np.exp(-1j * np.outer(times, lam)) * c) @ vecs.T
             expected += np.abs(trajectory) ** 2 @ weights[rows]
-    got = evolve_times(StateVector(h.space, amps), h, times, weights)
-    assert got.shape == times.shape
-    assert np.max(np.abs(got - expected)) <= 1e-12
+    got = evolve_times(Support.of(h.space, amps), h, times, weights)
+    assert got.shape == (times.size, 1)
+    assert np.max(np.abs(got[:, 0] - expected)) <= 1e-12
 
 
 @given(
@@ -653,27 +653,28 @@ def test_stacked_evolve_times_matches_each_column(sizes, m, samples, seed):
     for block, columns in zip(members, reach):
         amps[np.ix_(block, ~columns)] = 0.0
     times = np.linspace(0.0, 1.3, samples + 1)
-    got = evolve_times(StateVector(h.space, amps), h, times, weights)
-    assert got.shape == (times.size, m)
-    for col in range(m):
-        single = evolve_times(StateVector(h.space, amps[:, col]), h, times, weights)
-        assert single.shape == times.shape
-        assert np.max(np.abs(got[:, col] - single)) <= 1e-12
+    idx, col = np.nonzero(amps)
+    width = col.max(initial=-1) + 1  # trailing all-zero columns have no entry
+    got = evolve_times(Support.of(h.space, amps), h, times, weights)
+    assert got.shape == (times.size, width)
+    for k in range(m):
+        single = evolve_times(Support.of(h.space, amps[:, k]), h, times, weights)
+        assert single.shape == (times.size, int(np.any(amps[:, k])))  # an empty column has none
+        column = got[:, k] if k < width else np.zeros(times.size)
+        assert np.max(np.abs(column - single.sum(axis=1))) <= 1e-12
     if m >= 3:
         assert not np.any(got[:, 2])
-    idx, col = np.nonzero(amps)
     support = evolve_times(Support(h.space, col, idx, amps[idx, col]), h, times, weights)
-    width = col.max(initial=-1) + 1  # trailing all-zero columns have no entry
-    assert support.shape == (times.size, width)
-    assert np.array_equal(support, got[:, :width]) and not np.any(got[:, width:])
+    assert np.array_equal(support, got)
 
 
 @pytest.mark.parametrize("shape", [(8,), (3,), (4, 1), ()])
 def test_evolve_times_rejects_other_weight_shapes(shape):
     # a length-2D vector used to be read as its first D entries
     h = dense_operator(HilbertSpace((4,)), random_hermitian(4, 0))
+    state = Support.of(h.space, random_state(h.space, 1))
     with pytest.raises(ValueError, match=r"weights have shape .*, expected \(4,\)"):
-        evolve_times(random_state(h.space, 1), h, np.linspace(0.0, 1.0, 5), np.ones(shape))
+        evolve_times(state, h, np.linspace(0.0, 1.0, 5), np.ones(shape))
 
 
 @pytest.mark.parametrize(
@@ -683,8 +684,9 @@ def test_evolve_times_rejects_other_weight_shapes(shape):
 def test_evolve_times_rejects_other_grids(times):
     # only an equally spaced grid t_i = i dt from 0 is accepted
     h = dense_operator(HilbertSpace((4,)), random_hermitian(4, 0))
+    state = Support.of(h.space, random_state(h.space, 1))
     with pytest.raises(ValueError, match="sample times must be"):
-        evolve_times(random_state(h.space, 1), h, np.array(times), np.ones(4))
+        evolve_times(state, h, np.array(times), np.ones(4))
 
 
 # --- fidelity --------------------------------------------------------------

@@ -21,7 +21,9 @@ from gatesim.device import Role
 from gatesim.hamiltonians import idle_coupling_local
 from gatesim.linalg import (
     HilbertSpace,
-    StateVector,
+    Support,
+    apply_local,
+    evolve_times,
     level_count_weights,
     tensor_embed,
 )
@@ -30,6 +32,7 @@ from gatesim.sequences import (
     GateKind,
     PulseSequence,
     PulseStep,
+    apply_evolutions,
     build_evolutions,
     build_sequence,
     compose,
@@ -196,19 +199,19 @@ def test_cp3_intermediate_state_table(unit_params, start):
     """The photon-carrying rows pass through exactly the published chain."""
     seq = cp3_sequence(unit_params)
     space = seq.space
-    states = intermediate_states(seq, space.basis_state(start + (0,)), Mode.ANALYTIC)
+    states = intermediate_states(seq, space.basis_vector(start + (0,)), Mode.ANALYTIC)
     assert len(states) == 7
     for state, (sign, levels) in zip(states, CP3_TABLE[start]):
         expected = sign * space.basis_vector(levels)
-        assert np.max(np.abs(state.amplitudes - expected)) < 1e-12
+        assert np.max(np.abs(state - expected)) < 1e-12
 
 
 @pytest.mark.parametrize("start", [(0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1)])
 def test_cp3_control_zero_rows_return_unchanged(unit_params, start):
     seq = cp3_sequence(unit_params)
     space = seq.space
-    states = intermediate_states(seq, space.basis_state(start + (0,)), Mode.ANALYTIC)
-    assert np.max(np.abs(states[-1].amplitudes - space.basis_vector(start + (0,)))) < 1e-12
+    states = intermediate_states(seq, space.basis_vector(start + (0,)), Mode.ANALYTIC)
+    assert np.max(np.abs(states[-1] - space.basis_vector(start + (0,)))) < 1e-12
 
 
 def test_cp3_block_is_controlled_phase(unit_params):
@@ -226,8 +229,7 @@ def test_cp3_restores_cavity_and_clears_aux_levels(unit_params):
     for idx in space.computational_indices():
         out = u[:, idx]
         probs = np.abs(out) ** 2
-        state = StateVector(space, out)
-        assert residual_photon(state) < 1e-12
+        assert residual_photon(space, out) < 1e-12
         assert probs @ w2 < 1e-12
         assert probs @ w3 < 1e-12
 
@@ -239,8 +241,8 @@ def test_cp3_level3_never_populated_mid_protocol(unit_params):
     for idx in space.computational_indices():
         amps = np.zeros(space.total_dim, dtype=complex)
         amps[idx] = 1.0
-        for state in intermediate_states(seq, StateVector(space, amps), Mode.ANALYTIC):
-            assert np.abs(state.amplitudes) ** 2 @ w3 < 1e-12
+        for state in intermediate_states(seq, amps, Mode.ANALYTIC):
+            assert np.abs(state) ** 2 @ w3 < 1e-12
 
 
 def test_cp3_effective_action_matches_analytic(unit_params):
@@ -315,7 +317,7 @@ def test_ntcnot3_intermediate_chain(unit_params):
     # then back down with both signs flipped, photon reabsorbed
     seq = ntcnot_sequence(3, unit_params)
     space = seq.space
-    start = StateVector(space, ntcnot_pm_state(space, 1, (1, 1)))
+    start = ntcnot_pm_state(space, 1, (1, 1))
     states = intermediate_states(seq, start, Mode.ANALYTIC)
     a = (qudit_level(0) + qudit_level(2)) / np.sqrt(2)
     b = (qudit_level(0) - qudit_level(2)) / np.sqrt(2)
@@ -323,10 +325,10 @@ def test_ntcnot3_intermediate_chain(unit_params):
     stage2 = product_state(space, [qudit_level(1), a, a, one])
     stage3 = product_state(space, [qudit_level(1), b, b, one])
     stage4 = product_state(space, [qudit_level(2), qudit_plus(-1), qudit_plus(-1), one])
-    assert np.max(np.abs(states[1].amplitudes - stage2)) < 1e-12
-    assert np.max(np.abs(states[2].amplitudes - stage3)) < 1e-12
-    assert np.max(np.abs(states[3].amplitudes - stage4)) < 1e-12
-    assert np.max(np.abs(states[4].amplitudes - ntcnot_pm_state(space, 1, (-1, -1)))) < 1e-12
+    assert np.max(np.abs(states[1] - stage2)) < 1e-12
+    assert np.max(np.abs(states[2] - stage3)) < 1e-12
+    assert np.max(np.abs(states[3] - stage4)) < 1e-12
+    assert np.max(np.abs(states[4] - ntcnot_pm_state(space, 1, (-1, -1)))) < 1e-12
 
 
 def test_ntcnot2_is_cnot_in_mixed_basis(unit_params):
@@ -394,9 +396,34 @@ def test_sequence_flags_states_outside_swap_domain(unit_params):
     # a stray photon alongside the emitter's level 1 has no closed-form image
     seq = cp3_sequence(unit_params)
     space = seq.space
-    bad = space.basis_state((1, 0, 0, 1))
+    bad = space.basis_vector((1, 0, 0, 1))
     with pytest.raises(ValueError, match="closed-form domain"):
         intermediate_states(seq, bad, Mode.ANALYTIC)
+
+
+@pytest.mark.parametrize("shape", [(64,), (128, 2), ()])
+def test_intermediate_states_rejects_other_shapes(unit_params, shape):
+    # one (D,) state over the sequence's space, D = 128 for cp3
+    with pytest.raises(ValueError, match=r"expected \(128,\)"):
+        intermediate_states(cp3_sequence(unit_params), np.ones(shape), Mode.ANALYTIC)
+
+
+def test_support_of_another_space_is_rejected(unit_params):
+    # a two-qubit support used to be read with the three-qubit radix and relabelled
+    seq = ntcnot_sequence(3, unit_params)
+    space, other = seq.space, HilbertSpace.for_qubits(2)
+    foreign = Support.of(other, other.basis_vector((1, 1, 0)))
+    evolutions = build_evolutions(seq, Mode.FULL)
+    h = next(evo.hamiltonian for evo in evolutions if evo.hamiltonian is not None)
+    calls = (
+        lambda: apply_local(np.eye(4), space, (1,), foreign),
+        lambda: h.propagate(foreign, 1e-9),
+        lambda: apply_evolutions(evolutions, space, foreign),
+        lambda: evolve_times(foreign, h, np.linspace(0.0, 1e-9, 5), np.ones(space.total_dim)),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match=r"different spaces: \(4, 4, 2\) vs \(4, 4, 4, 2\)"):
+            call()
 
 
 def test_full_mode_rejects_unequal_simultaneous_durations(unit_params):
