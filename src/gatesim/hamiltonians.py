@@ -109,9 +109,13 @@ def idle_coupling_local(
     """Always-on cavity coupling of a qubit that is not being pulsed.
 
     With the drive off, only the ``|2> <-> |3>`` cavity coupling remains.
-    ``full=True`` keeps it verbatim (detuned exchange with level 3);
-    ``full=False`` reduces it to its dispersive second-order form.  Both use
-    the detuning appropriate to the slot's role.
+    ``full=True`` keeps it verbatim (detuned exchange with level 3), as the
+    base of :func:`raman_full_local` and the full-mode dispersive-phase
+    generator.  ``full=False`` reduces it to its dispersive second-order form
+    ``(g²/delta)(|3><3| - |2><2|) a†a``: the effective dispersive-phase
+    generator, and the idle term of every unpulsed qubit, both in a full-mode
+    window and in the effective mode's idle factor.  Both use the detuning
+    appropriate to the slot's role.
     """
     g = params.g_at(slot)
     delta = params.detuning_for(slot, role)

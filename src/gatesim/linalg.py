@@ -13,31 +13,34 @@ caller.
 A state is a dense ``(D,)`` vector or ``(D, m)`` stack, or a
 :class:`Support`: flat arrays of column id, basis index and amplitude.
 Every kernel walks a :class:`Support`, so it costs what the support holds,
-not ``D`` per column; dense vectors and stacks go through their nonzeros.  A
-local operator acts through the entries' mixed-radix digits
-(:func:`apply_local`): one ``(R, d) @ (d, d)`` product over the ``R`` live
-copies of the local space.  Hamiltonian terms are placed through
+not ``D`` per column; dense vectors and stacks go through their nonzeros.
+Every read of an index's digits over some slots goes through
+:meth:`HilbertSpace.digits`.  A local operator acts through the entries'
+digits (:func:`apply_local`): one ``(R, d) @ (d, d)`` product over the
+``R`` live copies of the local space.  Hamiltonian terms are placed through
 :func:`local_index_map`, whose rows each hold the basis indices of one copy
 of the local space.
 
 Hermitian time evolution uses the spectral decomposition of the matrix,
 which is exact up to floating point; no step-wise integrator is involved
 because every Hamiltonian in this package is time independent in its
-rotating frame.  The decomposition is taken block by block: a Hermitian
-operator is given by its terms (a diagonal plus local operators on a few
-subsystems), the connected components of the terms' nonzero patterns are
-uncoupled (every window Hamiltonian conserves excitations), and each
-block's entries are added straight from the terms, so no ``D x D`` matrix
-is formed.  Blocks of one size share one stacked ``eigh`` call.  The
-partition labels every basis index with its block, so propagation and
-sampling find the blocks a support reaches from its entries alone and
-take one row per reached (column, block) pair.  A dense matrix is one term
-over every subsystem, and without zero structure it is a single block.  On
-a 2-CPU VM a full-mode fanout CNOT report at n = 5 (D = 2048, 486-1280
-blocks per window, none larger than 32) takes about 0.02 s without level-3
-sampling; at n = 7 (D = 32768, blocks of at most 128) it takes about 0.4 s
-and 77 MiB.
+rotating frame.  The decomposition is taken block by block: every generator
+is a sum of terms, local operators on a few subsystems; the connected
+components of the terms' nonzero patterns are uncoupled (every window
+Hamiltonian conserves excitations), and each block's entries are added
+straight from the terms, so no ``D x D`` matrix is formed.  Blocks of one
+size share one stacked ``eigh`` call.  The partition labels every basis
+index with its block, so propagation and sampling find the blocks a support
+reaches from its entries alone and take one row per reached (column, block)
+pair.  A dense matrix is one term over every subsystem, and without zero
+structure it is a single block.  On a 2-CPU VM a full-mode fanout CNOT
+report at n = 5 (D = 2048, 486-1280 blocks per window, none larger than 32)
+takes about 0.02 s without level-3 sampling; at n = 7 (D = 32768, blocks of
+at most 128) it takes about 0.4 s and 77 MiB.
 
+Weighted observables are sums of diagonal local terms ``(values, slots)``,
+read at the basis indices a state reaches through their mixed-radix digits
+(:meth:`HilbertSpace.digits`), so no ``D``-sized weight vector exists.
 Sampling a weighted population on an equally spaced time grid
 (:func:`evolve_times`) forms no state at any sample time.  In each block
 the population is a sum of oscillations at the differences of its
@@ -135,6 +138,17 @@ class HilbertSpace:
             index //= dim
         return tuple(reversed(out))
 
+    def digits(self, index, slots: Sequence[int]) -> np.ndarray:
+        """Local basis index over ``slots`` of each basis index, the first slot most significant.
+
+        ``index`` may be any integer array; an index plus a multiple of ``D``
+        has the same digits, as each slot's radix divides ``D``.
+        """
+        index, digit = np.asarray(index), 0
+        for size, stride in _slot_layout(self.dims, tuple(int(s) for s in slots))[0]:
+            digit = digit * size + index // stride % size
+        return digit
+
     def basis_vector(self, levels: Sequence[int]) -> np.ndarray:
         vec = np.zeros(self.total_dim, dtype=complex)
         vec[self.index(levels)] = 1.0
@@ -156,24 +170,6 @@ class HilbertSpace:
     def computational_label(self, k: int) -> str:
         n = self.n_qubits
         return format(k, f"0{n}b")
-
-
-def subsystem_level_mask(space: HilbertSpace, slot: int, level: int) -> np.ndarray:
-    """Boolean mask over basis indices where subsystem ``slot`` sits at ``level``."""
-    if not 0 <= slot < space.n_subsystems:
-        raise ValueError(f"slot {slot} out of range")
-    dims = space.dims
-    below = math.prod(dims[slot + 1 :])
-    digits = (np.arange(space.total_dim) // below) % dims[slot]
-    return digits == level
-
-
-def level_count_weights(space: HilbertSpace, level: int) -> np.ndarray:
-    """Per-basis-state count of qubits sitting at ``level`` (cavity excluded)."""
-    weights = np.zeros(space.total_dim)
-    for slot in range(space.n_qubits):
-        weights += subsystem_level_mask(space, slot, level)
-    return weights
 
 
 class SpectralBlocks(NamedTuple):
@@ -204,8 +200,8 @@ def _components(dim: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
         labels = new
 
 
-def _partition(space: HilbertSpace, terms: tuple[Term, ...], diagonal: np.ndarray | None) -> tuple:
-    """Uncoupled blocks of ``diag(diagonal) + sum of the embedded terms``, grouped by size.
+def _partition(space: HilbertSpace, terms: tuple[Term, ...]) -> tuple:
+    """Uncoupled blocks of the sum of the embedded terms, grouped by size.
 
     Returns ``(idx (k, b), sub-matrices (k, b, b))`` pairs, and the labels
     :meth:`HermitianOperator._rows` reads: each basis index's block (numbered
@@ -242,8 +238,6 @@ def _partition(space: HilbertSpace, terms: tuple[Term, ...], diagonal: np.ndarra
         first.append(first[-1] + len(idx))
         offset += idx.size * size
     flat = np.zeros(offset, dtype=complex)
-    if diagonal is not None:
-        flat[base + pos] += diagonal
     for rows, a, b, values in placed:
         flat[base[rows[:, a]] + pos[rows[:, b]]] += values
     out = []
@@ -257,9 +251,9 @@ def _partition(space: HilbertSpace, terms: tuple[Term, ...], diagonal: np.ndarra
 class HermitianOperator:
     """Hermitian operator over a space, in angular-frequency units (rad/s).
 
-    The operator is ``diag(diagonal)`` plus each term ``(local, slots)``
-    embedded as ``local`` on ``slots`` and identity elsewhere; a dense matrix
-    is the one term over every subsystem.  It is split into uncoupled blocks
+    The operator is the sum of its terms ``(local, slots)``, each embedded as
+    ``local`` on ``slots`` and identity elsewhere; a dense matrix is the one
+    term over every subsystem.  It is split into uncoupled blocks
     on construction, from the terms' nonzero patterns alone, so the
     Hermiticity check and the spectral decomposition run on the blocks and
     no term is embedded into a ``D x D`` matrix.
@@ -267,7 +261,6 @@ class HermitianOperator:
 
     space: HilbertSpace
     terms: tuple[Term, ...]
-    diagonal: np.ndarray | None = None
     _parts: tuple[tuple[np.ndarray, np.ndarray], ...] = field(init=False, repr=False, compare=False)
     _labels: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
     _last: tuple = field(default=(None, ()), init=False, repr=False, compare=False)
@@ -278,19 +271,11 @@ class HermitianOperator:
             local = _check_local(local, self.space, slots)[0]
             terms.append((_freeze(local), tuple(int(s) for s in slots)))
         terms = tuple(terms)
-        diagonal = self.diagonal
-        if diagonal is not None:
-            diagonal = _freeze(diagonal)
-            if diagonal.shape != (self.space.total_dim,):
-                raise ValueError(
-                    f"diagonal has shape {diagonal.shape}, expected ({self.space.total_dim},)"
-                )
-        parts, labels = _partition(self.space, terms, diagonal)
+        parts, labels = _partition(self.space, terms)
         defect = np.max([np.max(np.abs(sub - np.swapaxes(sub.conj(), -1, -2))) for _, sub in parts])
         if not defect <= HERMITIAN_TOL:  # a NaN entry fails too
             raise ValueError(f"operator is not Hermitian (defect {defect:.3e})")
         object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "diagonal", diagonal)
         object.__setattr__(self, "_parts", parts)
         object.__setattr__(self, "_labels", labels)
 
@@ -372,14 +357,14 @@ def _columns(space: HilbertSpace, array: np.ndarray) -> np.ndarray:
 
 
 def _check_local(local: np.ndarray, space: HilbertSpace, slots: Sequence[int]) -> tuple:
-    """``local`` as a complex square matrix, and the :func:`_slot_layout` of ``slots``."""
+    """``local`` as a complex square matrix, and the full-index offsets of ``slots``."""
     local = np.asarray(local, dtype=complex)
     if local.ndim != 2 or local.shape[0] != local.shape[1]:
         raise ValueError("local operator must be a square matrix")
-    radix, offset = _slot_layout(space.dims, tuple(int(s) for s in slots))
+    offset = _slot_layout(space.dims, tuple(int(s) for s in slots))[1]
     if len(local) != offset.size:
         raise ValueError(f"local operator has dimension {len(local)}, its slots need {offset.size}")
-    return local, radix, offset
+    return local, offset
 
 
 @cache
@@ -399,18 +384,17 @@ def local_index_map(space: HilbertSpace, slots: Sequence[int]) -> np.ndarray:
     Column ``a`` is the local basis index over ``slots`` in the given order;
     each row fixes the levels of every other subsystem.  An operator local to
     ``slots`` therefore acts on each row's indices alone.  The map is
-    memoized per ``(space.dims, slots)`` and shared by every caller; the
+    memoized per ``(space, slots)`` and shared by every caller; the
     package's maps total at most about ``(2n + 1) D`` entries per space.
     Duplicate or out-of-range slots raise ``ValueError``.
     """
-    return _index_map(space.dims, tuple(int(s) for s in slots))
+    return _index_map(space, tuple(int(s) for s in slots))
 
 
 @cache
-def _index_map(dims: tuple[int, ...], slots: tuple[int, ...]) -> np.ndarray:
-    radix, offset = _slot_layout(dims, slots)
-    index = np.arange(math.prod(dims))
-    rows = index[sum(index // stride % size for size, stride in radix) == 0, None] + offset
+def _index_map(space: HilbertSpace, slots: tuple[int, ...]) -> np.ndarray:
+    index = np.arange(space.total_dim)
+    rows = index[space.digits(index, slots) == 0, None] + _slot_layout(space.dims, slots)[1]
     rows.setflags(write=False)
     return rows
 
@@ -460,13 +444,11 @@ def apply_local(local: np.ndarray, space: HilbertSpace, slots: Sequence[int], ar
     ``local.T``; exact zeros are dropped.  A lone row is padded with a zero row,
     as BLAS rounds a one-row product differently from a row in a larger one.
     """
-    local, radix, offset = _check_local(local, space, slots)
+    local, offset = _check_local(local, space, slots)
     dim = space.total_dim
     state = Support.of(space, array)
     code = state.col * dim + state.idx
-    digit = 0  # code and idx share their slot digits, as each slot's radix divides D
-    for size, stride in radix:
-        digit = digit * size + code // stride % size
+    digit = space.digits(code, slots)
     groups, row = np.unique(code - offset[digit], return_inverse=True)
     gathered = np.zeros((max(groups.size, 2), offset.size), dtype=complex)
     gathered[row, digit] = state.amp
@@ -509,16 +491,34 @@ def _grid_step(times: np.ndarray) -> float:
     return float(dt)
 
 
+def diagonal_at(space: HilbertSpace, terms: tuple[Term, ...], index) -> np.ndarray:
+    """The sum of diagonal local terms ``(values, slots)`` at each basis index of ``index``.
+
+    A term is ``diag(values)`` on ``slots`` and identity elsewhere, so it is
+    read at an index's local digits over ``slots``; ``values`` must have one
+    entry per local basis state.
+    """
+    out = np.zeros(np.shape(index))
+    for values, slots in terms:
+        values = np.asarray(values, dtype=float)
+        size = _slot_layout(space.dims, tuple(int(s) for s in slots))[1].size
+        if values.shape != (size,):
+            raise ValueError(f"weights have shape {values.shape}, expected ({size},)")
+        out += values[space.digits(index, slots)]
+    return out
+
+
 def evolve_times(
-    state: Support, h: HermitianOperator, times: np.ndarray, weights: np.ndarray
+    state: Support, h: HermitianOperator, times: np.ndarray, weights: tuple[Term, ...]
 ) -> np.ndarray:
-    """``sum_i weights[i] |<i| exp(-i H t) |state>|²`` for each ``t`` and each column of ``state``.
+    """``sum_i w_i |<i| exp(-i H t) |state>|²`` for each ``t`` and each column of ``state``.
 
     ``state`` is a :class:`Support` of ``h``'s space and the result has shape
-    ``(len(times), col.max() + 1)``; ``weights`` must have shape ``(D,)`` and
-    ``times`` be an equally spaced grid ``t_i = i dt`` starting at 0.  Each
-    reached (column, block) pair whose block has a nonzero weight is one row.
-    With ``c = v† x`` per row and ``M = v† diag(weights) v`` per block, a
+    ``(len(times), col.max() + 1)``; the weights ``w`` are the diagonal local
+    terms ``weights`` (see :func:`diagonal_at`), and ``times`` must be an
+    equally spaced grid ``t_i = i dt`` starting at 0.  Each reached (column,
+    block) pair whose block has a nonzero weight is one row.
+    With ``c = v† x`` per row and ``M = v† diag(w) v`` per block, a
     row's population is ``Re sum_{j<=l} s_jl conj(c_j) M_jl c_l exp(i (λ_j - λ_l) t)``,
     ``s`` being 1 on the diagonal and 2 above it.  Writing ``i = q S + r`` with
     ``S = isqrt(T - 1) + 1`` for ``T`` times splits each phase in two, so a
@@ -527,17 +527,17 @@ def evolve_times(
     phases exist at a time; the next column reuses them if its frequencies agree.
     """
     state = Support.of(h.space, state)
-    dim = h.space.total_dim
-    weights = np.asarray(weights, dtype=float)
-    if weights.shape != (dim,):
-        raise ValueError(f"weights have shape {weights.shape}, expected ({dim},)")
     times = np.asarray(times, dtype=float)
     dt = _grid_step(times)
     m = int(state.col.max(initial=-1)) + 1
+    rows = h._rows(state)
+    reached = [state.idx[:0]] + [group.idx.ravel() for group, _, _ in rows]
+    weight = diagonal_at(h.space, weights, np.concatenate(reached))  # one pass for every block
+    at = np.cumsum([part.size for part in reached])
     coeffs, freqs, cols = [], [], []
-    for (idx, w, v), c, col in h._rows(state):
-        wx = weights[idx]
-        mat = (np.swapaxes(v.conj(), -1, -2) * wx[:, None, :]) @ v  # v† diag(weights) v
+    for ((idx, w, v), c, col), lo, hi in zip(rows, at, at[1:]):
+        wx = weight[lo:hi].reshape(idx.shape)
+        mat = (np.swapaxes(v.conj(), -1, -2) * wx[:, None, :]) @ v  # v† diag(w) v
         live, slot = np.nonzero((col >= 0) & wx.any(axis=1)[:, None])  # the weighted rows
         j, l, scale = _pairs(w.shape[1])
         pair = c.conj()[:, j] * (scale * mat[:, j, l])[..., None] * c[:, l]  # s_jl A_jl

@@ -18,11 +18,12 @@ group with any other cavity-coupled member; any number of dispersive-phase
 members may share the cavity since their generators commute.
 
 Composition walks the sequence in one of three modes (see
-:class:`gatesim.pulses.Mode`).  The full mode solves the joint step
-Hamiltonian including the always-on cavity couplings of undriven qubits.
-The effective mode can optionally include those idle couplings as a
-factorized per-step phase applied to the entering state; that factorized
-form is what the analytic phase audit reproduces term by term.
+:class:`gatesim.pulses.Mode`).  The always-on cavity coupling of each
+undriven qubit is one local ``(qubit, cavity)`` term.  The full mode solves
+the joint step Hamiltonian, the idle terms ahead of the pulse generators.
+The effective mode can optionally include the idle couplings as one local
+diagonal unitary per idle qubit, applied to the entering state; that
+factorized form is what the analytic phase audit reproduces term by term.
 """
 
 from __future__ import annotations
@@ -35,12 +36,12 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .device import DeviceParams, Role
+from .hamiltonians import idle_coupling_local
 from .linalg import (
     HermitianOperator,
     HilbertSpace,
     Support,
     apply_local,
-    subsystem_level_mask,
 )
 from .pulses import Mode, Pulse, PulseKind, make_pulse, pulse_local_hamiltonian, pulse_local_unitary
 
@@ -256,53 +257,39 @@ def sequence_units(seq: PulseSequence) -> list[Unit]:
 
 @dataclass(frozen=True)
 class SubEvolution:
-    """One factor of the composed unitary, in one of three representations."""
+    """One factor of the composed unitary: local unitaries in order, or a Hamiltonian."""
 
     unit: Unit
     applications: tuple[tuple[np.ndarray, tuple[int, ...]], ...] = ()
     hamiltonian: HermitianOperator | None = None
-    diagonal: np.ndarray | None = None
     duration: float = 0.0
 
 
-def photon_number_vector(space: HilbertSpace) -> np.ndarray:
-    # Cavity digit is least significant in the index convention.
-    return np.arange(space.total_dim) % space.cavity_dim
+def _idle_terms(seq: PulseSequence) -> list:
+    """The always-on dispersive coupling of each qubit, one term each, in qubit order.
 
-
-def idle_generator_diagonal(seq: PulseSequence, skip: frozenset[int]) -> np.ndarray:
-    """Diagonal of the always-on dispersive coupling of every qubit outside ``skip``.
-
-    ``sum_q (g_q²/delta_q)(|3><3| - |2><2|)_q a†a``, with ``delta_q`` the
-    detuning of the qubit's role.  Full mode adds it to a window's generator;
-    effective mode exponentiates it as a factorized phase.
+    ``(g_q²/delta_q)(|3><3| - |2><2|)_q a†a`` on ``(q, cavity)``, with
+    ``delta_q`` the detuning of the qubit's role.  A window keeps the terms
+    of the qubits it leaves idle.
     """
-    space = seq.space
-    photon = photon_number_vector(space)
-    gen = np.zeros(space.total_dim)
-    for q in range(space.n_qubits):
-        if q in skip:
-            continue
-        rate = seq.params.g_at(q) ** 2 / seq.params.detuning_for(q, seq.roles[q])
-        shift = subsystem_level_mask(space, q, 3).astype(float)
-        shift -= subsystem_level_mask(space, q, 2).astype(float)
-        gen += rate * shift * photon
-    return gen
+    space, terms = seq.space, []
+    for q, role in enumerate(seq.roles):
+        local = idle_coupling_local(seq.params, q, role, space.cavity_dim, full=False)
+        terms.append((local, (q, space.cavity_slot)))
+    return terms
 
 
-def _full_unit_hamiltonian(
-    seq: PulseSequence, unit: Unit, include_idle: bool
-) -> HermitianOperator:
+def _full_unit_hamiltonian(seq: PulseSequence, unit: Unit, idle: list) -> HermitianOperator:
     """Joint Hamiltonian of one full-mode window.
 
     Pulsed qubits contribute their first-principles pulse generator (see
-    :func:`gatesim.pulses.pulse_local_hamiltonian`).  With idles included,
-    every unpulsed qubit keeps its dispersive shift on.  A pi-pulsed qubit
-    thus has no cavity coupling here, although the phase audit and the
-    effective mode with idles book one for it (they leave out only the
-    cavity actors); ``docs/formats.md`` gives the fidelities it would move.
-    The operator is built from the idle diagonal and each pulsed member's
-    local generator, without forming the ``D x D`` matrix.
+    :func:`gatesim.pulses.pulse_local_hamiltonian`); every unpulsed qubit
+    keeps its term in ``idle`` (:func:`_idle_terms`, empty without idles).
+    A pi-pulsed qubit thus has no cavity coupling here, although the phase
+    audit and the effective mode with idles book one for it (they leave out
+    only the cavity actors); ``docs/formats.md`` gives the fidelities it
+    would move.  The operator is built from the idle terms and each pulsed
+    member's local generator, without forming the ``D x D`` matrix.
     """
     space = seq.space
     for p in unit.pulses:
@@ -311,15 +298,14 @@ def _full_unit_hamiltonian(
                 "simultaneous full-mode evolution needs equal member durations; "
                 f"got {p.duration} vs {unit.duration}"
             )
-    pulsed = frozenset(p.slot for p in unit.pulses)
-    terms = []
+    pulsed = {p.slot for p in unit.pulses}
+    terms = [(local, slots) for local, slots in idle if slots[0] not in pulsed]
     for p in unit.pulses:
         local, with_cavity = pulse_local_hamiltonian(
             p, seq.params, seq.roles, space.cavity_dim, Mode.FULL
         )
         terms.append((local, (p.slot, space.cavity_slot) if with_cavity else (p.slot,)))
-    diagonal = idle_generator_diagonal(seq, pulsed) if include_idle else None
-    return HermitianOperator(space, tuple(terms), diagonal)
+    return HermitianOperator(space, tuple(terms))
 
 
 def build_evolutions(
@@ -331,16 +317,21 @@ def build_evolutions(
     if include_idle and mode is Mode.ANALYTIC:
         raise ValueError("analytic composition has no idle couplings to include")
     space = seq.space
+    idle = _idle_terms(seq) if include_idle else []
     out: list[SubEvolution] = []
     for unit in sequence_units(seq):
         instant_only = all(p.kind is PulseKind.HADAMARD for p in unit.pulses)
         if mode is Mode.FULL and not instant_only:
-            h = _full_unit_hamiltonian(seq, unit, include_idle)
+            h = _full_unit_hamiltonian(seq, unit, idle)
             out.append(SubEvolution(unit, hamiltonian=h, duration=unit.duration))
             continue
         if mode is Mode.EFFECTIVE and include_idle and not instant_only:
-            gen = idle_generator_diagonal(seq, unit.cavity_actors)
-            out.append(SubEvolution(unit, diagonal=np.exp(-1j * unit.duration * gen)))
+            phases = tuple(
+                (np.diag(np.exp(-1j * unit.duration * np.diag(h))), slots)
+                for h, slots in idle
+                if slots[0] not in unit.cavity_actors
+            )
+            out.append(SubEvolution(unit, applications=phases))
         apps = []
         for p in unit.pulses:
             local, with_cavity = pulse_local_unitary(
@@ -359,13 +350,10 @@ def apply_evolutions(evolutions: Iterable[SubEvolution], space: HilbertSpace, ar
     """
     state = Support.of(space, array)
     for evo in evolutions:
-        if evo.diagonal is not None:
-            state = state._replace(amp=evo.diagonal[state.idx] * state.amp)
-        elif evo.hamiltonian is not None:
+        if evo.hamiltonian is not None:
             state = evo.hamiltonian.propagate(state, evo.duration)
-        else:
-            for local, slots in evo.applications:
-                state = apply_local(local, space, slots, state)
+        for local, slots in evo.applications:
+            state = apply_local(local, space, slots, state)
     return state.like(array)
 
 
@@ -377,12 +365,11 @@ def compose(seq: PulseSequence, mode: Mode, include_idle: bool | None = None) ->
 
 def _swap_domain_defect(seq: PulseSequence, pulse: Pulse, amps: np.ndarray) -> float:
     """Probability weight on states where the swap's closed form is undefined."""
-    space = seq.space
-    photon = photon_number_vector(space)
+    idx = np.flatnonzero(amps)
+    level, photon = (seq.space.digits(idx, (s,)) for s in (pulse.slot, seq.space.cavity_slot))
     j = seq.roles[pulse.slot].pulse_level
-    bad = subsystem_level_mask(space, pulse.slot, j) & (photon >= 1)
-    bad |= subsystem_level_mask(space, pulse.slot, 2) & (photon >= 2)
-    return float(np.sum(np.abs(amps[bad]) ** 2))
+    bad = ((level == j) & (photon >= 1)) | ((level == 2) & (photon >= 2))
+    return float(np.sum(np.abs(amps[idx[bad]]) ** 2))
 
 
 def intermediate_states(seq: PulseSequence, amps: np.ndarray, mode: Mode) -> list[np.ndarray]:

@@ -19,8 +19,8 @@ from .linalg import (
     HermitianOperator,
     HilbertSpace,
     Support,
+    diagonal_at,
     evolve_times,
-    level_count_weights,
     process_fidelity,
 )
 from .pulses import (
@@ -36,7 +36,6 @@ from .sequences import (
     PulseSequence,
     apply_evolutions,
     build_evolutions,
-    photon_number_vector,
 )
 
 DEFAULT_TOL = 1e-10
@@ -86,6 +85,11 @@ def ideal_gate(gate: GateKind, n: int) -> np.ndarray:
     return ideal_toffoli()
 
 
+def _level3_terms(space: HilbertSpace) -> tuple:
+    """``sum_q |3><3|_q``, the number of qubits in level 3, as one diagonal term per qubit."""
+    return tuple((np.arange(space.dims[q]) == 3, (q,)) for q in range(space.n_qubits))
+
+
 @dataclass(frozen=True)
 class GateReport:
     """Score of one composed gate on its computational block.
@@ -123,7 +127,8 @@ def report(
     space = seq.space
     comp = np.array(space.computational_indices())
     dim = len(comp)
-    figures = level3, photon = level_count_weights(space, 3), photon_number_vector(space) > 0
+    level3 = _level3_terms(space)
+    photon = ((np.arange(space.cavity_dim) > 0, (space.cavity_slot,)),)  # the flag n_c > 0
     block = np.zeros((dim, dim), dtype=complex)
 
     max_pop3 = 0.0
@@ -137,7 +142,10 @@ def report(
             max_pop3 = max(max_pop3, float(np.max(pop)))
         walk = apply_evolutions([evo], space, walk)
         prob = np.abs(walk.amp) ** 2
-        pop3, light = (np.bincount(walk.col, w[walk.idx] * prob, dim) for w in figures)
+        pop3, light = (
+            np.bincount(walk.col, diagonal_at(space, w, walk.idx) * prob, dim)
+            for w in (level3, photon)
+        )
         max_pop3 = max(max_pop3, float(np.max(pop3)))
     row = np.searchsorted(comp, walk.idx).clip(max=dim - 1)
     kept = comp[row] == walk.idx
@@ -285,5 +293,5 @@ def swap_peak_level3(params: DeviceParams, cavity_dim: int = 3, samples: int = 4
     h = HermitianOperator(space, ((local, (0, space.cavity_slot)),))
     state = Support.of(space, space.basis_vector((1, 0)))
     times = np.linspace(0.0, pulse.duration, samples + 1)
-    return float(np.max(evolve_times(state, h, times, level_count_weights(space, 3))))
+    return float(np.max(evolve_times(state, h, times, _level3_terms(space))))
 

@@ -1,8 +1,10 @@
+from functools import cache
+
 import numpy as np
 import pytest
 
 from gatesim.device import DeviceParams, load_params
-from gatesim.linalg import HermitianOperator, subsystem_level_mask, tensor_embed
+from gatesim.linalg import HermitianOperator, tensor_embed
 from gatesim.pulses import Mode, make_pulse, pulse_local_unitary
 
 
@@ -77,9 +79,27 @@ def unitarity_defect(u):
     return float(np.linalg.norm(u.conj().T @ u - np.eye(u.shape[0])))
 
 
+@cache
+def basis_levels(space):
+    """``(D, n + 1)`` levels of every basis index, read one index at a time by ``space.levels``."""
+    levels = np.array([space.levels(i) for i in range(space.total_dim)])
+    levels.setflags(write=False)  # shared by every caller
+    return levels
+
+
+def level_count(space, level):
+    """Dense count of qubits at ``level`` (cavity excluded) per basis index."""
+    return np.sum(basis_levels(space)[:, :-1] == level, axis=1).astype(float)
+
+
+def photon_flag(space):
+    """Dense flag of the basis indices whose cavity holds a photon."""
+    return basis_levels(space)[:, -1] > 0
+
+
 def residual_photon(space, amps):
     """Probability that the cavity of a ``(D,)`` state over ``space`` is not in vacuum."""
-    vacuum = subsystem_level_mask(space, space.cavity_slot, 0)
+    vacuum = ~photon_flag(space)
     return 1.0 - float(np.sum(np.abs(amps[vacuum]) ** 2))
 
 
@@ -94,11 +114,9 @@ def dense_operator(space, matrix):
 
 
 def dense_matrix(h):
-    """The ``D x D`` matrix of ``h``, summed from its stored diagonal and terms."""
+    """The ``D x D`` matrix of ``h``, summed from its stored terms."""
     dim = h.space.total_dim
     out = np.zeros((dim, dim), dtype=complex)
-    if h.diagonal is not None:
-        out[np.diag_indices(dim)] = h.diagonal
     for local, slots in h.terms:
         out += tensor_embed(local, h.space, slots)
     return out
@@ -152,7 +170,8 @@ def assert_matches_dense_oracle(h, amps, times, tol=1e-12):
     # weights that vanish on a third of the basis, so whole blocks can drop out
     weights = np.arange(h.space.total_dim) % 3
     populations = np.abs(expected) ** 2 @ weights
-    got = evolve_times(Support.of(h.space, amps), h, grid, weights)
+    every = tuple(range(h.space.n_subsystems))  # one term over every subsystem
+    got = evolve_times(Support.of(h.space, amps), h, grid, ((weights, every),))
     assert got.shape == (grid.size, 1)
     err = np.max(np.abs(got[:, 0] - populations))
     assert err <= 2 * np.sqrt(h.space.total_dim) * bound(max(times)) * weights.max()

@@ -17,6 +17,7 @@ import pytest
 from conftest import (
     cavity_level,
     dense_operator,
+    level_count,
     product_state,
     qudit_level,
     qudit_plus,
@@ -34,7 +35,6 @@ from gatesim.budget import (
 )
 from gatesim.linalg import (
     HilbertSpace,
-    level_count_weights,
     propagator,
 )
 from gatesim.pulses import Mode
@@ -83,8 +83,8 @@ def test_criterion_1_cp3_truth_table(unit_params):
         block = u[np.ix_(comp, comp)]
         expected = np.diag([1, 1, 1, 1, 1, 1, 1, -1]).astype(complex)
         assert np.max(np.abs(block - expected)) < ATOL
-        w2 = level_count_weights(space, 2)
-        w3 = level_count_weights(space, 3)
+        w2 = level_count(space, 2)
+        w3 = level_count(space, 3)
         for idx in comp:
             out = u[:, idx]
             assert residual_photon(space, out) < ATOL
@@ -216,7 +216,7 @@ def test_criterion_10_property_suite(unit_params):
             lambda: toffoli_sequence(unit_params),
         ):
             seq = build()
-            w3 = level_count_weights(seq.space, 3)
+            w3 = level_count(seq.space, 3)
             for idx in seq.space.computational_indices():
                 amps = np.zeros(seq.space.total_dim, dtype=complex)
                 amps[idx] = 1.0

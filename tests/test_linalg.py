@@ -300,6 +300,32 @@ def test_local_index_map_matches_basis_tuples(slots):
             expected[r, a] = space.index(levels)
     assert np.array_equal(local_index_map(space, slots), expected)
 
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_digits_match_the_basis_levels(data):
+    # oracle: the slot levels of space.levels in the given slot order, first
+    # slot most significant; non-uniform dims, any slot subset in any order.
+    # An index plus a multiple of D (a column's offset in apply_local) has the
+    # same digits
+    dims = data.draw(
+        st.one_of(st.just((4, 3, 2, 5)), st.lists(st.integers(1, 5), min_size=1, max_size=5))
+    )
+    space = HilbertSpace(dims)
+    slots = data.draw(st.permutations(range(space.n_subsystems)))
+    slots = tuple(slots[: data.draw(st.integers(1, space.n_subsystems))])
+    index = data.draw(st.lists(st.integers(0, space.total_dim - 1), max_size=20))
+    index = np.array(index, dtype=int)
+    expected = []
+    for i in index:
+        levels, local = space.levels(int(i)), 0
+        for s in slots:
+            local = local * space.dims[s] + levels[s]
+        expected.append(local)
+    assert np.array_equal(space.digits(index, slots), expected)
+    shifted = index.reshape(-1, 1) + space.total_dim * np.arange(3)
+    assert np.array_equal(space.digits(shifted, slots), np.repeat(expected, 3).reshape(-1, 3))
+
 @pytest.mark.parametrize("shape", [(256,), (63,), (64, 2, 1), (32, 2), (2, 64), ()])
 def test_wrong_length_arrays_rejected(shape):
     # a leading axis that is a multiple of D used to be read as extra columns
@@ -564,8 +590,9 @@ def test_term_built_blocks_match_the_dense_sum(slot_sets, with_diagonal, seed):
         (random_sparse_hermitian(math.prod(space.dims[s] for s in slots), seed + i), slots)
         for i, slots in enumerate(slot_sets)
     )
-    diagonal = rng.normal(size=space.total_dim) if with_diagonal else None
-    h = HermitianOperator(space, terms, diagonal)
+    if with_diagonal:  # a diagonal over every subsystem, as one term
+        terms += ((np.diag(rng.normal(size=space.total_dim)), (0, 1, 2)),)
+    h = HermitianOperator(space, terms)
     dense = dense_operator(space, dense_matrix(h))
     for (idx, sub), (dense_idx, dense_sub) in zip(h._parts, dense._parts, strict=True):
         assert np.array_equal(idx, dense_idx)
@@ -575,7 +602,8 @@ def test_term_built_blocks_match_the_dense_sum(slot_sets, with_diagonal, seed):
 def test_non_hermitian_or_nan_term_rejected():
     space = HilbertSpace((4, 4, 2))
     good = random_hermitian(8, 3)
-    HermitianOperator(space, ((good, (0, 2)), (good, (1, 2))), np.arange(32.0))
+    diagonal = (np.diag(np.arange(32.0)), (0, 1, 2))
+    HermitianOperator(space, ((good, (0, 2)), (good, (1, 2)), diagonal))
     skewed = good.copy()
     skewed[0, 1] += 1e-9
     nan = good.copy()
@@ -585,9 +613,9 @@ def test_non_hermitian_or_nan_term_rejected():
             HermitianOperator(space, terms)
     for diagonal in (np.full(32, float("nan")), np.full(32, 1j)):
         with pytest.raises(ValueError, match="not Hermitian"):
-            HermitianOperator(space, ((good, (0, 2)),), diagonal)
-    with pytest.raises(ValueError, match="diagonal has shape"):
-        HermitianOperator(space, (), np.zeros(8))
+            HermitianOperator(space, ((good, (0, 2)), (np.diag(diagonal), (0, 1, 2))))
+    with pytest.raises(ValueError, match="local operator has dimension 8, its slots need 32"):
+        HermitianOperator(space, ((np.diag(np.zeros(8)), (0, 1, 2)),))
 
 
 # --- weighted populations over a time grid ---------------------------------
@@ -620,7 +648,7 @@ def test_evolve_times_matches_the_per_sample_sum(sizes, samples, duration, seed)
             c = vecs.conj().T @ amps[rows]
             trajectory = (np.exp(-1j * np.outer(times, lam)) * c) @ vecs.T
             expected += np.abs(trajectory) ** 2 @ weights[rows]
-    got = evolve_times(Support.of(h.space, amps), h, times, weights)
+    got = evolve_times(Support.of(h.space, amps), h, times, ((weights, (0,)),))
     assert got.shape == (times.size, 1)
     assert np.max(np.abs(got[:, 0] - expected)) <= 1e-12
 
@@ -643,6 +671,7 @@ def test_stacked_evolve_times_matches_each_column(sizes, m, samples, seed):
     rng = np.random.default_rng(seed + 1)
     weights = rng.integers(1, 4, size=len(mat)).astype(float)
     weights[members[0]] = 0.0
+    weights = ((weights, (0,)),)  # one term over the one subsystem
     amps = rng.normal(size=(len(mat), m)) + 1j * rng.normal(size=(len(mat), m))
     reach = rng.random((len(members), m)) < 0.5
     if m >= 2:
@@ -674,7 +703,7 @@ def test_evolve_times_rejects_other_weight_shapes(shape):
     h = dense_operator(HilbertSpace((4,)), random_hermitian(4, 0))
     state = Support.of(h.space, random_state(h.space, 1))
     with pytest.raises(ValueError, match=r"weights have shape .*, expected \(4,\)"):
-        evolve_times(state, h, np.linspace(0.0, 1.0, 5), np.ones(shape))
+        evolve_times(state, h, np.linspace(0.0, 1.0, 5), ((np.ones(shape), (0,)),))
 
 
 @pytest.mark.parametrize(
@@ -686,7 +715,7 @@ def test_evolve_times_rejects_other_grids(times):
     h = dense_operator(HilbertSpace((4,)), random_hermitian(4, 0))
     state = Support.of(h.space, random_state(h.space, 1))
     with pytest.raises(ValueError, match="sample times must be"):
-        evolve_times(state, h, np.array(times), np.ones(4))
+        evolve_times(state, h, np.array(times), ((np.ones(4), (0,)),))
 
 
 # --- fidelity --------------------------------------------------------------

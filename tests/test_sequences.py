@@ -10,6 +10,7 @@ from conftest import (
     block_labels,
     cavity_level,
     dense_matrix,
+    level_count,
     product_state,
     qudit_level,
     qudit_plus,
@@ -24,7 +25,6 @@ from gatesim.linalg import (
     Support,
     apply_local,
     evolve_times,
-    level_count_weights,
     tensor_embed,
 )
 from gatesim.pulses import Mode, Pulse, PulseKind, make_pulse, pulse_local_hamiltonian
@@ -224,8 +224,8 @@ def test_cp3_restores_cavity_and_clears_aux_levels(unit_params):
     seq = cp3_sequence(unit_params)
     space = seq.space
     u = compose(seq, Mode.ANALYTIC)
-    w2 = level_count_weights(space, 2)
-    w3 = level_count_weights(space, 3)
+    w2 = level_count(space, 2)
+    w3 = level_count(space, 3)
     for idx in space.computational_indices():
         out = u[:, idx]
         probs = np.abs(out) ** 2
@@ -237,7 +237,7 @@ def test_cp3_restores_cavity_and_clears_aux_levels(unit_params):
 def test_cp3_level3_never_populated_mid_protocol(unit_params):
     seq = cp3_sequence(unit_params)
     space = seq.space
-    w3 = level_count_weights(space, 3)
+    w3 = level_count(space, 3)
     for idx in space.computational_indices():
         amps = np.zeros(space.total_dim, dtype=complex)
         amps[idx] = 1.0
@@ -415,11 +415,12 @@ def test_support_of_another_space_is_rejected(unit_params):
     foreign = Support.of(other, other.basis_vector((1, 1, 0)))
     evolutions = build_evolutions(seq, Mode.FULL)
     h = next(evo.hamiltonian for evo in evolutions if evo.hamiltonian is not None)
+    weights = ((np.ones(space.total_dim), tuple(range(space.n_subsystems))),)
     calls = (
         lambda: apply_local(np.eye(4), space, (1,), foreign),
         lambda: h.propagate(foreign, 1e-9),
         lambda: apply_evolutions(evolutions, space, foreign),
-        lambda: evolve_times(foreign, h, np.linspace(0.0, 1e-9, 5), np.ones(space.total_dim)),
+        lambda: evolve_times(foreign, h, np.linspace(0.0, 1e-9, 5), weights),
     )
     for call in calls:
         with pytest.raises(ValueError, match=r"different spaces: \(4, 4, 2\) vs \(4, 4, 4, 2\)"):
@@ -540,6 +541,31 @@ def test_full_window_blocks_match_dense_eigh(unit_params, gate, n, include_idle,
         assert_matches_dense_oracle(evo.hamiltonian, amps, times)
 
 
+@pytest.mark.parametrize("n", [5, 6])
+def test_full_block_is_covariant_under_target_permutations(cpw_params, n):
+    # with equal parameters on every qubit, each fanout-CNOT window commutes
+    # with permutations of the targets, so the computational block B obeys
+    # B[pi r, pi c] = B[r, c]; a placement slip that treats the targets
+    # unequally breaks this at any n, also where no dense oracle reaches
+    seq = ntcnot_sequence(n, cpw_params)
+    space = seq.space
+    comp = np.array(space.computational_indices())
+    walk = Support(space, np.arange(comp.size), comp, np.ones(comp.size, dtype=complex))
+    walk = apply_evolutions(build_evolutions(seq, Mode.FULL), space, walk)
+    row = np.searchsorted(comp, walk.idx).clip(max=comp.size - 1)
+    kept = comp[row] == walk.idx
+    block = np.zeros((comp.size, comp.size), dtype=complex)
+    block[row[kept], walk.col[kept]] = walk.amp[kept]
+    weight = 1 << np.arange(n)[::-1]  # label k has qubit q's bit at weight[q]
+    bits = np.arange(comp.size)[:, None] // weight % 2
+    targets = list(range(1, n))
+    for order in (targets[1::-1] + targets[2:], targets[1:] + targets[:1]):  # a swap, a cycle
+        pi = bits[:, [0] + order] @ weight  # qubit q takes the bit of qubit order[q - 1]
+        assert np.max(np.abs(block[np.ix_(pi, pi)] - block)) <= 1e-12
+    pi = bits[:, [1, 0] + targets[1:]] @ weight  # the control is no target: swapping them shows
+    assert np.max(np.abs(block[np.ix_(pi, pi)] - block)) > 1e-3
+
+
 @pytest.mark.parametrize("gate,n", GATES_UP_TO_4)
 def test_full_report_matches_dense_eigh_report(unit_params, monkeypatch, gate, n):
     seq = build_sequence(gate, n, hetero_params(unit_params))
@@ -555,14 +581,21 @@ def test_full_report_matches_dense_eigh_report(unit_params, monkeypatch, gate, n
 @pytest.mark.parametrize("gate,n", GATES_UP_TO_4)
 def test_effective_idle_factor_matches_dense_reference(unit_params, gate, n):
     seq = build_sequence(gate, n, hetero_params(unit_params))
-    factors = [e for e in build_evolutions(seq, Mode.EFFECTIVE, True) if e.diagonal is not None]
+    # the idle factor is the first of the two factors a window's unit lowers to
+    evolutions = build_evolutions(seq, Mode.EFFECTIVE, True)
+    factors = [a for a, b in zip(evolutions, evolutions[1:]) if a.unit == b.unit]
     assert factors
+    space = seq.space
     for evo in factors:
         idle = [q for q in range(n) if q not in evo.unit.cavity_actors]
+        assert [slots for _, slots in evo.applications] == [(q, space.cavity_slot) for q in idle]
         ref = dense_window_reference(seq, (), idle)
         assert np.count_nonzero(ref - np.diag(np.diag(ref))) == 0
-        expected = np.exp(-1j * evo.unit.duration * np.diag(ref))
-        assert np.max(np.abs(evo.diagonal - expected)) <= 1e-12
+        expected = np.diag(np.exp(-1j * evo.unit.duration * np.diag(ref)))
+        product = np.eye(space.total_dim)
+        for local, slots in evo.applications:
+            product = tensor_embed(local, space, slots) @ product
+        assert np.max(np.abs(product - expected)) <= 1e-12
 
 
 def test_analytic_mode_rejects_idle_couplings(unit_params):

@@ -22,7 +22,7 @@ SOURCES += sorted((ROOT / "scripts").glob("*.py"))
 
 # Public functions allowed without a caller, each with its reason.
 ALLOWED = {
-    "intermediate_states": "to be folded into a per-window trace of verify (ROADMAP item 4)",
+    "intermediate_states": "to be folded into a per-window trace of verify (ROADMAP item 6)",
     "truth_table": "the library form of a gate's sign table, which the truth-table tests read",
     "propagator": "dense exp(-iHt), the reference the block-propagation tests compare against",
     "tensor_embed": "dense embedding, the reference the index-map and window tests compare against",

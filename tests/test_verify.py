@@ -5,6 +5,7 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
+from conftest import photon_flag
 from gatesim import linalg as linalg_mod
 from gatesim import sequences as sequences_mod
 from gatesim import verify as verify_mod
@@ -18,7 +19,6 @@ from gatesim.sequences import (
     cp3_sequence,
     ncp_sequence,
     ntcnot_sequence,
-    photon_number_vector,
     toffoli_sequence,
 )
 from gatesim.verify import (
@@ -167,7 +167,7 @@ def test_report_agrees_with_composed_block(unit_params, gate, n, mode):
     u = compose(seq, mode)
     block = u[np.ix_(comp, comp)]
     fidelity = abs(np.sum(np.conj(ideal_gate(seq.gate, n)) * block)) ** 2 / len(comp) ** 2
-    residual = np.max((photon_number_vector(seq.space) > 0) @ np.abs(u[:, comp]) ** 2)
+    residual = np.max(photon_flag(seq.space) @ np.abs(u[:, comp]) ** 2)
     assert rep.process_fidelity == pytest.approx(fidelity, abs=1e-12)
     assert rep.residual_photon == pytest.approx(residual, abs=1e-12)
 
@@ -175,8 +175,8 @@ def test_report_agrees_with_composed_block(unit_params, gate, n, mode):
 
 @pytest.mark.parametrize("gate,n", [("cp3", 3), ("ncp", 4), ("ntcnot", 3)])
 def test_report_walks_effective_idle_windows_like_compose(unit_params, monkeypatch, gate, n):
-    # effective idle phases are diagonal windows, which build_evolutions
-    # emits only on request; the walk multiplies each entry by its phase
+    # effective idle phases are local diagonal unitaries ahead of each window,
+    # which build_evolutions emits only on request; the walk applies them
     seq = build_sequence(GateKind.parse(gate), n, unit_params)
     with_idle = lambda s, m: build_evolutions(s, m, include_idle=True)
     monkeypatch.setattr(verify_mod, "build_evolutions", with_idle)
@@ -185,7 +185,7 @@ def test_report_walks_effective_idle_windows_like_compose(unit_params, monkeypat
     u = compose(seq, Mode.EFFECTIVE, include_idle=True)
     block = u[np.ix_(comp, comp)]
     fidelity = abs(np.sum(np.conj(ideal_gate(seq.gate, n)) * block)) ** 2 / len(comp) ** 2
-    residual = np.max((photon_number_vector(seq.space) > 0) @ np.abs(u[:, comp]) ** 2)
+    residual = np.max(photon_flag(seq.space) @ np.abs(u[:, comp]) ** 2)
     assert rep.process_fidelity == pytest.approx(fidelity, abs=1e-12)
     assert rep.residual_photon == pytest.approx(residual, abs=1e-12)
     assert (rep.process_fidelity < 0.5) == (gate == "ncp")  # ncp 4 loses its phase to idles
