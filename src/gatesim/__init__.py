@@ -37,7 +37,6 @@ from .sequences import (
     build_sequence,
     compose,
     cp3_sequence,
-    intermediate_states,
     ncp_sequence,
     ntcnot_sequence,
     serialize_sequence,

@@ -115,7 +115,7 @@ def run_dj(
     state = uf_apply(variant, state, params, mode)
     oracle_applications = 1
     state = apply_local(hadamard_local(), space, (0,), state)
-    query = state.idx // (space.total_dim // space.dims[0])  # the query qubit's level
+    query = space.digits(state.idx, (0,))  # the query qubit's level
     p0 = float(np.sum(np.abs(state.amp[query == 0]) ** 2))
     p1 = float(np.sum(np.abs(state.amp[query == 1]) ** 2))
     if p0 >= p1:

@@ -373,30 +373,24 @@ def _slot_layout(dims: tuple[int, ...], slots: tuple[int, ...]) -> tuple[tuple, 
     if len(set(slots)) != len(slots) or not all(0 <= s < len(dims) for s in slots):
         raise ValueError(f"slots {slots} must be distinct subsystem indices below {len(dims)}")
     radix = tuple((dims[s], math.prod(dims[s + 1 :])) for s in slots)
-    offset = sum(np.ix_(*(stride * np.arange(size) for size, stride in radix))).ravel()
+    axes = np.ix_(*(stride * np.arange(size) for size, stride in radix))
+    offset = sum(axes, np.zeros(1, dtype=int)).ravel()  # no slots: the one offset 0
     offset.setflags(write=False)
     return radix, offset
 
 
 def local_index_map(space: HilbertSpace, slots: Sequence[int]) -> np.ndarray:
-    """Full-space basis indices as a read-only ``(D // d, d)`` array, ``d`` the dim of ``slots``.
+    """Full-space basis indices as a ``(D // d, d)`` array, ``d`` the dim of ``slots``.
 
     Column ``a`` is the local basis index over ``slots`` in the given order;
-    each row fixes the levels of every other subsystem.  An operator local to
-    ``slots`` therefore acts on each row's indices alone.  The map is
-    memoized per ``(space, slots)`` and shared by every caller; the
-    package's maps total at most about ``(2n + 1) D`` entries per space.
+    each row fixes the levels of every other subsystem, in index order.  An
+    operator local to ``slots`` therefore acts on each row's indices alone.
+    The map is the sum of the two slot layouts, built afresh on each call.
     Duplicate or out-of-range slots raise ``ValueError``.
     """
-    return _index_map(space, tuple(int(s) for s in slots))
-
-
-@cache
-def _index_map(space: HilbertSpace, slots: tuple[int, ...]) -> np.ndarray:
-    index = np.arange(space.total_dim)
-    rows = index[space.digits(index, slots) == 0, None] + _slot_layout(space.dims, slots)[1]
-    rows.setflags(write=False)
-    return rows
+    slots = tuple(int(s) for s in slots)
+    rest = tuple(s for s in range(space.n_subsystems) if s not in slots)
+    return _slot_layout(space.dims, rest)[1][:, None] + _slot_layout(space.dims, slots)[1]
 
 
 class Support(NamedTuple):

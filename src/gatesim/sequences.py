@@ -24,6 +24,10 @@ the joint step Hamiltonian, the idle terms ahead of the pulse generators.
 The effective mode can optionally include the idle couplings as one local
 diagonal unitary per idle qubit, applied to the entering state; that
 factorized form is what the analytic phase audit reproduces term by term.
+The closed-form Raman swaps are exact only on
+:func:`gatesim.pulses.closed_form_domain`, the states the protocols visit;
+:func:`gatesim.verify.report` checks every column against it as it walks
+the windows.
 """
 
 from __future__ import annotations
@@ -44,8 +48,6 @@ from .linalg import (
     apply_local,
 )
 from .pulses import Mode, Pulse, PulseKind, make_pulse, pulse_local_hamiltonian, pulse_local_unitary
-
-DOMAIN_TOL = 1e-10
 
 
 class GateKind(enum.Enum):
@@ -361,48 +363,6 @@ def compose(seq: PulseSequence, mode: Mode, include_idle: bool | None = None) ->
     """Ordered product of the sequence's step unitaries."""
     evolutions = build_evolutions(seq, mode, include_idle)
     return apply_evolutions(evolutions, seq.space, np.eye(seq.space.total_dim, dtype=complex))
-
-
-def _swap_domain_defect(seq: PulseSequence, pulse: Pulse, amps: np.ndarray) -> float:
-    """Probability weight on states where the swap's closed form is undefined."""
-    idx = np.flatnonzero(amps)
-    level, photon = (seq.space.digits(idx, (s,)) for s in (pulse.slot, seq.space.cavity_slot))
-    j = seq.roles[pulse.slot].pulse_level
-    bad = ((level == j) & (photon >= 1)) | ((level == 2) & (photon >= 2))
-    return float(np.sum(np.abs(amps[idx[bad]]) ** 2))
-
-
-def intermediate_states(seq: PulseSequence, amps: np.ndarray, mode: Mode) -> list[np.ndarray]:
-    """``(D,)`` states after each step.  Flags inputs the closed forms do not cover.
-
-    In analytic and effective modes, applying a Raman swap to a state with
-    weight on (pulse level, photon >= 1) or (level 2, photon >= 2) would rely
-    on the identity convention for states the protocols never visit; such a
-    sequence is rejected rather than silently accepted.
-    """
-    if np.shape(amps) != (seq.space.total_dim,):
-        raise ValueError(f"state has shape {np.shape(amps)}, expected ({seq.space.total_dim},)")
-    evolutions = build_evolutions(seq, mode)
-    out: list[np.ndarray] = []
-    last_step: int | None = None
-    for evo in evolutions:
-        if mode is not Mode.FULL:
-            for p in evo.unit.pulses:
-                if p.kind.exchanges_photon:
-                    defect = _swap_domain_defect(seq, p, amps)
-                    if defect > DOMAIN_TOL:
-                        raise ValueError(
-                            f"step {evo.unit.step_index}: raman swap at slot {p.slot} "
-                            f"applied to a state outside its closed-form domain "
-                            f"(weight {defect:.3e})"
-                        )
-        amps = apply_evolutions([evo], seq.space, amps)
-        if evo.unit.step_index != last_step:
-            out.append(amps)
-            last_step = evo.unit.step_index
-        else:
-            out[-1] = amps
-    return out
 
 
 def serialize_sequence(seq: PulseSequence) -> dict:

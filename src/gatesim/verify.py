@@ -34,11 +34,14 @@ from .pulses import (
 from .sequences import (
     GateKind,
     PulseSequence,
+    SubEvolution,
     apply_evolutions,
     build_evolutions,
 )
 
 DEFAULT_TOL = 1e-10
+# Weight a column may hold outside a closed-form swap's domain.
+DOMAIN_TOL = 1e-10
 # The dispersive-phase condition counts as comfortably met above this ratio.
 NEGLIGIBLE_RATIO = 10.0
 
@@ -85,6 +88,34 @@ def ideal_gate(gate: GateKind, n: int) -> np.ndarray:
     return ideal_toffoli()
 
 
+def _column_weight(walk: Support, values: np.ndarray, dim: int) -> np.ndarray:
+    """``sum_k values[k] |amp[k]|²`` over each column's entries, for ``dim`` columns."""
+    return np.bincount(walk.col, values * np.abs(walk.amp) ** 2, dim)
+
+
+def _check_swap_domain(seq: PulseSequence, evo: SubEvolution, walk: Support, dim: int) -> None:
+    """Reject a photon-exchanging pulse of ``evo`` whose entering columns leave its domain.
+
+    A closed-form swap is exact on :func:`gatesim.pulses.closed_form_domain`;
+    off it, on states the protocols never visit, it is the identity by
+    convention.  A column entering with more than ``DOMAIN_TOL`` of its
+    weight off the domain raises ``ValueError``.
+    """
+    space = seq.space
+    for p in evo.unit.pulses:
+        if not p.kind.exchanges_photon:
+            continue
+        inside = np.zeros(space.dims[p.slot] * space.cavity_dim, dtype=bool)
+        inside[closed_form_domain(seq.roles[p.slot], space.cavity_dim)] = True
+        outside = ~inside[space.digits(walk.idx, (p.slot, space.cavity_slot))]
+        defect = float(np.max(_column_weight(walk, outside, dim)))
+        if defect > DOMAIN_TOL:
+            raise ValueError(
+                f"step {evo.unit.step_index}: raman swap at slot {p.slot} "
+                f"applied to a state outside its closed-form domain (weight {defect:.3e})"
+            )
+
+
 def _level3_terms(space: HilbertSpace) -> tuple:
     """``sum_q |3><3|_q``, the number of qubits in level 3, as one diagonal term per qubit."""
     return tuple((np.arange(space.dims[q]) == 3, (q,)) for q in range(space.n_qubits))
@@ -122,7 +153,10 @@ def report(
     blocks it reaches.  Level-3 population is taken per column at each window
     boundary and sampled inside Hamiltonian windows, where its transient peaks
     (one :func:`gatesim.linalg.evolve_times` call per window, which only
-    observes); photon population after the last window.
+    observes); photon population after the last window.  In the closed-form
+    modes each photon-exchanging window first checks that no column enters
+    with weight outside the swap's closed-form domain, and raises
+    ``ValueError`` if one does.
     """
     space = seq.space
     comp = np.array(space.computational_indices())
@@ -136,17 +170,16 @@ def report(
     evolutions = build_evolutions(seq, mode)
     while evolutions:  # a window's spectra are released once it is walked
         evo = evolutions.pop(0)
+        if mode is not Mode.FULL:
+            _check_swap_domain(seq, evo, walk, dim)
         if evo.hamiltonian is not None and samples_per_step > 0 and evo.duration > 0:
             times = np.linspace(0.0, evo.duration, samples_per_step + 1)
             pop = evolve_times(walk, evo.hamiltonian, times, level3)
             max_pop3 = max(max_pop3, float(np.max(pop)))
         walk = apply_evolutions([evo], space, walk)
-        prob = np.abs(walk.amp) ** 2
-        pop3, light = (
-            np.bincount(walk.col, diagonal_at(space, w, walk.idx) * prob, dim)
-            for w in (level3, photon)
-        )
+        pop3 = _column_weight(walk, diagonal_at(space, level3, walk.idx), dim)
         max_pop3 = max(max_pop3, float(np.max(pop3)))
+    light = _column_weight(walk, diagonal_at(space, photon, walk.idx), dim)
     row = np.searchsorted(comp, walk.idx).clip(max=dim - 1)
     kept = comp[row] == walk.idx
     block[row[kept], walk.col[kept]] = walk.amp[kept]

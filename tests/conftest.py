@@ -6,6 +6,7 @@ import pytest
 from gatesim.device import DeviceParams, load_params
 from gatesim.linalg import HermitianOperator, tensor_embed
 from gatesim.pulses import Mode, make_pulse, pulse_local_unitary
+from gatesim.sequences import apply_evolutions, build_evolutions
 
 
 @pytest.fixture(scope="session")
@@ -101,6 +102,15 @@ def residual_photon(space, amps):
     """Probability that the cavity of a ``(D,)`` state over ``space`` is not in vacuum."""
     vacuum = ~photon_flag(space)
     return 1.0 - float(np.sum(np.abs(amps[vacuum]) ** 2))
+
+
+def step_states(seq, amps, mode=Mode.ANALYTIC):
+    """The ``(D,)`` state after each step of ``seq``, its windows walked one at a time."""
+    states = {}
+    for evo in build_evolutions(seq, mode):
+        amps = apply_evolutions([evo], seq.space, amps)
+        states[evo.unit.step_index] = amps  # an ordered step keeps its last window
+    return list(states.values())
 
 
 def rel_err(a, ref):

@@ -22,6 +22,7 @@ from conftest import (
     qudit_level,
     qudit_plus,
     residual_photon,
+    step_states,
     unitarity_defect,
 )
 from gatesim.budget import (
@@ -42,7 +43,6 @@ from gatesim.sequences import (
     GateKind,
     compose,
     cp3_sequence,
-    intermediate_states,
     ncp_sequence,
     ntcnot_sequence,
     toffoli_sequence,
@@ -220,7 +220,7 @@ def test_criterion_10_property_suite(unit_params):
             for idx in seq.space.computational_indices():
                 amps = np.zeros(seq.space.total_dim, dtype=complex)
                 amps[idx] = 1.0
-                chain = intermediate_states(seq, amps, Mode.ANALYTIC)
+                chain = step_states(seq, amps)
                 assert residual_photon(seq.space, chain[-1]) < ATOL
                 for state in chain:
                     assert np.abs(state) ** 2 @ w3 < ATOL

@@ -199,16 +199,17 @@ def test_closed_form_report_reads_no_index_map(unit_params, monkeypatch, gate, n
     def forbidden(*args, **kwargs):
         raise AssertionError("closed-form reports must not build an index map")
 
-    monkeypatch.setattr(linalg_mod, "_index_map", forbidden)
+    monkeypatch.setattr(linalg_mod, "local_index_map", forbidden)
     rep = report(seq, mode, samples_per_step=0)
     assert rep.exact_phase_match
     assert rep.process_fidelity == pytest.approx(1.0, abs=1e-10)
 
 
 @pytest.mark.parametrize("mode", [Mode.ANALYTIC, Mode.EFFECTIVE])
-@pytest.mark.parametrize("gate,n", [("ntcnot", 8), ("ncp", 7)])
+@pytest.mark.parametrize("gate,n", [("ntcnot", 8), ("ncp", 7), ("ncp", 8)])
 def test_closed_form_report_reaches_large_n(cpw_params, gate, n, mode):
-    # D = 131072 and 32768: the walk costs what each column's support holds
+    # D = 131072, 32768 and 131072: the walk, domain check included, costs
+    # what each column's support holds
     rep = report(build_sequence(GateKind.parse(gate), n, cpw_params), mode)
     assert rep.exact_phase_match
     assert rep.n == n
