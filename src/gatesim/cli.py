@@ -86,7 +86,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--params", default="cpw", help="parameter file or preset name")
     p.add_argument("--threshold", type=_finite, default=None, help="fidelity required for exit 0")
     p.add_argument("--cavity-dim", type=int, default=2)
-    p.add_argument("--samples", type=_count, default=512, help="interior samples per pulse window")
+    p.add_argument(
+        "--samples", type=_count, default=512, help="interior level-3 samples per full-mode cavity window"
+    )
     p.add_argument("--dump-sequence", action="store_true")
     p.add_argument("--audit", action="store_true", help="include the unwanted-phase audit")
     p.add_argument("--output", default=None)

@@ -33,10 +33,13 @@ size share one stacked ``eigh`` call.  The partition labels every basis
 index with its block, so propagation and sampling find the blocks a support
 reaches from its entries alone and take one row per reached (column, block)
 pair.  A dense matrix is one term over every subsystem, and without zero
-structure it is a single block.  On a 2-CPU VM a full-mode fanout CNOT
-report at n = 5 (D = 2048, 486-1280 blocks per window, none larger than 32)
-takes about 0.02 s without level-3 sampling; at n = 7 (D = 32768, blocks of
-at most 128) it takes about 0.4 s and 77 MiB.
+structure it is a single block.  A full-mode pi-pulse window is no operator
+here but a product of local unitaries (see
+:func:`gatesim.sequences.build_evolutions`).  The other windows of a
+full-mode fanout CNOT hold 1080-1280 blocks each at n = 5 (D = 2048), none
+larger than 10, and none larger than 35 at n = 7 (D = 32768).  On a 2-CPU
+VM its report takes about 0.015 s at n = 5 and 0.2 s and 45 MiB at n = 7,
+without level-3 sampling.
 
 Weighted observables are sums of diagonal local terms ``(values, slots)``,
 read at the basis indices a state reaches through their mixed-radix digits

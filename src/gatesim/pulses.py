@@ -32,7 +32,7 @@ import numpy as np
 
 from . import hamiltonians as ham
 from .device import DeviceParams, Role
-from .linalg import QUDIT_LEVELS
+from .linalg import HERMITIAN_TOL, QUDIT_LEVELS
 
 
 class Mode(enum.Enum):
@@ -161,6 +161,10 @@ def hadamard_local() -> np.ndarray:
 
 
 def _local_propagator(h_local: np.ndarray, t: float) -> np.ndarray:
+    """``exp(-i h t)`` of a local generator; a non-Hermitian ``h`` raises ``ValueError``."""
+    defect = np.max(np.abs(h_local - h_local.conj().T))
+    if not defect <= HERMITIAN_TOL:  # a NaN entry fails too
+        raise ValueError(f"pulse generator is not Hermitian (defect {defect:.3e})")
     w, v = np.linalg.eigh(h_local)
     return (v * np.exp(-1j * w * t)) @ v.conj().T
 

@@ -20,7 +20,9 @@ members may share the cavity since their generators commute.
 Composition walks the sequence in one of three modes (see
 :class:`gatesim.pulses.Mode`).  The always-on cavity coupling of each
 undriven qubit is one local ``(qubit, cavity)`` term.  The full mode solves
-the joint step Hamiltonian, the idle terms ahead of the pulse generators.
+the joint step Hamiltonian of each window with a cavity actor, the idle
+terms ahead of the pulse generators; a pi-pulse window is the exact product
+of its local unitaries, as each of its terms acts on its own qubit.
 The effective mode can optionally include the idle couplings as one local
 diagonal unitary per idle qubit, applied to the entering state; that
 factorized form is what the analytic phase audit reproduces term by term.
@@ -281,25 +283,33 @@ def _idle_terms(seq: PulseSequence) -> list:
     return terms
 
 
+def _idle_phases(idle: list, skip, t: float) -> tuple:
+    """``exp(-i t diag(h))`` on ``(q, cavity)`` for each idle term whose qubit is not in ``skip``.
+
+    An idle generator must be a real diagonal, so its exponential is taken
+    entrywise; anything else raises ``ValueError``.
+    """
+    phases = []
+    for h, slots in idle:
+        if slots[0] in skip:
+            continue
+        shift = np.diag(h)
+        if not np.array_equal(h, np.diag(shift.real)):  # a NaN entry fails too
+            raise ValueError(f"idle generator on slots {slots} is not a real diagonal")
+        phases.append((np.diag(np.exp(-1j * t * shift)), slots))
+    return tuple(phases)
+
+
 def _full_unit_hamiltonian(seq: PulseSequence, unit: Unit, idle: list) -> HermitianOperator:
-    """Joint Hamiltonian of one full-mode window.
+    """Joint Hamiltonian of one full-mode window with a cavity actor.
 
     Pulsed qubits contribute their first-principles pulse generator (see
     :func:`gatesim.pulses.pulse_local_hamiltonian`); every unpulsed qubit
     keeps its term in ``idle`` (:func:`_idle_terms`, empty without idles).
-    A pi-pulsed qubit thus has no cavity coupling here, although the phase
-    audit and the effective mode with idles book one for it (they leave out
-    only the cavity actors); ``docs/formats.md`` gives the fidelities it
-    would move.  The operator is built from the idle terms and each pulsed
-    member's local generator, without forming the ``D x D`` matrix.
+    The operator is built from the idle terms and each pulsed member's local
+    generator, without forming the ``D x D`` matrix.
     """
     space = seq.space
-    for p in unit.pulses:
-        if not math.isclose(p.duration, unit.duration, rel_tol=1e-9):
-            raise ValueError(
-                "simultaneous full-mode evolution needs equal member durations; "
-                f"got {p.duration} vs {unit.duration}"
-            )
     pulsed = {p.slot for p in unit.pulses}
     terms = [(local, slots) for local, slots in idle if slots[0] not in pulsed]
     for p in unit.pulses:
@@ -313,7 +323,17 @@ def _full_unit_hamiltonian(seq: PulseSequence, unit: Unit, idle: list) -> Hermit
 def build_evolutions(
     seq: PulseSequence, mode: Mode, include_idle: bool | None = None
 ) -> list[SubEvolution]:
-    """Lower a sequence to an ordered list of evolution factors."""
+    """Lower a sequence to an ordered list of evolution factors.
+
+    A full-mode window with a cavity actor is one :class:`HermitianOperator`.
+    Any other window is a product of local unitaries: its pulses' and, with
+    idles, each idle qubit's diagonal phase.  That is exact in a full-mode
+    pi-pulse window, as each of its terms acts on its own qubit.  Full mode
+    leaves the unpulsed qubits idle; the effective mode, like the phase
+    audit, leaves all but the cavity actors idle and applies their phases as
+    a factor of their own.  ``docs/formats.md`` gives the fidelities this
+    difference would move.
+    """
     if include_idle is None:
         include_idle = mode is Mode.FULL
     if include_idle and mode is Mode.ANALYTIC:
@@ -324,24 +344,30 @@ def build_evolutions(
     for unit in sequence_units(seq):
         instant_only = all(p.kind is PulseKind.HADAMARD for p in unit.pulses)
         if mode is Mode.FULL and not instant_only:
-            h = _full_unit_hamiltonian(seq, unit, idle)
-            out.append(SubEvolution(unit, hamiltonian=h, duration=unit.duration))
-            continue
-        if mode is Mode.EFFECTIVE and include_idle and not instant_only:
-            phases = tuple(
-                (np.diag(np.exp(-1j * unit.duration * np.diag(h))), slots)
-                for h, slots in idle
-                if slots[0] not in unit.cavity_actors
-            )
-            out.append(SubEvolution(unit, applications=phases))
-        apps = []
+            for p in unit.pulses:
+                if not math.isclose(p.duration, unit.duration, rel_tol=1e-9):
+                    raise ValueError(
+                        "simultaneous full-mode evolution needs equal member durations; "
+                        f"got {p.duration} vs {unit.duration}"
+                    )
+            if unit.cavity_actors:
+                h = _full_unit_hamiltonian(seq, unit, idle)
+                out.append(SubEvolution(unit, hamiltonian=h, duration=unit.duration))
+                continue
+        apps = ()
+        if include_idle and not instant_only:
+            skip = {p.slot for p in unit.pulses} if mode is Mode.FULL else unit.cavity_actors
+            apps = _idle_phases(idle, skip, unit.duration)
+            if mode is Mode.EFFECTIVE:
+                out.append(SubEvolution(unit, applications=apps))
+                apps = ()
         for p in unit.pulses:
             local, with_cavity = pulse_local_unitary(
                 p, seq.params, seq.roles, space.cavity_dim, Mode.ANALYTIC if instant_only else mode
             )
             slots = (p.slot, space.cavity_slot) if with_cavity else (p.slot,)
-            apps.append((local, slots))
-        out.append(SubEvolution(unit, applications=tuple(apps), duration=unit.duration))
+            apps += ((local, slots),)
+        out.append(SubEvolution(unit, applications=apps, duration=unit.duration))
     return out
 
 

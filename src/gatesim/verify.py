@@ -153,7 +153,11 @@ def report(
     blocks it reaches.  Level-3 population is taken per column at each window
     boundary and sampled inside Hamiltonian windows, where its transient peaks
     (one :func:`gatesim.linalg.evolve_times` call per window, which only
-    observes); photon population after the last window.  In the closed-form
+    observes); photon population after the last window.  A window of local
+    unitaries is not sampled, and loses nothing by it: the closed-form modes
+    keep level 3 out of every window, and in full mode such a window is a
+    pi-pulse window, whose generator keeps the level-3 count and the photon
+    number, so both are constant inside it.  In the closed-form
     modes each photon-exchanging window first checks that no column enters
     with weight outside the swap's closed-form domain, and raises
     ``ValueError`` if one does.

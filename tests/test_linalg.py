@@ -268,7 +268,7 @@ def test_apply_local_pads_a_lone_row(slots):
     assert np.array_equal(expected[support.idx], support.amp)
     assert support.amp.size == np.count_nonzero(expected)
 
-def test_local_index_map_is_shared_and_read_only():
+def test_local_index_map_shape_coverage_and_slot_errors():
     space = HilbertSpace.for_qubits(3, 3)
     rows = local_index_map(space, (2, 0))
     assert np.array_equal(local_index_map(space, [2, 0]), rows)

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import (
     assert_matches_dense_oracle,
+    basis_levels,
     block_labels,
     cavity_level,
     dense_matrix,
@@ -17,7 +18,9 @@ from conftest import (
     residual_photon,
     step_states,
 )
+from gatesim import hamiltonians as ham_mod
 from gatesim import linalg as linalg_mod
+from gatesim import sequences as seq_mod
 from gatesim.budget import time_cp3, time_ntcnot
 from gatesim.device import Role
 from gatesim.hamiltonians import idle_coupling_local
@@ -539,7 +542,7 @@ def test_full_window_blocks_match_dense_eigh(unit_params, gate, n, include_idle,
         assert_matches_dense_oracle(evo.hamiltonian, amps, times)
 
 
-@pytest.mark.parametrize("n", [5, 6, 7])
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
 def test_full_block_is_covariant_under_target_permutations(cpw_params, n):
     # with equal parameters on every qubit, each fanout-CNOT window commutes
     # with permutations of the targets, so the computational block B obeys
@@ -562,6 +565,57 @@ def test_full_block_is_covariant_under_target_permutations(cpw_params, n):
         assert np.max(np.abs(block[np.ix_(pi, pi)] - block)) <= 1e-12
     pi = bits[:, [1, 0] + targets[1:]] @ weight  # the control is no target: swapping them shows
     assert np.max(np.abs(block[np.ix_(pi, pi)] - block)) > 1e-3
+
+
+@pytest.mark.parametrize("cavity_dim", [2, 3])
+@pytest.mark.parametrize("include_idle", [True, False])
+@pytest.mark.parametrize("gate,n", GATES_UP_TO_4)
+def test_full_local_windows_match_dense_expm(unit_params, gate, n, include_idle, cavity_dim):
+    # a full window with no cavity actor is a product of local unitaries: it
+    # must equal the dense exponential of its summed generator, and that
+    # generator keeps the level-3 count and the photon number, so sampling
+    # inside the window could find no new level-3 peak
+    seq = build_sequence(gate, n, hetero_params(unit_params), cavity_dim)
+    space = seq.space
+    counts = (level_count(space, 3), basis_levels(space)[:, -1].astype(float))
+    windows = [
+        e for e in build_evolutions(seq, Mode.FULL, include_idle)
+        if e.duration > 0 and not e.unit.cavity_actors
+    ]
+    assert windows
+    for evo in windows:
+        assert evo.hamiltonian is None
+        pulsed = {p.slot for p in evo.unit.pulses}
+        idle = [q for q in range(n) if q not in pulsed] if include_idle else []
+        ref = dense_window_reference(seq, evo.unit.pulses, idle)
+        w, v = np.linalg.eigh(ref)
+        expected = (v * np.exp(-1j * w * evo.duration)) @ v.conj().T
+        product = np.eye(space.total_dim)
+        for local, slots in evo.applications:
+            product = tensor_embed(local, space, slots) @ product
+        assert np.max(np.abs(product - expected)) <= 1e-12
+        for count in counts:  # [H, diag(count)] has entries H_ij (count_j - count_i)
+            assert np.count_nonzero(ref * (count[None, :] - count[:, None])) == 0
+
+
+def test_full_pi_window_rejects_non_hermitian_drive(unit_params, monkeypatch):
+    # the drive's lower triangle dropped: |j> -> |2> without its way back
+    drive = ham_mod.resonant_drive_local
+    one_way = lambda omega, phi, j: np.triu(drive(omega, phi, j))
+    monkeypatch.setattr(ham_mod, "resonant_drive_local", one_way)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        build_evolutions(ntcnot_sequence(3, unit_params), Mode.FULL)
+
+
+@pytest.mark.parametrize("mode", [Mode.FULL, Mode.EFFECTIVE])
+def test_idle_phase_needs_a_real_diagonal_generator(unit_params, monkeypatch, mode):
+    # an idle factor exponentiates its generator's diagonal entrywise; cp3's
+    # pi windows leave a qubit idle in both modes (ntcnot's pulse every qubit)
+    shift = seq_mod.idle_coupling_local
+    mixing = lambda *args, **kwargs: shift(*args, **kwargs) + np.eye(8, k=1) + np.eye(8, k=-1)
+    monkeypatch.setattr(seq_mod, "idle_coupling_local", mixing)
+    with pytest.raises(ValueError, match="not a real diagonal"):
+        build_evolutions(cp3_sequence(unit_params), mode, include_idle=True)
 
 
 @pytest.mark.parametrize("gate,n", GATES_UP_TO_4)

@@ -123,6 +123,13 @@ def test_report_full_ntcnot_n6_at_cpw(cpw_params):
     assert rep.process_fidelity >= 0.9
 
 
+def test_report_full_ntcnot_n8_at_cpw(cpw_params):
+    # D = 131072: the two pi windows are products of local unitaries
+    rep = report(ntcnot_sequence(8, cpw_params), Mode.FULL, samples_per_step=0)
+    assert rep.process_fidelity == pytest.approx(0.9097429715717522, abs=1e-10)
+    assert rep.process_fidelity >= 0.9
+
+
 def test_report_full_infidelity_improves_with_detuning(unit_params):
     rep10 = report(cp3_sequence(unit_params), Mode.FULL)
     p20 = replace(unit_params, delta_c=20.0, delta_ck=20.0)
