@@ -2,7 +2,7 @@
 
 The package builds the pulse primitives of a four-level-qubit/cavity
 architecture both analytically and from first-principles Hamiltonians,
-composes them into multi-control phase gates and fanout CNOTs, verifies
+sequences them into multi-control phase gates and fanout CNOTs, verifies
 truth tables and leakage, runs a two-qubit Deutsch-Jozsa demonstration and
 recomputes the experimental feasibility figures.
 """
@@ -35,7 +35,6 @@ from .sequences import (
     PulseSequence,
     PulseStep,
     build_sequence,
-    compose,
     cp3_sequence,
     ncp_sequence,
     ntcnot_sequence,

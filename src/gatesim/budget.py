@@ -11,6 +11,7 @@ values.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, fields
 from typing import Optional
 
@@ -298,45 +299,34 @@ def levels_from_dict(raw: dict) -> LevelStructure:
     return LevelStructure(raw["qubit_type"], **freqs)
 
 
-# Predicate tables: (description, lambda) per qubit type.  The charge-qubit
-# entry encodes the reading nu21 > nu10, nu21 > nu32 and nu32 < nu10.
+# Level-spacing orderings per qubit type, each ``(lhs, op, rhs)``.  The
+# charge-qubit entry encodes the reading nu21 > nu10, nu21 > nu32 and nu32 < nu10.
 _ORDERINGS = {
-    "charge": (
-        ("nu_21 > nu_10", lambda l: l.nu_21 > l.nu_10),
-        ("nu_21 > nu_32", lambda l: l.nu_21 > l.nu_32),
-        ("nu_32 < nu_10", lambda l: l.nu_32 < l.nu_10),
-    ),
-    "phase": (
-        ("nu_10 > nu_21", lambda l: l.nu_10 > l.nu_21),
-        ("nu_21 > nu_32", lambda l: l.nu_21 > l.nu_32),
-    ),
-    "flux": (
-        ("nu_21 > nu_10", lambda l: l.nu_21 > l.nu_10),
-        ("nu_21 > nu_32", lambda l: l.nu_21 > l.nu_32),
-        ("nu_32 > nu_10", lambda l: l.nu_32 > l.nu_10),
-    ),
+    "charge": (("nu_21", ">", "nu_10"), ("nu_21", ">", "nu_32"), ("nu_32", "<", "nu_10")),
+    "phase": (("nu_10", ">", "nu_21"), ("nu_21", ">", "nu_32")),
+    "flux": (("nu_21", ">", "nu_10"), ("nu_21", ">", "nu_32"), ("nu_32", ">", "nu_10")),
     "squid": (
-        ("nu_32 < nu_21", lambda l: l.nu_32 < l.nu_21),
-        ("nu_21 < nu_20", lambda l: l.nu_21 < l.nu_20),
-        ("nu_20 < nu_31", lambda l: l.nu_20 < l.nu_31),
-        ("nu_31 < nu_30", lambda l: l.nu_31 < l.nu_30),
+        ("nu_32", "<", "nu_21"),
+        ("nu_21", "<", "nu_20"),
+        ("nu_20", "<", "nu_31"),
+        ("nu_31", "<", "nu_30"),
     ),
 }
-
-_REQUIRED_FREQS = {
-    "charge": ("nu_10", "nu_21", "nu_32"),
-    "phase": ("nu_10", "nu_21", "nu_32"),
-    "flux": ("nu_10", "nu_21", "nu_32"),
-    "squid": ("nu_21", "nu_32", "nu_20", "nu_31", "nu_30"),
-}
+_COMPARE = {">": operator.gt, "<": operator.lt}
 
 
 def validate_levels(ls: LevelStructure) -> tuple[bool, list[str]]:
     """Check the spacing ordering for the device type; list violated predicates."""
     if ls.qubit_type not in _ORDERINGS:
         raise ConfigError(f"unknown qubit type {ls.qubit_type!r}")
-    for name in _REQUIRED_FREQS[ls.qubit_type]:
-        if getattr(ls, name) is None:
-            raise ConfigError(f"{ls.qubit_type} level validation needs {name}")
-    violations = [desc for desc, pred in _ORDERINGS[ls.qubit_type] if not pred(ls)]
+    orderings = _ORDERINGS[ls.qubit_type]
+    for lhs, _, rhs in orderings:
+        for name in (lhs, rhs):
+            if getattr(ls, name) is None:
+                raise ConfigError(f"{ls.qubit_type} level validation needs {name}")
+    violations = [
+        f"{lhs} {op} {rhs}"
+        for lhs, op, rhs in orderings
+        if not _COMPARE[op](getattr(ls, lhs), getattr(ls, rhs))
+    ]
     return (not violations, violations)

@@ -5,7 +5,9 @@ dispersive target (slot 1), prepared in
 ``(|0> + |1>)/sqrt(2) (x) |1>`` which reads
 ``(|0> + |1>) (x) (|+> - |->) / 2`` in the target's +/- basis.  Each oracle
 is one of the four functions on one bit, compiled from at most two CNOTs and
-two idealized single-qubit rotations; after the oracle, a Hadamard on the
+two idealized single-qubit rotations.  A CNOT is the windows of the
+two-qubit fanout CNOT sequence, which the state's support walks like any
+gate report does (no unitary is formed).  After the oracle, a Hadamard on the
 query qubit maps constant functions to ``|0>`` and balanced ones to ``|1>``
 deterministically.  Measurement is modelled as a projection probability:
 the claim under test is deterministic discrimination, so sampling would add
@@ -21,7 +23,7 @@ import numpy as np
 from .device import DeviceParams
 from .linalg import QUDIT_LEVELS, HilbertSpace, Support, apply_local
 from .pulses import Mode, hadamard_local
-from .sequences import compose, ntcnot_sequence
+from .sequences import apply_evolutions, build_evolutions, ntcnot_sequence
 
 PROB_TOL = 1e-10
 
@@ -76,20 +78,22 @@ def uf_apply(
     params: DeviceParams,
     mode: Mode = Mode.ANALYTIC,
 ) -> Support:
-    """Apply one oracle to the prepared state, following its pulse recipe."""
+    """Apply one oracle to the prepared state, following its pulse recipe.
+
+    The CNOT's windows are built once and walked once or twice.
+    """
     if isinstance(variant, int):
         variant = oracle_variant(variant)
     space = state.space
     seq = ntcnot_sequence(2, params, space.cavity_dim)  # checks the device for every variant
     if variant.id == 1:
         return state  # constant-0: both systems stay far off resonance
-    cnot = compose(seq, mode)
-    every_slot = tuple(range(space.n_subsystems))
+    cnot = build_evolutions(seq, mode)
     if variant.id in (2, 3):
-        state = apply_local(cnot, space, every_slot, state)
+        state = apply_evolutions(cnot, space, state)
     if variant.id in (2, 4):
         state = apply_local(_rotation(+1), space, (0,), state)
-        state = apply_local(cnot, space, every_slot, state)
+        state = apply_evolutions(cnot, space, state)
         state = apply_local(_rotation(-1), space, (0,), state)
     return state
 

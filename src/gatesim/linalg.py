@@ -6,9 +6,9 @@ are mixed-radix numbers with the cavity digit least significant, i.e.
 ``|l1 .. ln> ⊗ |nc>`` maps to ``((l1*d2 + l2)*d3 + ...) * d_cav + nc``.
 Fixing this one convention removes an entire class of indexing bugs.
 
-No operation changes a space, a state or a Hamiltonian's value; propagators
-and composed gates are plain, writable ``np.ndarray`` matrices owned by the
-caller.
+No operation changes a space, a state or a Hamiltonian's value; a dense
+propagator is a plain, writable ``np.ndarray`` owned by the caller.  No gate
+is formed as a matrix: a state walks its windows.
 
 A state is a dense ``(D,)`` vector or ``(D, m)`` stack, or a
 :class:`Support`: flat arrays of column id, basis index and amplitude.
@@ -130,16 +130,6 @@ class HilbertSpace:
                 raise ValueError(f"level {level} out of range for dimension {dim}")
             idx = idx * dim + level
         return idx
-
-    def levels(self, index: int) -> tuple[int, ...]:
-        """Inverse of :meth:`index`."""
-        if not 0 <= index < self.total_dim:
-            raise ValueError(f"basis index {index} out of range")
-        out = []
-        for dim in reversed(self.dims):
-            out.append(index % dim)
-            index //= dim
-        return tuple(reversed(out))
 
     def digits(self, index, slots: Sequence[int]) -> np.ndarray:
         """Local basis index over ``slots`` of each basis index, the first slot most significant.

@@ -261,7 +261,7 @@ def sequence_units(seq: PulseSequence) -> list[Unit]:
 
 @dataclass(frozen=True)
 class SubEvolution:
-    """One factor of the composed unitary: local unitaries in order, or a Hamiltonian."""
+    """One window of a sequence: local unitaries in order, or a Hamiltonian."""
 
     unit: Unit
     applications: tuple[tuple[np.ndarray, tuple[int, ...]], ...] = ()
@@ -383,12 +383,6 @@ def apply_evolutions(evolutions: Iterable[SubEvolution], space: HilbertSpace, ar
         for local, slots in evo.applications:
             state = apply_local(local, space, slots, state)
     return state.like(array)
-
-
-def compose(seq: PulseSequence, mode: Mode, include_idle: bool | None = None) -> np.ndarray:
-    """Ordered product of the sequence's step unitaries."""
-    evolutions = build_evolutions(seq, mode, include_idle)
-    return apply_evolutions(evolutions, seq.space, np.eye(seq.space.total_dim, dtype=complex))
 
 
 def serialize_sequence(seq: PulseSequence) -> dict:

@@ -19,6 +19,7 @@ from .linalg import (
     HermitianOperator,
     HilbertSpace,
     Support,
+    _check_local,
     diagonal_at,
     evolve_times,
     process_fidelity,
@@ -123,7 +124,7 @@ def _level3_terms(space: HilbertSpace) -> tuple:
 
 @dataclass(frozen=True)
 class GateReport:
-    """Score of one composed gate on its computational block.
+    """Score of one gate sequence on its computational block.
 
     ``max_level3_population`` is the peak expected *number* of qubits in
     ``|3>`` (populations summed over qubits), so it exceeds the single-swap
@@ -238,6 +239,14 @@ class PhaseAudit:
 
 
 def phase_audit(seq: PulseSequence) -> PhaseAudit:
+    """Book the dispersive phases of ``seq`` along its analytic windows.
+
+    Each computational input is one basis index.  A window books its phases
+    at the index's photon and level-2 digits (:meth:`HilbertSpace.digits`);
+    its local unitaries then move the index to their largest output through
+    the slot offsets :func:`gatesim.linalg.apply_local` uses.  No state is
+    formed.
+    """
     space = seq.space
     params = seq.params
     roles = seq.roles
@@ -245,26 +254,25 @@ def phase_audit(seq: PulseSequence) -> PhaseAudit:
     # Dispersive rate of each qubit while it is not the cavity actor.
     rates = [params.g_at(q) ** 2 / params.detuning_for(q, roles[q]) for q in range(space.n_qubits)]
     entries: dict[tuple[int, int], float] = {}
-    # All computational inputs at once, one row of levels each (cavity last);
-    # an analytic window moves a kept input's digits, never a state vector.
-    levels = np.array([space.levels(i) for i in space.computational_indices()])
-    totals = np.zeros(len(levels))
-    pure = np.ones(len(levels), dtype=bool)
+    idx = np.array(space.computational_indices())
+    totals = np.zeros(len(idx))
+    pure = np.ones(len(idx), dtype=bool)
     for evo in build_evolutions(seq, Mode.ANALYTIC):
         if evo.duration > 0:
+            photons = space.digits(idx, (space.cavity_slot,))
             for q in range(space.n_qubits):
                 if q in evo.unit.cavity_actors:
                     continue
                 phase = rates[q] * evo.duration
                 key = (evo.unit.step_index, q)
                 entries[key] = entries.get(key, 0.0) + phase
-                totals += phase * levels[:, -1] * (levels[:, q] == 2)
+                totals += phase * photons * (space.digits(idx, (q,)) == 2)
         for local, slots in evo.applications:
-            dims = tuple(space.dims[s] for s in slots)
-            here = np.ravel_multi_index(tuple(levels[:, slots].T), dims)
+            offset = _check_local(local, space, slots)[1]
+            here = space.digits(idx, slots)
             column = np.abs(local[:, here])
             pure &= np.abs(np.max(column, axis=0) - 1.0) <= 1e-9
-            levels[:, slots] = np.transpose(np.unravel_index(np.argmax(column, axis=0), dims))
+            idx = idx + offset[np.argmax(column, axis=0)] - offset[here]
     step_phases = tuple(
         {"step": step, "qubit": qubit, "phase_rad": phase}
         for (step, qubit), phase in sorted(entries.items())
@@ -272,7 +280,7 @@ def phase_audit(seq: PulseSequence) -> PhaseAudit:
     # Inputs that branch into superpositions (e.g. behind a Hadamard) are
     # omitted rather than guessed.
     branch_phases = {
-        space.computational_label(k): float(totals[k]) for k in range(len(levels)) if pure[k]
+        space.computational_label(k): float(totals[k]) for k in range(len(idx)) if pure[k]
     }
 
     ratio = params.omega_resonant / max(

@@ -82,8 +82,8 @@ def unitarity_defect(u):
 
 @cache
 def basis_levels(space):
-    """``(D, n + 1)`` levels of every basis index, read one index at a time by ``space.levels``."""
-    levels = np.array([space.levels(i) for i in range(space.total_dim)])
+    """``(D, n + 1)`` levels of every basis index, read by ``np.unravel_index``, not by ``space``."""
+    levels = np.transpose(np.unravel_index(np.arange(space.total_dim), space.dims))
     levels.setflags(write=False)  # shared by every caller
     return levels
 
@@ -102,6 +102,12 @@ def residual_photon(space, amps):
     """Probability that the cavity of a ``(D,)`` state over ``space`` is not in vacuum."""
     vacuum = ~photon_flag(space)
     return 1.0 - float(np.sum(np.abs(amps[vacuum]) ** 2))
+
+
+def compose(seq, mode, include_idle=None):
+    """Dense unitary of ``seq``: every basis column walked through its windows."""
+    evolutions = build_evolutions(seq, mode, include_idle)
+    return apply_evolutions(evolutions, seq.space, np.eye(seq.space.total_dim, dtype=complex))
 
 
 def step_states(seq, amps, mode=Mode.ANALYTIC):

@@ -16,6 +16,7 @@ import pytest
 
 from conftest import (
     cavity_level,
+    compose,
     dense_operator,
     level_count,
     product_state,
@@ -41,7 +42,6 @@ from gatesim.linalg import (
 from gatesim.pulses import Mode
 from gatesim.sequences import (
     GateKind,
-    compose,
     cp3_sequence,
     ncp_sequence,
     ntcnot_sequence,

@@ -278,3 +278,23 @@ def test_levels_missing_required_frequency():
         validate_levels(ls)
     with pytest.raises(ConfigError):
         validate_levels(LevelStructure(qubit_type="laser", nu_21=1.0, nu_32=1.0))
+
+
+# The frequencies that the level orderings of each qubit type compare.
+_ORDERED_FREQS = {
+    "charge": ("nu_10", "nu_21", "nu_32"),
+    "phase": ("nu_10", "nu_21", "nu_32"),
+    "flux": ("nu_10", "nu_21", "nu_32"),
+    "squid": ("nu_21", "nu_32", "nu_20", "nu_31", "nu_30"),
+}
+
+
+@pytest.mark.parametrize("qubit_type,names", list(_ORDERED_FREQS.items()))
+def test_every_compared_frequency_is_required(qubit_type, names):
+    # a frequency no ordering reads may be missing; one that an ordering reads may not
+    given = {name: 1e9 for name in names}
+    ok, violations = validate_levels(LevelStructure(qubit_type=qubit_type, **given))
+    assert not ok and violations
+    for name in names:
+        with pytest.raises(ConfigError, match=f"needs {name}$"):
+            validate_levels(LevelStructure(qubit_type=qubit_type, **{**given, name: None}))

@@ -116,14 +116,15 @@ def test_full_mode_still_classifies(unit_params):
 
 @pytest.mark.parametrize("mode", [Mode.ANALYTIC, Mode.EFFECTIVE, Mode.FULL])
 def test_cnot_composed_only_when_the_oracle_uses_it(unit_params, monkeypatch, mode):
+    # the CNOT's windows are built once, however often the oracle walks them
     calls = []
-    original = dj_mod.compose
+    original = dj_mod.build_evolutions
 
-    def counting(seq, compose_mode, include_idle=None):
+    def counting(seq, build_mode, include_idle=None):
         calls.append(seq.gate)
-        return original(seq, compose_mode, include_idle)
+        return original(seq, build_mode, include_idle)
 
-    monkeypatch.setattr(dj_mod, "compose", counting)
+    monkeypatch.setattr(dj_mod, "build_evolutions", counting)
     for variant, expected in ((1, 0), (2, 1), (3, 1), (4, 1)):
         calls.clear()
         uf_apply(variant, prepare_input(dj_space()), unit_params, mode)

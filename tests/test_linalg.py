@@ -86,7 +86,7 @@ def test_index_is_mixed_radix_with_cavity_least_significant():
 @given(st.integers(min_value=0, max_value=4 * 4 * 3 - 1))
 def test_index_levels_roundtrip(idx):
     space = HilbertSpace((4, 4, 3))
-    assert space.index(space.levels(idx)) == idx
+    assert space.index(np.unravel_index(idx, space.dims)) == idx
 
 
 def test_computational_indices_order():
@@ -301,7 +301,7 @@ def test_local_index_map_matches_basis_tuples(slots):
 @given(st.data())
 @settings(max_examples=60, deadline=None)
 def test_digits_match_the_basis_levels(data):
-    # oracle: the slot levels of space.levels in the given slot order, first
+    # oracle: the slot levels of np.unravel_index in the given slot order, first
     # slot most significant; non-uniform dims, any slot subset in any order.
     # An index plus a multiple of D (a column's offset in apply_local) has the
     # same digits
@@ -315,7 +315,7 @@ def test_digits_match_the_basis_levels(data):
     index = np.array(index, dtype=int)
     expected = []
     for i in index:
-        levels, local = space.levels(int(i)), 0
+        levels, local = np.unravel_index(i, space.dims), 0
         for s in slots:
             local = local * space.dims[s] + levels[s]
         expected.append(local)

@@ -10,6 +10,7 @@ from conftest import (
     basis_levels,
     block_labels,
     cavity_level,
+    compose,
     dense_matrix,
     level_count,
     product_state,
@@ -39,7 +40,6 @@ from gatesim.sequences import (
     apply_evolutions,
     build_evolutions,
     build_sequence,
-    compose,
     cp3_sequence,
     ncp_sequence,
     ntcnot_sequence,
@@ -565,6 +565,50 @@ def test_full_block_is_covariant_under_target_permutations(cpw_params, n):
         assert np.max(np.abs(block[np.ix_(pi, pi)] - block)) <= 1e-12
     pi = bits[:, [1, 0] + targets[1:]] @ weight  # the control is no target: swapping them shows
     assert np.max(np.abs(block[np.ix_(pi, pi)] - block)) > 1e-3
+
+
+def _excitations(seq, evo, idx):
+    """``N`` of each basis index in ``idx`` for a cavity window: its generator keeps ``N``.
+
+    ``N = n_c + #(qubits in |3>) + #(photon-exchanging actors at their pulse
+    level)``: the cavity coupling trades a photon for level 3, a Raman drive
+    trades level 3 for the actor's pulse level, and the idle terms are diagonal.
+    """
+    space = seq.space
+    count = space.digits(idx, (space.cavity_slot,))
+    for q in range(space.n_qubits):
+        count = count + (space.digits(idx, (q,)) == 3)
+    for p in evo.unit.pulses:
+        if p.kind.exchanges_photon:
+            count = count + (space.digits(idx, (p.slot,)) == seq.roles[p.slot].pulse_level)
+    return count
+
+
+@pytest.mark.parametrize("cavity_dim", [2, 3])
+@pytest.mark.parametrize("gate,n", [(GateKind.NTCNOT, 6), (GateKind.NCP, 5)])
+def test_full_windows_keep_norm_and_excitation_sector(cpw_params, gate, n, cavity_dim):
+    # the blocks of a cavity window are sectors of N (_excitations), so every
+    # computational column keeps its norm and its weight in each sector of N
+    # through the window; this holds at any n, also where no dense oracle reaches
+    seq = build_sequence(gate, n, cpw_params, cavity_dim)
+    space = seq.space
+    comp = np.array(space.computational_indices())
+    walk = Support(space, np.arange(comp.size), comp, np.ones(comp.size, dtype=complex))
+    sectors = cavity_dim + 2 * n  # N < cavity_dim + 2n
+
+    def weights(state, evo):
+        key = state.col * sectors + _excitations(seq, evo, state.idx)
+        return np.bincount(key, np.abs(state.amp) ** 2, comp.size * sectors)
+
+    cavity_windows = 0
+    for evo in build_evolutions(seq, Mode.FULL):
+        before, walk = walk, apply_evolutions([evo], space, walk)
+        norm = np.bincount(walk.col, np.abs(walk.amp) ** 2, comp.size)
+        assert np.max(np.abs(norm - 1.0)) <= 1e-12
+        if evo.hamiltonian is not None:
+            cavity_windows += 1
+            assert np.max(np.abs(weights(walk, evo) - weights(before, evo))) <= 1e-12
+    assert cavity_windows >= 3
 
 
 @pytest.mark.parametrize("cavity_dim", [2, 3])
