@@ -40,7 +40,6 @@ from .sequences import (
     ntcnot_sequence,
     serialize_sequence,
     toffoli_sequence,
-    truth_table,
 )
 from .verify import (
     GateReport,

@@ -17,16 +17,17 @@ photon with the cavity, and a photon-exchanging member cannot share the
 group with any other cavity-coupled member; any number of dispersive-phase
 members may share the cavity since their generators commute.
 
-Composition walks the sequence in one of three modes (see
-:class:`gatesim.pulses.Mode`).  The always-on cavity coupling of each
-undriven qubit is one local ``(qubit, cavity)`` term.  The full mode solves
-the joint step Hamiltonian of each window with a cavity actor, the idle
-terms ahead of the pulse generators; a pi-pulse window is the exact product
-of its local unitaries, as each of its terms acts on its own qubit.
-The effective mode can optionally include the idle couplings as one local
-diagonal unitary per idle qubit, applied to the entering state; that
-factorized form is what the analytic phase audit reproduces term by term.
-The closed-form Raman swaps are exact only on
+Composition (:func:`build_evolutions`) lowers the sequence to one
+:class:`SubEvolution` per window, in one of three modes (see
+:class:`gatesim.pulses.Mode`), by one rule.  The always-on cavity coupling
+of each qubit is one local diagonal ``(qubit, cavity)`` term; a window keeps
+the terms of the qubits it leaves idle.  A full-mode window with a cavity
+actor is the joint Hamiltonian of its kept idle terms and its pulse
+generators.  Any other window is a product of local unitaries: the kept idle
+phases, then the pulses.  In a full-mode pi-pulse window that product is
+exact, as each of its terms acts on its own qubit; the effective mode's idle
+phases are the factorized form the analytic phase audit reproduces term by
+term.  The closed-form Raman swaps are exact only on
 :func:`gatesim.pulses.closed_form_domain`, the states the protocols visit;
 :func:`gatesim.verify.report` checks every column against it as it walks
 the windows.
@@ -37,7 +38,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -236,37 +237,22 @@ def build_sequence(
 
 
 @dataclass(frozen=True)
-class Unit:
-    """One atomic evolution window: a simultaneous group or one ordered member."""
+class SubEvolution:
+    """One window of a sequence: a simultaneous group, or one member of an ordered step.
+
+    The window evolves by ``hamiltonian`` for ``duration`` when it has one,
+    and by its local ``applications`` in order otherwise.
+    """
 
     step_index: int
     pulses: tuple[Pulse, ...]
     duration: float
+    applications: tuple[tuple[np.ndarray, tuple[int, ...]], ...] = ()
+    hamiltonian: HermitianOperator | None = None
 
     @property
     def cavity_actors(self) -> frozenset[int]:
         return frozenset(p.slot for p in self.pulses if p.kind.touches_cavity)
-
-
-def sequence_units(seq: PulseSequence) -> list[Unit]:
-    units = []
-    for i, step in enumerate(seq.steps):
-        if step.ordered:
-            for pulse in step.members:
-                units.append(Unit(i, (pulse,), pulse.duration))
-        else:
-            units.append(Unit(i, step.members, step.duration))
-    return units
-
-
-@dataclass(frozen=True)
-class SubEvolution:
-    """One window of a sequence: local unitaries in order, or a Hamiltonian."""
-
-    unit: Unit
-    applications: tuple[tuple[np.ndarray, tuple[int, ...]], ...] = ()
-    hamiltonian: HermitianOperator | None = None
-    duration: float = 0.0
 
 
 def _idle_terms(seq: PulseSequence) -> list:
@@ -283,16 +269,14 @@ def _idle_terms(seq: PulseSequence) -> list:
     return terms
 
 
-def _idle_phases(idle: list, skip, t: float) -> tuple:
-    """``exp(-i t diag(h))`` on ``(q, cavity)`` for each idle term whose qubit is not in ``skip``.
+def _idle_phases(terms: list, t: float) -> tuple:
+    """``exp(-i t diag(h))`` of each idle term, on the term's own slots.
 
     An idle generator must be a real diagonal, so its exponential is taken
     entrywise; anything else raises ``ValueError``.
     """
     phases = []
-    for h, slots in idle:
-        if slots[0] in skip:
-            continue
+    for h, slots in terms:
         shift = np.diag(h)
         if not np.array_equal(h, np.diag(shift.real)):  # a NaN entry fails too
             raise ValueError(f"idle generator on slots {slots} is not a real diagonal")
@@ -300,39 +284,22 @@ def _idle_phases(idle: list, skip, t: float) -> tuple:
     return tuple(phases)
 
 
-def _full_unit_hamiltonian(seq: PulseSequence, unit: Unit, idle: list) -> HermitianOperator:
-    """Joint Hamiltonian of one full-mode window with a cavity actor.
-
-    Pulsed qubits contribute their first-principles pulse generator (see
-    :func:`gatesim.pulses.pulse_local_hamiltonian`); every unpulsed qubit
-    keeps its term in ``idle`` (:func:`_idle_terms`, empty without idles).
-    The operator is built from the idle terms and each pulsed member's local
-    generator, without forming the ``D x D`` matrix.
-    """
-    space = seq.space
-    pulsed = {p.slot for p in unit.pulses}
-    terms = [(local, slots) for local, slots in idle if slots[0] not in pulsed]
-    for p in unit.pulses:
-        local, with_cavity = pulse_local_hamiltonian(
-            p, seq.params, seq.roles, space.cavity_dim, Mode.FULL
-        )
-        terms.append((local, (p.slot, space.cavity_slot) if with_cavity else (p.slot,)))
-    return HermitianOperator(space, tuple(terms))
-
-
 def build_evolutions(
     seq: PulseSequence, mode: Mode, include_idle: bool | None = None
 ) -> list[SubEvolution]:
-    """Lower a sequence to an ordered list of evolution factors.
+    """Lower a sequence to one :class:`SubEvolution` per window, by one rule.
 
-    A full-mode window with a cavity actor is one :class:`HermitianOperator`.
-    Any other window is a product of local unitaries: its pulses' and, with
-    idles, each idle qubit's diagonal phase.  That is exact in a full-mode
-    pi-pulse window, as each of its terms acts on its own qubit.  Full mode
-    leaves the unpulsed qubits idle; the effective mode, like the phase
-    audit, leaves all but the cavity actors idle and applies their phases as
-    a factor of their own.  ``docs/formats.md`` gives the fidelities this
-    difference would move.
+    A simultaneous step is one window and an ordered step one window per
+    member.  With idles (the default in full mode only), a window of nonzero
+    duration keeps the idle term (:func:`_idle_terms`) of every qubit
+    outside its pulsed slots in full mode, outside its cavity actors in the
+    effective mode, as the phase audit books them.  A full-mode window with
+    a cavity actor is one :class:`HermitianOperator` of the kept idle terms
+    and the pulses' first-principles generators; its members must share one
+    duration.  Any other window is the kept idle phases, then its pulses'
+    local unitaries.  That is exact in a full-mode pi-pulse window, as each
+    of its terms acts on its own qubit.  ``docs/formats.md`` gives the
+    fidelities the two idle conventions would move.
     """
     if include_idle is None:
         include_idle = mode is Mode.FULL
@@ -340,34 +307,32 @@ def build_evolutions(
         raise ValueError("analytic composition has no idle couplings to include")
     space = seq.space
     idle = _idle_terms(seq) if include_idle else []
+    lowering = (seq.params, seq.roles, space.cavity_dim, mode)
     out: list[SubEvolution] = []
-    for unit in sequence_units(seq):
-        instant_only = all(p.kind is PulseKind.HADAMARD for p in unit.pulses)
-        if mode is Mode.FULL and not instant_only:
-            for p in unit.pulses:
-                if not math.isclose(p.duration, unit.duration, rel_tol=1e-9):
-                    raise ValueError(
-                        "simultaneous full-mode evolution needs equal member durations; "
-                        f"got {p.duration} vs {unit.duration}"
-                    )
-            if unit.cavity_actors:
-                h = _full_unit_hamiltonian(seq, unit, idle)
-                out.append(SubEvolution(unit, hamiltonian=h, duration=unit.duration))
-                continue
-        apps = ()
-        if include_idle and not instant_only:
-            skip = {p.slot for p in unit.pulses} if mode is Mode.FULL else unit.cavity_actors
-            apps = _idle_phases(idle, skip, unit.duration)
-            if mode is Mode.EFFECTIVE:
-                out.append(SubEvolution(unit, applications=apps))
-                apps = ()
-        for p in unit.pulses:
-            local, with_cavity = pulse_local_unitary(
-                p, seq.params, seq.roles, space.cavity_dim, Mode.ANALYTIC if instant_only else mode
-            )
-            slots = (p.slot, space.cavity_slot) if with_cavity else (p.slot,)
-            apps += ((local, slots),)
-        out.append(SubEvolution(unit, applications=apps, duration=unit.duration))
+    for i, step in enumerate(seq.steps):
+        for pulses in [(p,) for p in step.members] if step.ordered else [step.members]:
+            t = max(p.duration for p in pulses)
+            if mode is Mode.FULL:
+                for p in pulses:
+                    if not math.isclose(p.duration, t, rel_tol=1e-9):
+                        raise ValueError(
+                            "simultaneous full-mode evolution needs equal member durations; "
+                            f"got {p.duration} vs {t}"
+                        )
+            terms = []
+            if idle and t > 0:
+                skip = {p.slot for p in pulses if mode is Mode.FULL or p.kind.touches_cavity}
+                terms = [(h, slots) for h, slots in idle if slots[0] not in skip]
+            slots = [
+                (p.slot, space.cavity_slot) if p.kind.touches_cavity else (p.slot,) for p in pulses
+            ]
+            if mode is Mode.FULL and any(p.kind.touches_cavity for p in pulses):
+                terms += [(pulse_local_hamiltonian(p, *lowering), s) for p, s in zip(pulses, slots)]
+                h = HermitianOperator(space, tuple(terms))
+                out.append(SubEvolution(i, pulses, t, hamiltonian=h))
+            else:
+                apps = [(pulse_local_unitary(p, *lowering), s) for p, s in zip(pulses, slots)]
+                out.append(SubEvolution(i, pulses, t, applications=_idle_phases(terms, t) + tuple(apps)))
     return out
 
 
@@ -409,37 +374,3 @@ def serialize_sequence(seq: PulseSequence) -> dict:
         "total_duration_s": seq.total_duration,
         "steps": steps,
     }
-
-
-@dataclass(frozen=True)
-class TruthRow:
-    input_label: str
-    amplitudes: dict[str, complex]
-    leakage: float
-
-
-def truth_table(
-    u: np.ndarray, inputs: Sequence[tuple[str, np.ndarray]], drop_below: float = 0.0
-) -> list[TruthRow]:
-    """Decompose the action of ``u`` on labelled states over the same states.
-
-    The leakage column is the norm of the output component outside the
-    labelled set.
-    """
-    labels = [label for label, _ in inputs]
-    vectors = np.column_stack([vec for _, vec in inputs])
-    outputs = u @ vectors
-    overlaps = vectors.conj().T @ outputs
-    # residual computed as a vector difference: subtracting probabilities
-    # from 1 would lose half the significant digits to cancellation
-    residuals = outputs - vectors @ overlaps
-    rows = []
-    for col, label in enumerate(labels):
-        amps = {}
-        for row, other in enumerate(labels):
-            a = complex(overlaps[row, col])
-            if abs(a) > drop_below:
-                amps[other] = a
-        leakage = float(np.linalg.norm(residuals[:, col]))
-        rows.append(TruthRow(label, amps, leakage))
-    return rows

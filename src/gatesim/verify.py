@@ -103,7 +103,7 @@ def _check_swap_domain(seq: PulseSequence, evo: SubEvolution, walk: Support, dim
     weight off the domain raises ``ValueError``.
     """
     space = seq.space
-    for p in evo.unit.pulses:
+    for p in evo.pulses:
         if not p.kind.exchanges_photon:
             continue
         inside = np.zeros(space.dims[p.slot] * space.cavity_dim, dtype=bool)
@@ -112,7 +112,7 @@ def _check_swap_domain(seq: PulseSequence, evo: SubEvolution, walk: Support, dim
         defect = float(np.max(_column_weight(walk, outside, dim)))
         if defect > DOMAIN_TOL:
             raise ValueError(
-                f"step {evo.unit.step_index}: raman swap at slot {p.slot} "
+                f"step {evo.step_index}: raman swap at slot {p.slot} "
                 f"applied to a state outside its closed-form domain (weight {defect:.3e})"
             )
 
@@ -261,10 +261,10 @@ def phase_audit(seq: PulseSequence) -> PhaseAudit:
         if evo.duration > 0:
             photons = space.digits(idx, (space.cavity_slot,))
             for q in range(space.n_qubits):
-                if q in evo.unit.cavity_actors:
+                if q in evo.cavity_actors:
                     continue
                 phase = rates[q] * evo.duration
-                key = (evo.unit.step_index, q)
+                key = (evo.step_index, q)
                 entries[key] = entries.get(key, 0.0) + phase
                 totals += phase * photons * (space.digits(idx, (q,)) == 2)
         for local, slots in evo.applications:
@@ -318,7 +318,7 @@ def swap_fidelity_vs_full(params: DeviceParams, cavity_dim: int = 3) -> float:
     pulse = make_pulse(PulseKind.RAMAN_EMIT, 0, params, roles)
     # On one qubit plus the cavity the local (qudit, cavity) unitary is the full matrix.
     analytic, full = (
-        pulse_local_unitary(pulse, params, roles, cavity_dim, mode)[0]
+        pulse_local_unitary(pulse, params, roles, cavity_dim, mode)
         for mode in (Mode.ANALYTIC, Mode.FULL)
     )
     return process_fidelity(analytic, full, elimination_comparison_indices(cavity_dim))
@@ -334,7 +334,7 @@ def swap_peak_level3(params: DeviceParams, cavity_dim: int = 3, samples: int = 4
     space = HilbertSpace.for_qubits(1, cavity_dim)
     roles = (Role.EMITTER,)
     pulse = make_pulse(PulseKind.RAMAN_EMIT, 0, params, roles)
-    local, _ = pulse_local_hamiltonian(pulse, params, roles, cavity_dim, Mode.FULL)
+    local = pulse_local_hamiltonian(pulse, params, roles, cavity_dim, Mode.FULL)
     h = HermitianOperator(space, ((local, (0, space.cavity_slot)),))
     state = Support.of(space, space.basis_vector((1, 0)))
     times = np.linspace(0.0, pulse.duration, samples + 1)

@@ -70,8 +70,8 @@ def cavity_level(n, dim):
 def embedded_pulse(kind, params, roles, slot, space, mode=Mode.ANALYTIC):
     """Dense unitary of one pulse on ``space``: its local unitary placed by ``tensor_embed``."""
     pulse = make_pulse(kind, slot, params, roles)
-    local, with_cavity = pulse_local_unitary(pulse, params, roles, space.cavity_dim, mode)
-    slots = (slot, space.cavity_slot) if with_cavity else (slot,)
+    local = pulse_local_unitary(pulse, params, roles, space.cavity_dim, mode)
+    slots = (slot, space.cavity_slot) if kind.touches_cavity else (slot,)
     return tensor_embed(local, space, slots)
 
 
@@ -115,7 +115,7 @@ def step_states(seq, amps, mode=Mode.ANALYTIC):
     states = {}
     for evo in build_evolutions(seq, mode):
         amps = apply_evolutions([evo], seq.space, amps)
-        states[evo.unit.step_index] = amps  # an ordered step keeps its last window
+        states[evo.step_index] = amps  # an ordered step keeps its last window
     return list(states.values())
 
 

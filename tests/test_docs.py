@@ -28,8 +28,13 @@ def run_command(command: str) -> dict:
 
 
 def lookup(doc: dict, dotted: str):
+    """Walk ``dotted``: a part names a dict key, or indexes a list by its position."""
     node = doc
     for part in dotted.split("."):
+        if isinstance(node, list):
+            assert part.isdigit() and int(part) < len(node), f"missing field {dotted!r}"
+            node = node[int(part)]
+            continue
         assert isinstance(node, dict) and part in node, f"missing field {dotted!r}"
         node = node[part]
     return node

@@ -77,7 +77,7 @@ def test_dispersive_is_idle_coupling_of_target(unit_params):
     roles = (Role.TARGET, Role.TARGET)
     for slot in (0, 1):
         pulse = make_pulse(PulseKind.DISPERSIVE_PHASE, slot, params, roles)
-        local, _ = pulse_local_hamiltonian(pulse, params, roles, CAV, Mode.EFFECTIVE)
+        local = pulse_local_hamiltonian(pulse, params, roles, CAV, Mode.EFFECTIVE)
         expected = idle_coupling_local(params, slot, Role.TARGET, CAV, full=False)
         assert np.array_equal(local, expected)
 

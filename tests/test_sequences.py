@@ -45,7 +45,6 @@ from gatesim.sequences import (
     ntcnot_sequence,
     serialize_sequence,
     toffoli_sequence,
-    truth_table,
 )
 from gatesim.verify import ideal_ncp, report
 
@@ -349,32 +348,17 @@ def test_ntcnot2_is_cnot_in_mixed_basis(unit_params):
 # --- truth tables ----------------------------------------------------------------
 
 
-def test_truth_table_identity(unit_params):
-    space = HilbertSpace.for_qubits(2, 2)
-    u = np.eye(space.total_dim, dtype=complex)
-    inputs = [
-        (space.computational_label(k), np.eye(space.total_dim)[:, i])
-        for k, i in enumerate(space.computational_indices())
-    ]
-    rows = truth_table(u, inputs)
-    for row in rows:
-        assert row.amplitudes[row.input_label] == pytest.approx(1.0)
-        assert row.leakage < 1e-12
-
-
 def test_truth_table_cp3_has_no_leakage(unit_params):
     seq = cp3_sequence(unit_params)
     space = seq.space
     u = compose(seq, Mode.ANALYTIC)
-    inputs = [
-        (space.computational_label(k), np.eye(space.total_dim)[:, i])
-        for k, i in enumerate(space.computational_indices())
-    ]
-    rows = truth_table(u, inputs)
-    for row in rows:
-        assert row.leakage < 1e-10
-        expected = -1.0 if row.input_label == "111" else 1.0
-        assert row.amplitudes[row.input_label] == pytest.approx(expected, abs=1e-10)
+    comp = space.computational_indices()
+    outside = np.ones(space.total_dim, dtype=bool)
+    outside[comp] = False
+    for k, i in enumerate(comp):
+        assert np.linalg.norm(u[outside, i]) < 1e-10
+        expected = -1.0 if space.computational_label(k) == "111" else 1.0
+        assert u[i, i] == pytest.approx(expected, abs=1e-10)
 
 
 def test_truth_table_ntcnot_signs(unit_params):
@@ -382,14 +366,14 @@ def test_truth_table_ntcnot_signs(unit_params):
     space = seq.space
     u = compose(seq, Mode.ANALYTIC)
     labels = {(1, 1): "++", (1, -1): "+-", (-1, 1): "-+", (-1, -1): "--"}
-    inputs = [
-        (f"1{name}", ntcnot_pm_state(space, 1, signs)) for signs, name in labels.items()
-    ]
-    rows = truth_table(u, inputs)
+    inputs = {f"1{name}": ntcnot_pm_state(space, 1, signs) for signs, name in labels.items()}
+    span = np.column_stack(list(inputs.values()))
     flipped = {"1++": "1--", "1+-": "1-+", "1-+": "1+-", "1--": "1++"}
-    for row in rows:
-        assert row.amplitudes[flipped[row.input_label]] == pytest.approx(1.0, abs=1e-10)
-        assert row.leakage < 1e-10
+    for label, state in inputs.items():
+        out = u @ state
+        assert np.vdot(inputs[flipped[label]], out) == pytest.approx(1.0, abs=1e-10)
+        # the part of the output outside the span of the four labelled states
+        assert np.linalg.norm(out - span @ (span.conj().T @ out)) < 1e-10
 
 
 # --- guard rails -------------------------------------------------------------------
@@ -461,10 +445,8 @@ def dense_window_reference(seq, pulses, idle_slots):
     space = seq.space
     total = np.zeros((space.total_dim, space.total_dim), dtype=complex)
     for p in pulses:
-        local, with_cavity = pulse_local_hamiltonian(
-            p, seq.params, seq.roles, space.cavity_dim, Mode.FULL
-        )
-        slots = (p.slot, space.cavity_slot) if with_cavity else (p.slot,)
+        local = pulse_local_hamiltonian(p, seq.params, seq.roles, space.cavity_dim, Mode.FULL)
+        slots = (p.slot, space.cavity_slot) if p.kind.touches_cavity else (p.slot,)
         total += tensor_embed(local, space, slots)
     for q in idle_slots:
         local = idle_coupling_local(seq.params, q, seq.roles[q], space.cavity_dim, full=False)
@@ -480,9 +462,9 @@ def test_full_windows_match_dense_reference(unit_params, gate, n, include_idle):
     windows = [e for e in evolutions if e.hamiltonian is not None]
     assert windows
     for evo in windows:
-        pulsed = {p.slot for p in evo.unit.pulses}
+        pulsed = {p.slot for p in evo.pulses}
         idle = [q for q in range(n) if q not in pulsed] if include_idle else []
-        ref = dense_window_reference(seq, evo.unit.pulses, idle)
+        ref = dense_window_reference(seq, evo.pulses, idle)
         err = np.max(np.abs(dense_matrix(evo.hamiltonian) - ref))
         assert err <= 1e-12 * np.max(np.abs(ref))
 
@@ -498,9 +480,9 @@ def test_term_built_blocks_match_dense_reference(unit_params, gate, n, include_i
     for evo in build_evolutions(seq, Mode.FULL, include_idle):
         if evo.hamiltonian is None:
             continue
-        pulsed = {p.slot for p in evo.unit.pulses}
+        pulsed = {p.slot for p in evo.pulses}
         idle = [q for q in range(n) if q not in pulsed] if include_idle else []
-        ref = dense_window_reference(seq, evo.unit.pulses, idle)
+        ref = dense_window_reference(seq, evo.pulses, idle)
         labels = np.full(seq.space.total_dim, -1)
         for idx, sub in evo.hamiltonian._parts:
             labels[idx] = idx[:, :1]
@@ -578,7 +560,7 @@ def _excitations(seq, evo, idx):
     count = space.digits(idx, (space.cavity_slot,))
     for q in range(space.n_qubits):
         count = count + (space.digits(idx, (q,)) == 3)
-    for p in evo.unit.pulses:
+    for p in evo.pulses:
         if p.kind.exchanges_photon:
             count = count + (space.digits(idx, (p.slot,)) == seq.roles[p.slot].pulse_level)
     return count
@@ -624,14 +606,14 @@ def test_full_local_windows_match_dense_expm(unit_params, gate, n, include_idle,
     counts = (level_count(space, 3), basis_levels(space)[:, -1].astype(float))
     windows = [
         e for e in build_evolutions(seq, Mode.FULL, include_idle)
-        if e.duration > 0 and not e.unit.cavity_actors
+        if e.duration > 0 and not e.cavity_actors
     ]
     assert windows
     for evo in windows:
         assert evo.hamiltonian is None
-        pulsed = {p.slot for p in evo.unit.pulses}
+        pulsed = {p.slot for p in evo.pulses}
         idle = [q for q in range(n) if q not in pulsed] if include_idle else []
-        ref = dense_window_reference(seq, evo.unit.pulses, idle)
+        ref = dense_window_reference(seq, evo.pulses, idle)
         w, v = np.linalg.eigh(ref)
         expected = (v * np.exp(-1j * w * evo.duration)) @ v.conj().T
         product = np.eye(space.total_dim)
@@ -677,21 +659,52 @@ def test_full_report_matches_dense_eigh_report(unit_params, monkeypatch, gate, n
 @pytest.mark.parametrize("gate,n", GATES_UP_TO_4)
 def test_effective_idle_factor_matches_dense_reference(unit_params, gate, n):
     seq = build_sequence(gate, n, hetero_params(unit_params))
-    # the idle factor is the first of the two factors a window's unit lowers to
-    evolutions = build_evolutions(seq, Mode.EFFECTIVE, True)
-    factors = [a for a, b in zip(evolutions, evolutions[1:]) if a.unit == b.unit]
-    assert factors
+    # the idle phases lead the applications of each timed window, its pulses follow
+    windows = [e for e in build_evolutions(seq, Mode.EFFECTIVE, True) if e.duration > 0]
+    assert windows
     space = seq.space
-    for evo in factors:
-        idle = [q for q in range(n) if q not in evo.unit.cavity_actors]
-        assert [slots for _, slots in evo.applications] == [(q, space.cavity_slot) for q in idle]
+    for evo in windows:
+        idle = [q for q in range(n) if q not in evo.cavity_actors]
+        factors = evo.applications[: len(idle)]
+        assert [slots for _, slots in factors] == [(q, space.cavity_slot) for q in idle]
+        assert len(evo.applications) == len(idle) + len(evo.pulses)
         ref = dense_window_reference(seq, (), idle)
         assert np.count_nonzero(ref - np.diag(np.diag(ref))) == 0
-        expected = np.diag(np.exp(-1j * evo.unit.duration * np.diag(ref)))
+        expected = np.diag(np.exp(-1j * evo.duration * np.diag(ref)))
         product = np.eye(space.total_dim)
-        for local, slots in evo.applications:
+        for local, slots in factors:
             product = tensor_embed(local, space, slots) @ product
         assert np.max(np.abs(product - expected)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "mode,include_idle",
+    [
+        (Mode.ANALYTIC, None),
+        (Mode.EFFECTIVE, None),
+        (Mode.EFFECTIVE, True),
+        (Mode.FULL, None),
+        (Mode.FULL, False),
+    ],
+)
+@pytest.mark.parametrize(
+    "gate,n", [(GateKind.CP3, 3), (GateKind.TOFFOLI, 3), (GateKind.NCP, 4), (GateKind.NTCNOT, 3)]
+)
+def test_one_record_per_window(unit_params, gate, n, mode, include_idle):
+    # a simultaneous step is one window, an ordered step one window per member
+    seq = build_sequence(gate, n, unit_params)
+    windows = []
+    for i, step in enumerate(seq.steps):
+        if step.ordered:
+            windows += [(i, (p,), p.duration) for p in step.members]
+        else:
+            windows.append((i, step.members, step.duration))
+    evolutions = build_evolutions(seq, mode, include_idle)
+    assert [(e.step_index, e.pulses, e.duration) for e in evolutions] == windows
+    for evo in evolutions:
+        assert evo.cavity_actors == {p.slot for p in evo.pulses if p.kind.touches_cavity}
+        if evo.duration == 0:  # a Hadamard: its unitary alone, with no idle phase
+            assert [slots for _, slots in evo.applications] == [(p.slot,) for p in evo.pulses]
 
 
 def test_analytic_mode_rejects_idle_couplings(unit_params):

@@ -22,7 +22,6 @@ SOURCES += sorted((ROOT / "scripts").glob("*.py"))
 
 # Public functions allowed without a caller, each with its reason.
 ALLOWED = {
-    "truth_table": "the library form of a gate's sign table, which the truth-table tests read",
     "propagator": "dense exp(-iHt), the reference the block-propagation tests compare against",
     "tensor_embed": "dense embedding, the reference the index-map and window tests compare against",
 }

@@ -387,22 +387,3 @@ def test_ncp4_audit_exposes_large_idle_absorber_phase(unit_params):
     # pi/2 per pass, plus one pi/200 pi-pulse window on each side
     audit = phase_audit(ncp_sequence(4, unit_params))
     assert audit.branch_phases["1100"] == pytest.approx(math.pi + 2.0 * math.pi / 200.0)
-
-
-# --- truth table rows ----------------------------------------------------------
-
-
-def test_truth_table_csv_layout(unit_params):
-    from gatesim.sequences import truth_table
-
-    seq = cp3_sequence(unit_params)
-    space = seq.space
-    u = compose(seq, Mode.ANALYTIC)
-    inputs = [
-        (space.computational_label(k), np.eye(space.total_dim)[:, i])
-        for k, i in enumerate(space.computational_indices())
-    ]
-    rows = truth_table(u, inputs)
-    assert len(rows) == 8
-    assert rows[-1].input_label == "111"
-    assert abs(rows[-1].amplitudes["111"] + 1.0) < 1e-12
