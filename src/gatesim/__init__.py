@@ -2,9 +2,10 @@
 
 The package builds the pulse primitives of a four-level-qubit/cavity
 architecture both analytically and from first-principles Hamiltonians,
-sequences them into multi-control phase gates and fanout CNOTs, verifies
-truth tables and leakage, runs a two-qubit Deutsch-Jozsa demonstration and
-recomputes the experimental feasibility figures.
+sequences them into multi-control phase gates and fanout CNOTs, scores them
+by process fidelity, exact sign match and leakage, runs a two-qubit
+Deutsch-Jozsa demonstration and recomputes the experimental feasibility
+figures.
 """
 
 from .budget import (
@@ -22,13 +23,7 @@ from .budget import (
 )
 from .device import ConfigError, DeviceParams, Role, load_params, params_from_dict
 from .dj import DJResult, OracleVariant, oracle_variant, run_dj, uf_apply
-from .linalg import (
-    HermitianOperator,
-    HilbertSpace,
-    process_fidelity,
-    propagator,
-    tensor_embed,
-)
+from .linalg import HermitianOperator, HilbertSpace, process_fidelity
 from .pulses import Mode, Pulse, PulseKind
 from .sequences import (
     GateKind,

@@ -6,14 +6,13 @@ are mixed-radix numbers with the cavity digit least significant, i.e.
 ``|l1 .. ln> ⊗ |nc>`` maps to ``((l1*d2 + l2)*d3 + ...) * d_cav + nc``.
 Fixing this one convention removes an entire class of indexing bugs.
 
-No operation changes a space, a state or a Hamiltonian's value; a dense
-propagator is a plain, writable ``np.ndarray`` owned by the caller.  No gate
-is formed as a matrix: a state walks its windows.
+No operation changes a space, a state or a Hamiltonian's value.  No gate
+is formed as a matrix and no propagator as a ``D x D`` array: a state walks
+its windows.
 
-A state is a dense ``(D,)`` vector or ``(D, m)`` stack, or a
-:class:`Support`: flat arrays of column id, basis index and amplitude.
-Every kernel walks a :class:`Support`, so it costs what the support holds,
-not ``D`` per column; dense vectors and stacks go through their nonzeros.
+A state is a :class:`Support`: flat arrays of column id, basis index and
+amplitude over its nonzeros.  Every kernel takes and returns one, so it
+costs what the support holds, not ``D`` per column.
 Every read of an index's digits over some slots goes through
 :meth:`HilbertSpace.digits`.  A local operator acts through the entries'
 digits (:func:`apply_local`): one ``(R, d) @ (d, d)`` product over the
@@ -141,11 +140,6 @@ class HilbertSpace:
         for size, stride in _slot_layout(self.dims, tuple(int(s) for s in slots))[0]:
             digit = digit * size + index // stride % size
         return digit
-
-    def basis_vector(self, levels: Sequence[int]) -> np.ndarray:
-        vec = np.zeros(self.total_dim, dtype=complex)
-        vec[self.index(levels)] = 1.0
-        return vec
 
     def computational_indices(self) -> list[int]:
         """Indices of qubit-{0,1} product states with the cavity in vacuum.
@@ -322,31 +316,22 @@ class HermitianOperator:
         object.__setattr__(self, "_last", (state, rows))
         return rows
 
-    def propagate(self, array, t: float):
-        """``exp(-i H t)`` on a vector, a stack of columns or a :class:`Support`, in its form.
+    def propagate(self, state: "Support", t: float) -> "Support":
+        """``exp(-i H t)`` on a :class:`Support`.
 
-        One kernel on the support: each live block takes the rows that reach it
-        (:meth:`_rows`) through ``v @ (exp(-i w t) * (v† @ x))``.  Blocks that
-        ``array`` does not reach stay exactly zero and are skipped.
+        Each live block takes the rows that reach it (:meth:`_rows`) through
+        ``v @ (exp(-i w t) * (v† @ x))``.  Blocks that ``state`` does not
+        reach stay exactly zero and are skipped.
         """
         if not math.isfinite(t):
             raise ValueError("evolution time must be finite")
-        state = Support.of(self.space, array)
+        state = _on_space(self.space, state)
         parts = [(state.col[:0], state.idx[:0], state.amp[:0])]
         for (idx, w, v), c, col in self._rows(state):
             y = v @ (np.exp(-1j * w * t)[:, :, None] * c)
             live, j, s = np.nonzero(y)  # padded columns stay exactly zero
             parts.append((col[live, s], idx[live, j], y[live, j, s]))
-        return Support(self.space, *map(np.concatenate, zip(*parts))).like(array)
-
-
-def _columns(space: HilbertSpace, array: np.ndarray) -> np.ndarray:
-    """``array`` as a complex ``(D,)`` vector or ``(D, m)`` stack; other shapes raise."""
-    arr = np.asarray(array, dtype=complex)
-    dim = space.total_dim
-    if arr.ndim not in (1, 2) or arr.shape[0] != dim:
-        raise ValueError(f"array has shape {arr.shape}, expected ({dim},) or ({dim}, m)")
-    return arr
+        return Support(self.space, *map(np.concatenate, zip(*parts)))
 
 
 def _check_local(local: np.ndarray, space: HilbertSpace, slots: Sequence[int]) -> tuple:
@@ -398,34 +383,21 @@ class Support(NamedTuple):
     idx: np.ndarray
     amp: np.ndarray
 
-    @classmethod
-    def of(cls, space: HilbertSpace, array) -> "Support":
-        """A support as it is; a vector or a ``(D, m)`` stack by its nonzeros, column by column.
 
-        A support of another space or an array of another shape raises ``ValueError``.
-        """
-        if isinstance(array, Support) and array.space.dims != space.dims:
-            raise ValueError(f"operands live on different spaces: {array.space.dims} vs {space.dims}")
-        if isinstance(array, Support):
-            return array
-        dim = space.total_dim
-        mat = _columns(space, array).reshape(dim, -1)
-        code = np.flatnonzero((mat != 0).T)  # col * D + idx
-        return cls(space, *np.divmod(code, dim), mat.T.flat[code])
-
-    def like(self, array):
-        """This support in the form of ``array``: itself, or a dense array of ``array``'s shape."""
-        if isinstance(array, Support):
-            return self
-        out = np.zeros(np.shape(array), dtype=complex)
-        out.reshape(len(out), -1)[self.idx, self.col] = self.amp
-        return out
+def _on_space(space: HilbertSpace, state: Support) -> Support:
+    """``state`` if it is a :class:`Support` of ``space``; anything else raises ``ValueError``."""
+    if not isinstance(state, Support):
+        raise ValueError(f"expected a Support, got {type(state).__name__}")
+    if state.space.dims != space.dims:
+        raise ValueError(f"operands live on different spaces: {state.space.dims} vs {space.dims}")
+    return state
 
 
-def apply_local(local: np.ndarray, space: HilbertSpace, slots: Sequence[int], array):
-    """Apply a local operator on ``slots`` to a vector, a stack of columns or a :class:`Support`.
+def apply_local(
+    local: np.ndarray, space: HilbertSpace, slots: Sequence[int], state: Support
+) -> Support:
+    """Apply a local operator on ``slots`` to a :class:`Support`.
 
-    The result has the input's form; a dense array goes through its nonzeros.
     Entries are grouped by column and by their index with the slot digits
     zeroed (mixed-radix digits), each group a row of one product with
     ``local.T``; exact zeros are dropped.  A lone row is padded with a zero row,
@@ -433,7 +405,7 @@ def apply_local(local: np.ndarray, space: HilbertSpace, slots: Sequence[int], ar
     """
     local, offset = _check_local(local, space, slots)
     dim = space.total_dim
-    state = Support.of(space, array)
+    state = _on_space(space, state)
     code = state.col * dim + state.idx
     digit = space.digits(code, slots)
     groups, row = np.unique(code - offset[digit], return_inverse=True)
@@ -442,20 +414,7 @@ def apply_local(local: np.ndarray, space: HilbertSpace, slots: Sequence[int], ar
     values = (gathered @ local.T)[: groups.size].ravel()
     keep = np.flatnonzero(values)
     code = (groups[:, None] + offset).ravel()[keep]
-    return Support(space, *np.divmod(code, dim), values[keep]).like(array)
-
-
-def tensor_embed(local: np.ndarray, space: HilbertSpace, slots: Sequence[int]) -> np.ndarray:
-    """Embed a local operator as ``local`` on ``slots`` and identity elsewhere.
-
-    Subsystem ordering is preserved; the result acts on the full space.  The
-    local entries are written through :func:`local_index_map`.
-    """
-    local = _check_local(local, space, slots)[0]
-    rows = local_index_map(space, slots)
-    out = np.zeros((space.total_dim, space.total_dim), dtype=complex)
-    out[rows[:, :, None], rows[:, None, :]] = local
-    return out
+    return Support(space, *np.divmod(code, dim), values[keep])
 
 
 @cache
@@ -513,7 +472,7 @@ def evolve_times(
     its whole grid is one ``(Q, P_k) @ (P_k, S)`` product.  Only one column's
     phases exist at a time; the next column reuses them if its frequencies agree.
     """
-    state = Support.of(h.space, state)
+    state = _on_space(h.space, state)
     times = np.asarray(times, dtype=float)
     dt = _grid_step(times)
     m = int(state.col.max(initial=-1)) + 1
@@ -550,11 +509,6 @@ def evolve_times(
         grid = (coeffs[lo:hi] * phases[:q]) @ phases[q:].T
         out[:, k] = grid.real.ravel()[: times.size]
     return out
-
-
-def propagator(h: HermitianOperator, t: float) -> np.ndarray:
-    """Full matrix ``exp(-i H t)``.  Negative ``t`` yields the inverse."""
-    return h.propagate(np.eye(h.space.total_dim, dtype=complex), t)
 
 
 def process_fidelity(u: np.ndarray, v: np.ndarray, subspace: Sequence[int]) -> float:

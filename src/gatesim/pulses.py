@@ -163,7 +163,7 @@ def hadamard_local() -> np.ndarray:
     return u
 
 
-def _local_propagator(h_local: np.ndarray, t: float) -> np.ndarray:
+def _local_exp(h_local: np.ndarray, t: float) -> np.ndarray:
     """``exp(-i h t)`` of a local generator; a non-Hermitian ``h`` raises ``ValueError``."""
     defect = np.max(np.abs(h_local - h_local.conj().T))
     if not defect <= HERMITIAN_TOL:  # a NaN entry fails too
@@ -205,7 +205,7 @@ def pulse_local_unitary(
         return hadamard_local()
     if mode is not Mode.ANALYTIC:
         h = pulse_local_hamiltonian(pulse, params, roles, cavity_dim, mode)
-        return _local_propagator(h, pulse.duration)
+        return _local_exp(h, pulse.duration)
     if kind in (PulseKind.PI_PULSE, PulseKind.PI_PULSE_DAG):
         return _analytic_pi_pulse(role.pulse_level, kind is PulseKind.PI_PULSE_DAG)
     if kind is PulseKind.DISPERSIVE_PHASE:

@@ -336,18 +336,16 @@ def build_evolutions(
     return out
 
 
-def apply_evolutions(evolutions: Iterable[SubEvolution], space: HilbertSpace, array):
-    """Apply the factors in order to a vector, a stack of columns or a :class:`Support`.
-
-    The state walks every window as a :class:`Support` and leaves in the input's form.
-    """
-    state = Support.of(space, array)
+def apply_evolutions(
+    evolutions: Iterable[SubEvolution], space: HilbertSpace, state: Support
+) -> Support:
+    """Apply the factors in order to a :class:`Support`."""
     for evo in evolutions:
         if evo.hamiltonian is not None:
             state = evo.hamiltonian.propagate(state, evo.duration)
         for local, slots in evo.applications:
             state = apply_local(local, space, slots, state)
-    return state.like(array)
+    return state
 
 
 def serialize_sequence(seq: PulseSequence) -> dict:

@@ -190,7 +190,7 @@ def report(
     block[row[kept], walk.col[kept]] = walk.amp[kept]
 
     target = ideal_gate(seq.gate, seq.n)
-    fidelity = float(abs(np.sum(np.conj(target) * block)) ** 2 / dim**2)
+    fidelity = process_fidelity(target, block, range(dim))
     exact = bool(np.max(np.abs(block - target)) <= tol)
     return GateReport(
         gate=seq.gate.value,
@@ -336,7 +336,8 @@ def swap_peak_level3(params: DeviceParams, cavity_dim: int = 3, samples: int = 4
     pulse = make_pulse(PulseKind.RAMAN_EMIT, 0, params, roles)
     local = pulse_local_hamiltonian(pulse, params, roles, cavity_dim, Mode.FULL)
     h = HermitianOperator(space, ((local, (0, space.cavity_slot)),))
-    state = Support.of(space, space.basis_vector((1, 0)))
+    idx = np.array([space.index((1, 0))])
+    state = Support(space, np.zeros(1, dtype=int), idx, np.ones(1, dtype=complex))
     times = np.linspace(0.0, pulse.duration, samples + 1)
     return float(np.max(evolve_times(state, h, times, _level3_terms(space))))
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gatesim.device import DeviceParams, load_params
-from gatesim.linalg import HermitianOperator, tensor_embed
+from gatesim.linalg import HermitianOperator, Support, _check_local, local_index_map
 from gatesim.pulses import Mode, make_pulse, pulse_local_unitary
 from gatesim.sequences import apply_evolutions, build_evolutions
 
@@ -40,6 +40,60 @@ def squid_raw():
 def squid_params():
     params, _ = load_params("squid")
     return params
+
+
+def _columns(space, array):
+    """``array`` as a complex ``(D,)`` vector or ``(D, m)`` stack; other shapes raise."""
+    arr = np.asarray(array, dtype=complex)
+    dim = space.total_dim
+    if arr.ndim not in (1, 2) or arr.shape[0] != dim:
+        raise ValueError(f"array has shape {arr.shape}, expected ({dim},) or ({dim}, m)")
+    return arr
+
+
+def support_of(space, array):
+    """A vector or a ``(D, m)`` stack as a :class:`Support` of its nonzeros, column by column."""
+    dim = space.total_dim
+    mat = _columns(space, array).reshape(dim, -1)
+    code = np.flatnonzero((mat != 0).T)  # col * D + idx
+    return Support(space, *np.divmod(code, dim), mat.T.flat[code])
+
+
+def array_of(support, array):
+    """``support`` as a dense array of ``array``'s shape."""
+    out = np.zeros(np.shape(array), dtype=complex)
+    out.reshape(len(out), -1)[support.idx, support.col] = support.amp
+    return out
+
+
+def on_array(kernel, space, array):
+    """``kernel`` on a vector or a stack: through its support and back to its shape."""
+    return array_of(kernel(support_of(space, array)), array)
+
+
+def basis_vector(space, levels):
+    vec = np.zeros(space.total_dim, dtype=complex)
+    vec[space.index(levels)] = 1.0
+    return vec
+
+
+def propagator(h, t):
+    """Full matrix ``exp(-i H t)``.  Negative ``t`` yields the inverse."""
+    eye = np.eye(h.space.total_dim, dtype=complex)
+    return on_array(lambda state: h.propagate(state, t), h.space, eye)
+
+
+def tensor_embed(local, space, slots):
+    """Embed a local operator as ``local`` on ``slots`` and identity elsewhere.
+
+    Subsystem ordering is preserved; the result acts on the full space.  The
+    local entries are written through :func:`local_index_map`.
+    """
+    local = _check_local(local, space, slots)[0]
+    rows = local_index_map(space, slots)
+    out = np.zeros((space.total_dim, space.total_dim), dtype=complex)
+    out[rows[:, :, None], rows[:, None, :]] = local
+    return out
 
 
 def product_state(space, locals_):
@@ -107,14 +161,15 @@ def residual_photon(space, amps):
 def compose(seq, mode, include_idle=None):
     """Dense unitary of ``seq``: every basis column walked through its windows."""
     evolutions = build_evolutions(seq, mode, include_idle)
-    return apply_evolutions(evolutions, seq.space, np.eye(seq.space.total_dim, dtype=complex))
+    walk = lambda state: apply_evolutions(evolutions, seq.space, state)
+    return on_array(walk, seq.space, np.eye(seq.space.total_dim, dtype=complex))
 
 
 def step_states(seq, amps, mode=Mode.ANALYTIC):
     """The ``(D,)`` state after each step of ``seq``, its windows walked one at a time."""
     states = {}
     for evo in build_evolutions(seq, mode):
-        amps = apply_evolutions([evo], seq.space, amps)
+        amps = on_array(lambda state: apply_evolutions([evo], seq.space, state), seq.space, amps)
         states[evo.step_index] = amps  # an ordered step keeps its last window
     return list(states.values())
 
@@ -171,14 +226,15 @@ def assert_matches_dense_oracle(h, amps, times, tol=1e-12):
     population weighted by ``w`` is off by at most ``2 sqrt(D) e max(w)``
     (Cauchy-Schwarz on a unit state).
     """
-    from gatesim.linalg import Support, evolve_times, propagator
+    from gatesim.linalg import evolve_times
 
     w, v = np.linalg.eigh(dense_matrix(h))
     bound = lambda t: max(tol, 16 * np.finfo(float).eps * np.max(np.abs(w)) * abs(t))
     for t in times:
         dense = (v * np.exp(-1j * w * t)) @ v.conj().T
         assert rel_err(propagator(h, t), dense) <= bound(t)
-        assert rel_err(h.propagate(amps, t), dense @ amps) <= bound(t)
+        out = on_array(lambda state: h.propagate(state, t), h.space, amps)
+        assert rel_err(out, dense @ amps) <= bound(t)
     # 8 points: 7 samples split as 3 x 3, so the last split row is cut short
     grid = np.linspace(0.0, max(times), 8)
     coeff = v.conj().T @ amps
@@ -187,7 +243,7 @@ def assert_matches_dense_oracle(h, amps, times, tol=1e-12):
     weights = np.arange(h.space.total_dim) % 3
     populations = np.abs(expected) ** 2 @ weights
     every = tuple(range(h.space.n_subsystems))  # one term over every subsystem
-    got = evolve_times(Support.of(h.space, amps), h, grid, ((weights, every),))
+    got = evolve_times(support_of(h.space, amps), h, grid, ((weights, every),))
     assert got.shape == (grid.size, 1)
     err = np.max(np.abs(got[:, 0] - populations))
     assert err <= 2 * np.sqrt(h.space.total_dim) * bound(max(times)) * weights.max()

@@ -20,6 +20,7 @@ from conftest import (
     dense_operator,
     level_count,
     product_state,
+    propagator,
     qudit_level,
     qudit_plus,
     residual_photon,
@@ -35,10 +36,7 @@ from gatesim.budget import (
     time_cp3,
     time_ntcnot,
 )
-from gatesim.linalg import (
-    HilbertSpace,
-    propagator,
-)
+from gatesim.linalg import HilbertSpace
 from gatesim.pulses import Mode
 from gatesim.sequences import (
     GateKind,

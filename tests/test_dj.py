@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import gatesim.dj as dj_mod
+from conftest import array_of
 from gatesim.pulses import Mode
 from gatesim.dj import (
     dj_space,
@@ -21,7 +22,7 @@ MODES_AND_CAVITIES = [pytest.param(mode, 2, id=str(mode)) for mode in MODES] + [
 
 
 def _dense(state):
-    return state.like(np.zeros(state.space.total_dim))
+    return array_of(state, np.zeros(state.space.total_dim))
 
 
 def test_variant_table():

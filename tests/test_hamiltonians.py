@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import dense_operator
+from conftest import dense_operator, propagator, tensor_embed
 from gatesim.device import Role
 from gatesim.hamiltonians import (
     cavity_ladder,
@@ -13,12 +13,7 @@ from gatesim.hamiltonians import (
     raman_full_local,
     resonant_drive_local,
 )
-from gatesim.linalg import (
-    HilbertSpace,
-    process_fidelity,
-    propagator,
-    tensor_embed,
-)
+from gatesim.linalg import HilbertSpace, process_fidelity
 from gatesim.pulses import Mode, PulseKind, make_pulse, pulse_local_hamiltonian
 
 CAV = 3

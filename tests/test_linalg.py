@@ -7,10 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    array_of,
     assert_matches_dense_oracle,
+    basis_vector,
     block_labels,
     dense_matrix,
     dense_operator,
+    on_array,
+    propagator,
+    support_of,
+    tensor_embed,
     unitarity_defect,
 )
 from gatesim.device import Role
@@ -23,8 +29,6 @@ from gatesim.linalg import (
     evolve_times,
     local_index_map,
     process_fidelity,
-    propagator,
-    tensor_embed,
 )
 
 
@@ -139,7 +143,7 @@ def test_embed_ladder_against_index_arithmetic_oracle():
 
     # and the advertised action: |3>|x>|0> -> |2>|x>|1>
     for x in range(4):
-        out = full @ space.basis_vector((3, x, 0))
+        out = full @ basis_vector(space, (3, x, 0))
         assert out[space.index((2, x, 1))] == 1.0
         assert np.count_nonzero(out) == 1
 
@@ -176,7 +180,8 @@ def test_tensor_embed_matches_apply_local_on_identity(data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1)))
     dim = math.prod(space.dims[s] for s in slots)
     local = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    reference = apply_local(local, space, slots, np.eye(space.total_dim, dtype=complex))
+    eye = np.eye(space.total_dim, dtype=complex)
+    reference = on_array(lambda state: apply_local(local, space, slots, state), space, eye)
     assert np.array_equal(tensor_embed(local, space, slots), reference)
 
 
@@ -191,7 +196,8 @@ def test_apply_local_matches_embedded_matvec():
     local = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
     vec = rng.normal(size=space.total_dim) + 1j * rng.normal(size=space.total_dim)
     full = tensor_embed(local, space, (0, 2))
-    assert np.allclose(apply_local(local, space, (0, 2), vec), full @ vec, atol=1e-12)
+    out = on_array(lambda state: apply_local(local, space, (0, 2), state), space, vec)
+    assert np.allclose(out, full @ vec, atol=1e-12)
 
 
 @given(st.data())
@@ -208,13 +214,11 @@ def test_apply_local_matches_the_embedded_operator(data):
     local = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     stack = rng.normal(size=(space.total_dim, m)) + 1j * rng.normal(size=(space.total_dim, m))
     full = tensor_embed(local, space, slots)
-    out = apply_local(local, space, slots, stack)
-    assert out.shape == stack.shape
+    apply = lambda state: apply_local(local, space, slots, state)
+    out = on_array(apply, space, stack)
     assert np.max(np.abs(out - full @ stack)) <= 1e-12
     for j in range(m):
-        vec = apply_local(local, space, slots, stack[:, j])
-        assert vec.shape == (space.total_dim,)
-        assert np.array_equal(vec, out[:, j])
+        assert np.array_equal(on_array(apply, space, stack[:, j]), out[:, j])
 
 
 @given(st.data())
@@ -222,7 +226,7 @@ def test_apply_local_matches_the_embedded_operator(data):
 def test_apply_local_on_sparse_stacks(data):
     # exact zeros and all-zero columns, slots in any order with the cavity among
     # them: the product matches the embedded operator, each column is bitwise
-    # its own one-column call, and the support form is the dense form's nonzeros
+    # its own one-column call, and the result holds only nonzeros
     n_qubits = data.draw(st.integers(1, 3))
     space = HilbertSpace.for_qubits(n_qubits, data.draw(st.sampled_from([2, 3])))
     slots = data.draw(st.permutations(range(space.n_subsystems)))
@@ -234,18 +238,15 @@ def test_apply_local_on_sparse_stacks(data):
     stack = rng.normal(size=(space.total_dim, m)) + 1j * rng.normal(size=(space.total_dim, m))
     stack[rng.random(stack.shape) < data.draw(st.floats(0.0, 1.0))] = 0.0
     stack[:, data.draw(st.lists(st.integers(0, m - 1), max_size=m))] = 0.0
-    out = apply_local(local, space, slots, stack)
-    assert out.shape == stack.shape
-    assert np.max(np.abs(out - tensor_embed(local, space, slots) @ stack)) <= 1e-12
-    for j in range(m):
-        assert np.array_equal(apply_local(local, space, slots, stack[:, j]), out[:, j])
     idx, col = np.nonzero(stack)
     support = apply_local(local, space, slots, Support(space, col, idx, stack[idx, col]))
     assert np.all(np.diff(support.col) >= 0) and np.all(support.amp != 0)
-    dense = np.zeros_like(stack)
-    dense[support.idx, support.col] = support.amp
-    assert np.array_equal(dense, out)
+    out = array_of(support, stack)
     assert np.count_nonzero(out) == support.amp.size
+    assert np.max(np.abs(out - tensor_embed(local, space, slots) @ stack)) <= 1e-12
+    apply = lambda state: apply_local(local, space, slots, state)
+    for j in range(m):
+        assert np.array_equal(on_array(apply, space, stack[:, j]), out[:, j])
 
 
 @pytest.mark.parametrize("slots", [(0,), (0, 2), (2, 1)])
@@ -262,7 +263,6 @@ def test_apply_local_pads_a_lone_row(slots):
     x[rows[1]] = rng.normal(size=d) + 1j * rng.normal(size=d)
     expected = np.zeros_like(x)
     expected[rows[1]] = (x[rows[:2]] @ local.T)[1]
-    assert np.array_equal(apply_local(local, space, slots, x), expected)
     lone = Support(space, np.zeros(d, dtype=int), rows[1], x[rows[1]])
     support = apply_local(local, space, slots, lone)
     assert np.array_equal(expected[support.idx], support.amp)
@@ -325,22 +325,29 @@ def test_digits_match_the_basis_levels(data):
 
 @pytest.mark.parametrize("shape", [(256,), (63,), (64, 2, 1), (32, 2), (2, 64), ()])
 def test_wrong_length_arrays_rejected(shape):
-    # a leading axis that is a multiple of D used to be read as extra columns
+    # a leading axis that is a multiple of D used to be read as extra columns;
+    # the kernels now take no array at all, whatever its shape
     space = HilbertSpace((4, 4, 4))
     h = dense_operator(space, random_hermitian(space.total_dim, 0))
     bad = np.ones(shape, dtype=complex)
-    with pytest.raises(ValueError, match=r"expected \(64,\) or \(64, m\)"):
-        apply_local(np.eye(4), space, (1,), bad)
-    with pytest.raises(ValueError, match=r"expected \(64,\) or \(64, m\)"):
-        h.propagate(bad, 0.5)
+    weights = ((np.ones(4), (0,)),)
+    calls = (
+        lambda: apply_local(np.eye(4), space, (1,), bad),
+        lambda: h.propagate(bad, 0.5),
+        lambda: evolve_times(bad, h, np.linspace(0.0, 1.0, 5), weights),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="expected a Support, got ndarray"):
+            call()
 
 
 @pytest.mark.parametrize("shape", [(128,), (63,), (64, 2, 1), (2, 64), ()])
 def test_state_vector_rejects_other_shapes(shape):
+    # the dense test states reach the kernels through their supports
     space = HilbertSpace((4, 4, 4))
     with pytest.raises(ValueError, match=r"expected \(64,\) or \(64, m\)"):
-        Support.of(space, np.ones(shape, dtype=complex))
-    support = Support.of(space, np.ones((64, 3)))
+        support_of(space, np.ones(shape, dtype=complex))
+    support = support_of(space, np.ones((64, 3)))
     assert support.col.max() + 1 == 3 and support.idx.size == 64 * 3
 
 
@@ -351,7 +358,7 @@ def test_evolve_zero_time_is_identity(unit_params):
     space = HilbertSpace.for_qubits(1, 3)
     h = raman_effective_1q(unit_params, 3)
     state = random_state(space, 3)
-    out = h.propagate(state, 0.0)
+    out = on_array(lambda support: h.propagate(support, 0.0), space, state)
     assert np.allclose(out, state, atol=1e-14)
 
 
@@ -360,7 +367,7 @@ def test_evolve_dispersive_single_photon_pi_phase(unit_params):
     space = HilbertSpace.for_qubits(1, 3)
     h = dispersive_1q(unit_params, 3)
     t = math.pi * unit_params.delta_ck_at(0) / unit_params.g_at(0) ** 2
-    out = h.propagate(space.basis_vector((2, 1)), t)
+    out = on_array(lambda state: h.propagate(state, t), space, basis_vector(space, (2, 1)))
     assert abs(out[space.index((2, 1))] + 1.0) < 1e-10
 
 
@@ -369,7 +376,7 @@ def test_evolve_raman_effective_quarter_period_flip(unit_params):
     space = HilbertSpace.for_qubits(1, 3)
     h = raman_effective_1q(unit_params, 3)
     t1 = math.pi * unit_params.delta_c / (2.0 * unit_params.g_at(0) ** 2)
-    out = h.propagate(space.basis_vector((1, 0)), t1)
+    out = on_array(lambda state: h.propagate(state, t1), space, basis_vector(space, (1, 0)))
     assert abs(out[space.index((2, 1))] - 1.0) < 1e-10
 
 
@@ -381,8 +388,8 @@ def test_evolve_raman_effective_quarter_period_flip(unit_params):
 def test_evolve_preserves_norm(seed, t):
     space = HilbertSpace((4, 3))
     h = dense_operator(space, random_hermitian(space.total_dim, seed))
-    out = h.propagate(random_state(space, seed + 1), t)
-    assert abs(np.linalg.norm(out) - 1.0) < 1e-12
+    out = h.propagate(support_of(space, random_state(space, seed + 1)), t)
+    assert abs(np.linalg.norm(out.amp) - 1.0) < 1e-12
 
 
 def test_non_hermitian_matrix_rejected():
@@ -413,7 +420,7 @@ def test_non_finite_time_rejected(unit_params, t):
     space = HilbertSpace.for_qubits(1, 2)
     h = raman_effective_1q(unit_params, 2)
     with pytest.raises(ValueError, match="evolution time must be finite"):
-        h.propagate(space.basis_vector((1, 0)), t)
+        h.propagate(support_of(space, basis_vector(space, (1, 0))), t)
     with pytest.raises(ValueError, match="evolution time must be finite"):
         propagator(h, t)
 
@@ -495,8 +502,8 @@ def block_diagonal_hermitian(sizes, seed):
 def test_propagate_on_a_support_matches_the_propagator(sizes, m, t, seed):
     # each column reaches a random set of blocks, so columns share blocks or
     # sit on disjoint ones; with m >= 2 the first column reaches every block
-    # and the last none.  The support is read in another order than the
-    # dense form's, which must give the same result bitwise
+    # and the last none.  The support is read in another order than the one
+    # the dense reference reads, which must give the same result bitwise
     mat, members = block_diagonal_hermitian(sizes, seed)
     h = dense_operator(HilbertSpace((len(mat),)), mat)
     rng = np.random.default_rng(seed + 1)
@@ -513,7 +520,7 @@ def test_propagate_on_a_support_matches_the_propagator(sizes, m, t, seed):
     got[out.idx, out.col] = out.amp
     assert np.count_nonzero(got) == out.amp.size
     assert np.max(np.abs(got - propagator(h, t) @ amps)) <= 1e-12
-    assert np.array_equal(h.propagate(amps, t), got)
+    assert np.array_equal(on_array(lambda state: h.propagate(state, t), h.space, amps), got)
 
 
 def test_dense_hermitian_is_one_block():
@@ -645,7 +652,7 @@ def test_evolve_times_matches_the_per_sample_sum(sizes, samples, duration, seed)
             c = vecs.conj().T @ amps[rows]
             trajectory = (np.exp(-1j * np.outer(times, lam)) * c) @ vecs.T
             expected += np.abs(trajectory) ** 2 @ weights[rows]
-    got = evolve_times(Support.of(h.space, amps), h, times, ((weights, (0,)),))
+    got = evolve_times(support_of(h.space, amps), h, times, ((weights, (0,)),))
     assert got.shape == (times.size, 1)
     assert np.max(np.abs(got[:, 0] - expected)) <= 1e-12
 
@@ -661,8 +668,8 @@ def test_stacked_evolve_times_matches_each_column(sizes, m, samples, seed):
     # each column of a stack reaches a random set of blocks, so columns share
     # blocks or sit on disjoint ones; with m >= 2 the first column reaches
     # every block, and with m >= 3 the third reaches only the first block,
-    # whose weights vanish, so it has no live block.  The support form reads
-    # the stack's nonzeros in another order and gives the same figures bitwise
+    # whose weights vanish, so it has no live block.  The stack's nonzeros
+    # read in another order give the same figures bitwise
     mat, members = block_diagonal_hermitian(sizes, seed)
     h = dense_operator(HilbertSpace((len(mat),)), mat)
     rng = np.random.default_rng(seed + 1)
@@ -681,10 +688,10 @@ def test_stacked_evolve_times_matches_each_column(sizes, m, samples, seed):
     times = np.linspace(0.0, 1.3, samples + 1)
     idx, col = np.nonzero(amps)
     width = col.max(initial=-1) + 1  # trailing all-zero columns have no entry
-    got = evolve_times(Support.of(h.space, amps), h, times, weights)
+    got = evolve_times(support_of(h.space, amps), h, times, weights)
     assert got.shape == (times.size, width)
     for k in range(m):
-        single = evolve_times(Support.of(h.space, amps[:, k]), h, times, weights)
+        single = evolve_times(support_of(h.space, amps[:, k]), h, times, weights)
         assert single.shape == (times.size, int(np.any(amps[:, k])))  # an empty column has none
         column = got[:, k] if k < width else np.zeros(times.size)
         assert np.max(np.abs(column - single.sum(axis=1))) <= 1e-12
@@ -698,7 +705,7 @@ def test_stacked_evolve_times_matches_each_column(sizes, m, samples, seed):
 def test_evolve_times_rejects_other_weight_shapes(shape):
     # a length-2D vector used to be read as its first D entries
     h = dense_operator(HilbertSpace((4,)), random_hermitian(4, 0))
-    state = Support.of(h.space, random_state(h.space, 1))
+    state = support_of(h.space, random_state(h.space, 1))
     with pytest.raises(ValueError, match=r"weights have shape .*, expected \(4,\)"):
         evolve_times(state, h, np.linspace(0.0, 1.0, 5), ((np.ones(shape), (0,)),))
 
@@ -710,7 +717,7 @@ def test_evolve_times_rejects_other_weight_shapes(shape):
 def test_evolve_times_rejects_other_grids(times):
     # only an equally spaced grid t_i = i dt from 0 is accepted
     h = dense_operator(HilbertSpace((4,)), random_hermitian(4, 0))
-    state = Support.of(h.space, random_state(h.space, 1))
+    state = support_of(h.space, random_state(h.space, 1))
     with pytest.raises(ValueError, match="sample times must be"):
         evolve_times(state, h, np.array(times), ((np.ones(4), (0,)),))
 

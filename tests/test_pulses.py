@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import embedded_pulse, unitarity_defect
+from conftest import basis_vector, embedded_pulse, unitarity_defect
 from gatesim.device import Role
 from gatesim.linalg import HilbertSpace
 from gatesim.pulses import (
@@ -122,7 +122,7 @@ def test_absorb_swap_table(unit_params):
     for n in (0, 1):  # spectator level 1 untouched at any photon number
         i = space.index((1, n))
         assert u[i, i] == 1.0
-    out = u @ space.basis_vector((2, 1))
+    out = u @ basis_vector(space, (2, 1))
     assert np.linalg.norm(out) == pytest.approx(1.0)
 
 
@@ -154,10 +154,10 @@ def test_hadamard_table(unit_params):
     space = space1()
     h = embedded_pulse(PulseKind.HADAMARD, unit_params, TARGET, 0, space)
     s = 1 / math.sqrt(2)
-    plus = s * (space.basis_vector((0, 0)) + space.basis_vector((1, 0)))
-    minus = s * (space.basis_vector((0, 0)) - space.basis_vector((1, 0)))
-    assert np.allclose(h @ space.basis_vector((0, 0)), plus, atol=1e-14)
-    assert np.allclose(h @ minus, space.basis_vector((1, 0)), atol=1e-14)
+    plus = s * (basis_vector(space, (0, 0)) + basis_vector(space, (1, 0)))
+    minus = s * (basis_vector(space, (0, 0)) - basis_vector(space, (1, 0)))
+    assert np.allclose(h @ basis_vector(space, (0, 0)), plus, atol=1e-14)
+    assert np.allclose(h @ minus, basis_vector(space, (1, 0)), atol=1e-14)
     assert np.allclose(h @ h, np.eye(space.total_dim), atol=1e-14)
     assert h[space.index((2, 0)), space.index((2, 0))] == 1.0
 
@@ -210,6 +210,20 @@ def test_full_emit_peak_level3_bounded(unit_params):
     assert peak <= bound + 0.01
     assert peak <= 0.05
     assert peak > bound / 4.0  # the transient is real, not an artifact
+
+
+@pytest.mark.parametrize(
+    "preset,peak,fidelity",
+    [
+        ("cpw", 0.03703703702630763, 0.9994853277238236),
+        ("squid", 0.037037037026307285, 0.9994853277238236),
+    ],
+)
+def test_swap_observables_at_the_presets(request, preset, peak, fidelity):
+    # the sweep's leakage3 and fidelity_full at each preset's working point
+    params = request.getfixturevalue(f"{preset}_params")
+    assert abs(swap_peak_level3(params) - peak) <= 1e-12
+    assert abs(swap_fidelity_vs_full(params) - fidelity) <= 1e-12
 
 
 def test_elimination_indices_exclude_level3():

@@ -8,6 +8,7 @@ import pytest
 from conftest import (
     assert_matches_dense_oracle,
     basis_levels,
+    basis_vector,
     block_labels,
     cavity_level,
     compose,
@@ -18,6 +19,8 @@ from conftest import (
     qudit_plus,
     residual_photon,
     step_states,
+    support_of,
+    tensor_embed,
 )
 from gatesim import hamiltonians as ham_mod
 from gatesim import linalg as linalg_mod
@@ -30,7 +33,6 @@ from gatesim.linalg import (
     Support,
     apply_local,
     evolve_times,
-    tensor_embed,
 )
 from gatesim.pulses import Mode, Pulse, PulseKind, make_pulse, pulse_local_hamiltonian
 from gatesim.sequences import (
@@ -201,10 +203,10 @@ def test_cp3_intermediate_state_table(unit_params, start):
     """The photon-carrying rows pass through exactly the published chain."""
     seq = cp3_sequence(unit_params)
     space = seq.space
-    states = step_states(seq, space.basis_vector(start + (0,)))
+    states = step_states(seq, basis_vector(space, start + (0,)))
     assert len(states) == 7
     for state, (sign, levels) in zip(states, CP3_TABLE[start]):
-        expected = sign * space.basis_vector(levels)
+        expected = sign * basis_vector(space, levels)
         assert np.max(np.abs(state - expected)) < 1e-12
 
 
@@ -212,8 +214,8 @@ def test_cp3_intermediate_state_table(unit_params, start):
 def test_cp3_control_zero_rows_return_unchanged(unit_params, start):
     seq = cp3_sequence(unit_params)
     space = seq.space
-    states = step_states(seq, space.basis_vector(start + (0,)))
-    assert np.max(np.abs(states[-1] - space.basis_vector(start + (0,)))) < 1e-12
+    states = step_states(seq, basis_vector(space, start + (0,)))
+    assert np.max(np.abs(states[-1] - basis_vector(space, start + (0,)))) < 1e-12
 
 
 def test_cp3_block_is_controlled_phase(unit_params):
@@ -397,7 +399,7 @@ def test_support_of_another_space_is_rejected(unit_params):
     # a two-qubit support used to be read with the three-qubit radix and relabelled
     seq = ntcnot_sequence(3, unit_params)
     space, other = seq.space, HilbertSpace.for_qubits(2)
-    foreign = Support.of(other, other.basis_vector((1, 1, 0)))
+    foreign = support_of(other, basis_vector(other, (1, 1, 0)))
     evolutions = build_evolutions(seq, Mode.FULL)
     h = next(evo.hamiltonian for evo in evolutions if evo.hamiltonian is not None)
     weights = ((np.ones(space.total_dim), tuple(range(space.n_subsystems))),)

@@ -1,8 +1,9 @@
 """Every public function and method of the package and the scripts has a caller there.
 
-References from the tests and from the ``__init__`` re-exports do not count:
-a function that only tests reach is surface that its tests alone keep alive.
-Its tests should move onto the path the package itself uses.
+References from the tests and from the ``__init__`` re-exports do not count,
+and no function is exempt: a function that only tests reach is surface that
+its tests alone keep alive.  Its tests should move onto the path the package
+itself uses, and a reference the tests compare against lives in the tests.
 
 A top-level function is called by a name or an attribute of that name; a
 name that a function binds itself (a parameter, an assignment target, a loop
@@ -19,12 +20,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted(p for p in (ROOT / "src" / "gatesim").glob("*.py") if p.name != "__init__.py")
 SOURCES += sorted((ROOT / "scripts").glob("*.py"))
-
-# Public functions allowed without a caller, each with its reason.
-ALLOWED = {
-    "propagator": "dense exp(-iHt), the reference the block-propagation tests compare against",
-    "tensor_embed": "dense embedding, the reference the index-map and window tests compare against",
-}
 
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 _SCOPES = _FUNCTIONS + (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
@@ -111,16 +106,8 @@ def _repo_sources():
 
 
 def test_every_public_function_has_a_caller():
-    unused = sorted(
-        f"{label}: {name}"
-        for name, label in _uncalled(_repo_sources()).items()
-        if name not in ALLOWED
-    )
+    unused = sorted(f"{label}: {name}" for name, label in _uncalled(_repo_sources()).items())
     assert not unused, "public functions without a caller outside tests:\n" + "\n".join(unused)
-
-
-def test_allowlist_holds_only_uncalled_functions():
-    assert sorted(set(ALLOWED) - set(_uncalled(_repo_sources()))) == []
 
 
 SHADOWED = '''
