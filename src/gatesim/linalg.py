@@ -16,29 +16,28 @@ costs what the support holds, not ``D`` per column.
 Every read of an index's digits over some slots goes through
 :meth:`HilbertSpace.digits`.  A local operator acts through the entries'
 digits (:func:`apply_local`): one ``(R, d) @ (d, d)`` product over the
-``R`` live copies of the local space.  Hamiltonian terms are placed through
-:func:`local_index_map`, whose rows each hold the basis indices of one copy
-of the local space.
+``R`` live copies of the local space.
 
 Hermitian time evolution uses the spectral decomposition of the matrix,
 which is exact up to floating point; no step-wise integrator is involved
 because every Hamiltonian in this package is time independent in its
-rotating frame.  The decomposition is taken block by block: every generator
-is a sum of terms, local operators on a few subsystems; the connected
-components of the terms' nonzero patterns are uncoupled (every window
-Hamiltonian conserves excitations), and each block's entries are added
-straight from the terms, so no ``D x D`` matrix is formed.  Blocks of one
-size share one stacked ``eigh`` call.  The partition labels every basis
-index with its block, so propagation and sampling find the blocks a support
-reaches from its entries alone and take one row per reached (column, block)
-pair.  A dense matrix is one term over every subsystem, and without zero
-structure it is a single block.  A full-mode pi-pulse window is no operator
-here but a product of local unitaries (see
-:func:`gatesim.sequences.build_evolutions`).  The other windows of a
-full-mode fanout CNOT hold 1080-1280 blocks each at n = 5 (D = 2048), none
-larger than 10, and none larger than 35 at n = 7 (D = 32768).  On a 2-CPU
-VM its report takes about 0.015 s at n = 5 and 0.2 s and 45 MiB at n = 7,
-without level-3 sampling.
+rotating frame.  The decomposition is taken block by block, and only over
+the blocks a state reaches: every generator is a sum of terms, local
+operators on a few subsystems, and the connected components of the terms'
+nonzero patterns are uncoupled (every window Hamiltonian conserves
+excitations).  A state's basis indices are closed under the terms'
+off-diagonal entries, each a move of an index's digits over the term's
+slots; the components of the reached indices are its blocks, filled
+straight from the terms and decomposed by one stacked ``eigh`` per block
+size (sector-restricted exact diagonalisation), so neither a ``D x D``
+matrix nor a ``D``-sized index array is formed.  A dense matrix is one term
+over every subsystem, and without zero structure it is a single block.  A
+full-mode pi-pulse window is no operator here but a product of local
+unitaries (see :func:`gatesim.sequences.build_evolutions`).  The three
+other windows of a full-mode fanout CNOT reach 64, 702 and 999 of the 2048
+states at n = 5, and 512, 23328 and 35721 of the 131072 states at n = 8, in
+blocks of at most 8 states.  On a 2-CPU VM its report takes about
+0.2 s and 11 MiB of traced allocations at n = 8 without level-3 sampling.
 
 Weighted observables are sums of diagonal local terms ``(values, slots)``,
 read at the basis indices a state reaches through their mixed-radix digits
@@ -58,7 +57,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -104,10 +103,6 @@ class HilbertSpace:
         return math.prod(self.dims)
 
     @property
-    def n_subsystems(self) -> int:
-        return len(self.dims)
-
-    @property
     def n_qubits(self) -> int:
         return len(self.dims) - 1
 
@@ -136,7 +131,8 @@ class HilbertSpace:
         ``index`` may be any integer array; an index plus a multiple of ``D``
         has the same digits, as each slot's radix divides ``D``.
         """
-        index, digit = np.asarray(index), 0
+        index = np.asarray(index)
+        digit = np.zeros(index.shape, dtype=int)  # no slots: the one local index 0
         for size, stride in _slot_layout(self.dims, tuple(int(s) for s in slots))[0]:
             digit = digit * size + index // stride % size
         return digit
@@ -175,63 +171,83 @@ Term = tuple[np.ndarray, tuple[int, ...]]
 
 
 def _components(dim: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-    """Smallest basis index of each index's connected component under the edges ``src-dst``."""
+    """Smallest node of each node's connected component, for ``dim`` nodes and edges ``src-dst``."""
     src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
     labels = np.arange(dim)
     while True:
         new = labels.copy()
         np.minimum.at(new, src, labels[dst])
-        new = new[new]  # pointer jumping: a label is an index of the same component
+        new = new[new]  # pointer jumping: a label is a node of the same component
         if np.array_equal(new, labels):
             return labels
         labels = new
 
 
-def _partition(space: HilbertSpace, terms: tuple[Term, ...]) -> tuple:
-    """Uncoupled blocks of the sum of the embedded terms, grouped by size.
+def _entries(space: HilbertSpace, term: tuple, index: np.ndarray) -> tuple:
+    """A term's nonzero entries ``H[index[r], j] = value`` in the rows ``index``.
 
-    Returns ``(idx (k, b), sub-matrices (k, b, b))`` pairs, and the labels
-    :meth:`HermitianOperator._rows` reads: each basis index's block (numbered
-    group by group), position in it and block size as a ``(3, D)`` array, with
-    each group's first block number.  The blocks are the connected components
-    of the terms' nonzero off-diagonal entries, each local pattern placed
-    through :func:`local_index_map`; the term entries are then added straight
-    into the sub-matrices, so no ``D x D`` array is formed.
+    Returns ``(r, j, value)``.  ``term`` holds ``local``, ``slots``, the slots'
+    offsets and ``local != 0``: an index's digits over ``slots`` pick its local
+    row, and each nonzero column of that row moves the index by the difference
+    of the two offsets.
     """
-    dim = space.total_dim
-    placed = []
-    src, dst = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
-    for local, slots in terms:
-        rows = local_index_map(space, slots)
-        a, b = np.nonzero(local)
-        placed.append((rows, a, b, local[a, b]))
-        src.append(rows[:, a[a != b]].ravel())
-        dst.append(rows[:, b[a != b]].ravel())
-    component = _components(dim, np.concatenate(src), np.concatenate(dst))
+    local, slots, offset, nonzero = term
+    digit = space.digits(index, slots)
+    r, b = np.nonzero(nonzero[digit])
+    a = digit[r]
+    return r, index[r] + (offset[b] - offset[a]), local[a, b]
+
+
+def _partition(space: HilbertSpace, terms: tuple[Term, ...], index: np.ndarray) -> tuple:
+    """The uncoupled blocks of the sum of the embedded terms that hold an index of ``index``.
+
+    ``index`` is closed under the entries of the terms with an off-diagonal
+    entry (:func:`_entries`), round by round until no index is added; the
+    connected components of the reached indices are the blocks
+    (:func:`_components`).  Blocks are grouped by ascending size, ordered by
+    their smallest index within a group, and hold their indices in ascending
+    order.  The term entries are added straight into the sub-matrices, term
+    by term, so nothing of size ``D`` is formed.  Returns the reached indices
+    in ascending order, each one's block number and row (its place in the
+    blocks' indices, group after group), and ``(idx (k, b), sub (k, b, b))``
+    per group.
+    """
+    terms = [(local, s, _slot_layout(space.dims, s)[1], local != 0) for local, s in terms]
+    moving = [
+        k for k, (*_, nonzero) in enumerate(terms)
+        if np.count_nonzero(nonzero) > np.count_nonzero(nonzero.diagonal())
+    ]
+    grown = np.unique(index)
+    while True:
+        reached = grown
+        moves = {k: _entries(space, terms[k], reached) for k in moving}
+        grown = np.unique(np.concatenate([reached, *(j for _, j, _ in moves.values())]))
+        if grown.size == reached.size:  # so the last moves are the moving terms' entries
+            break
+    entries = [moves[k] if k in moves else _entries(space, t, reached) for k, t in enumerate(terms)]
+    entries = [(r, np.searchsorted(reached, j), value) for r, j, value in entries]
+    edges = [np.zeros((2, 0), dtype=int)] + [np.stack(entries[k][:2]) for k in moving]
+    component = _components(reached.size, *np.concatenate(edges, axis=1))
     order = np.argsort(component, kind="stable")
-    roots = np.flatnonzero(component == np.arange(dim))  # a label is its component's smallest index
+    roots = np.flatnonzero(component == np.arange(reached.size))  # its component's smallest index
     sizes = np.bincount(component)[roots]
     starts = np.cumsum(sizes) - sizes
     # Entry (i, j) of a block lives at flat[base[i] + pos[j]] of one buffer for all blocks.
-    labels = block, pos, width = np.empty((3, dim), dtype=np.int32)  # kept with the operator
-    base = np.empty(dim, dtype=int)
-    groups, first, offset = [], [0], 0
+    block, row, pos, base = np.empty((4, reached.size), dtype=int)
+    groups, count, top, offset = [], 0, 0, 0
     for size in np.unique(sizes):
-        idx = order[starts[sizes == size][:, None] + np.arange(size)]
-        block[idx] = first[-1] + np.arange(len(idx))[:, None]
-        pos[idx], width[idx] = np.arange(size), size
-        base[idx] = offset + size * np.arange(idx.size).reshape(idx.shape)
-        groups.append((idx, offset))
-        first.append(first[-1] + len(idx))
-        offset += idx.size * size
+        at = order[starts[sizes == size][:, None] + np.arange(size)]
+        place = np.arange(at.size).reshape(at.shape)
+        block[at], row[at], pos[at] = count + place // size, top + place, place % size
+        base[at] = offset + size * place
+        groups.append((reached[at], offset))
+        count, top, offset = count + len(at), top + at.size, offset + at.size * size
     flat = np.zeros(offset, dtype=complex)
-    for rows, a, b, values in placed:
-        flat[base[rows[:, a]] + pos[rows[:, b]]] += values
-    out = []
-    for idx, start in groups:
-        k, b = idx.shape
-        out.append((idx, flat[start : start + k * b * b].reshape(k, b, b)))
-    return tuple(out), (labels, np.array(first))
+    for r, j, value in entries:
+        flat[base[r] + pos[j]] += value
+    subs = [flat[start : start + idx.size * idx.shape[1]] for idx, start in groups]
+    blocks = [(idx, sub.reshape(idx.shape + idx.shape[1:])) for (idx, _), sub in zip(groups, subs)]
+    return reached, block, row, blocks
 
 
 @dataclass(frozen=True)
@@ -240,88 +256,71 @@ class HermitianOperator:
 
     The operator is the sum of its terms ``(local, slots)``, each embedded as
     ``local`` on ``slots`` and identity elsewhere; a dense matrix is the one
-    term over every subsystem.  It is split into uncoupled blocks
-    on construction, from the terms' nonzero patterns alone, so the
-    Hermiticity check and the spectral decomposition run on the blocks and
-    no term is embedded into a ``D x D`` matrix.
+    term over every subsystem.  Construction checks each term for
+    Hermiticity and keeps the terms; the blocks are found, filled and
+    decomposed from the support each state holds (:meth:`_rows`), so no term
+    is embedded into a ``D x D`` matrix.
     """
 
     space: HilbertSpace
     terms: tuple[Term, ...]
-    _parts: tuple[tuple[np.ndarray, np.ndarray], ...] = field(init=False, repr=False, compare=False)
-    _labels: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
     _last: tuple = field(default=(None, ()), init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         terms = []
         for local, slots in self.terms:
             local = _check_local(local, self.space, slots)[0]
+            defect = np.max(np.abs(local - local.conj().T))
+            if not defect <= HERMITIAN_TOL:  # a NaN entry fails too
+                raise ValueError(f"operator is not Hermitian (defect {defect:.3e})")
             terms.append((_freeze(local), tuple(int(s) for s in slots)))
-        terms = tuple(terms)
-        parts, labels = _partition(self.space, terms)
-        defect = np.max([np.max(np.abs(sub - np.swapaxes(sub.conj(), -1, -2))) for _, sub in parts])
-        if not defect <= HERMITIAN_TOL:  # a NaN entry fails too
-            raise ValueError(f"operator is not Hermitian (defect {defect:.3e})")
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "_parts", parts)
-        object.__setattr__(self, "_labels", labels)
-
-    @cached_property
-    def blocks(self) -> tuple[SpectralBlocks, ...]:
-        """Eigendecomposition of every block, one stacked ``eigh`` per block size.
-
-        The sub-matrices are released once decomposed; only the spectra stay.
-        """
-        blocks = tuple(SpectralBlocks(idx, *np.linalg.eigh(sub)) for idx, sub in self._parts)
-        object.__setattr__(self, "_parts", ())
-        return blocks
+        object.__setattr__(self, "terms", tuple(terms))
 
     def _rows(self, state: "Support") -> list:
         """The blocks ``state`` reaches, by size group, and its coefficients on them.
 
-        Each reached (column, block) pair is one row.  Lists the live blocks'
-        :class:`SpectralBlocks`, ``c (L, b, m)`` and ``col (L, m)`` per group:
-        ``c[l, :, s]`` is ``v† x`` for column ``col[l, s]`` on live block ``l``,
-        ``m`` being the most columns any block holds; other slots are zero, with
-        ``col = -1``.  The rows of the last support are kept, as a report samples
-        each window and then propagates the same support through it.
+        The blocks come from ``state``'s indices (:func:`_partition`), each
+        size group decomposed by one stacked ``eigh``; each reached (column,
+        block) pair is one row.  Lists the :class:`SpectralBlocks`, ``c (k, b,
+        m)`` and ``col (k, m)`` per group: ``c[l, :, s]`` is ``v† x`` for
+        column ``col[l, s]`` on block ``l``, ``m`` being the most columns any
+        block holds; other slots are zero, with ``col = -1``.  The rows of the
+        last support are kept, as a report samples each window and then
+        propagates the same support through it.
         """
         last = self._last
         if last[0] is state:
             return last[1]
-        labels, first = self._labels
-        order = np.lexsort((state.col, labels[0, state.idx]))  # by block, then by column
-        block, pos, size = labels[:, state.idx[order]]
-        col, amp = state.col[order], state.amp[order]
-        opens = np.ones((2, order.size), dtype=bool)  # entries that open a live block, a row
+        reached, block, row, groups = _partition(self.space, self.terms, state.idx)
+        at = np.searchsorted(reached, state.idx)
+        order = np.lexsort((state.col, block[at]))  # by block, then by column
+        at, col, amp = at[order], state.col[order], state.amp[order]
+        block = block[at]
+        opens = np.ones((2, order.size), dtype=bool)  # entries that open a block, a row
         opens[0, 1:] = block[1:] != block[:-1]
         opens[1, 1:] = opens[0, 1:] | (col[1:] != col[:-1])
-        at, row = np.cumsum(opens, axis=1) - 1  # each entry's live block and row
-        slot = row - row[opens[0]][at]
-        live, size = block[opens[0]], size[opens[0]]
-        start = np.cumsum(size) - size  # each live block's first row in x
-        x = np.zeros((size.sum(), slot.max(initial=0) + 1), dtype=complex)
-        x[start[at] + pos, slot] = amp
-        cols = np.full((live.size, x.shape[1]), -1)
-        cols[at, slot] = col
-        bounds, rows = np.searchsorted(live, first), []
-        for g, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-            if lo < hi:
-                k = live[lo:hi] - first[g]
-                idx, w, v = self.blocks[g]
-                idx, w, v = idx[k], w[k], v[k]
-                sub = x[start[lo] : start[lo] + idx.size].reshape(idx.shape + x.shape[1:])
-                c = (np.swapaxes(v, -1, -2) @ sub.conj()).conj()  # v† x, without conjugating v
-                rows.append((SpectralBlocks(idx, w, v), c, cols[lo:hi]))
+        slot = np.cumsum(opens[1]) - 1
+        slot -= slot[opens[0]][block]  # every block holds an entry of ``state``
+        x = np.zeros((reached.size, slot.max(initial=0) + 1), dtype=complex)
+        x[row[at], slot] = amp
+        cols = np.full((block.max(initial=-1) + 1, x.shape[1]), -1)
+        cols[block, slot] = col
+        rows, first, top = [], 0, 0
+        for idx, mat in groups:
+            w, v = np.linalg.eigh(mat)
+            sub = x[top : top + idx.size].reshape(idx.shape + x.shape[1:])
+            c = (np.swapaxes(v, -1, -2) @ sub.conj()).conj()  # v† x, without conjugating v
+            rows.append((SpectralBlocks(idx, w, v), c, cols[first : first + len(idx)]))
+            first, top = first + len(idx), top + idx.size
         object.__setattr__(self, "_last", (state, rows))
         return rows
 
     def propagate(self, state: "Support", t: float) -> "Support":
         """``exp(-i H t)`` on a :class:`Support`.
 
-        Each live block takes the rows that reach it (:meth:`_rows`) through
-        ``v @ (exp(-i w t) * (v† @ x))``.  Blocks that ``state`` does not
-        reach stay exactly zero and are skipped.
+        Each reached block takes the rows that reach it (:meth:`_rows`)
+        through ``v @ (exp(-i w t) * (v† @ x))``.  Blocks that ``state`` does
+        not reach stay exactly zero and are never built.
         """
         if not math.isfinite(t):
             raise ValueError("evolution time must be finite")
@@ -355,20 +354,6 @@ def _slot_layout(dims: tuple[int, ...], slots: tuple[int, ...]) -> tuple[tuple, 
     offset = sum(axes, np.zeros(1, dtype=int)).ravel()  # no slots: the one offset 0
     offset.setflags(write=False)
     return radix, offset
-
-
-def local_index_map(space: HilbertSpace, slots: Sequence[int]) -> np.ndarray:
-    """Full-space basis indices as a ``(D // d, d)`` array, ``d`` the dim of ``slots``.
-
-    Column ``a`` is the local basis index over ``slots`` in the given order;
-    each row fixes the levels of every other subsystem, in index order.  An
-    operator local to ``slots`` therefore acts on each row's indices alone.
-    The map is the sum of the two slot layouts, built afresh on each call.
-    Duplicate or out-of-range slots raise ``ValueError``.
-    """
-    slots = tuple(int(s) for s in slots)
-    rest = tuple(s for s in range(space.n_subsystems) if s not in slots)
-    return _slot_layout(space.dims, rest)[1][:, None] + _slot_layout(space.dims, slots)[1]
 
 
 class Support(NamedTuple):

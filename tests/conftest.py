@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gatesim.device import DeviceParams, load_params
-from gatesim.linalg import HermitianOperator, Support, _check_local, local_index_map
+from gatesim.linalg import HermitianOperator, Support, _check_local, _partition, _slot_layout
 from gatesim.pulses import Mode, make_pulse, pulse_local_unitary
 from gatesim.sequences import apply_evolutions, build_evolutions
 
@@ -81,6 +81,20 @@ def propagator(h, t):
     """Full matrix ``exp(-i H t)``.  Negative ``t`` yields the inverse."""
     eye = np.eye(h.space.total_dim, dtype=complex)
     return on_array(lambda state: h.propagate(state, t), h.space, eye)
+
+
+def local_index_map(space, slots):
+    """Full-space basis indices as a ``(D // d, d)`` array, ``d`` the dim of ``slots``.
+
+    Column ``a`` is the local basis index over ``slots`` in the given order;
+    each row fixes the levels of every other subsystem, in index order.  An
+    operator local to ``slots`` therefore acts on each row's indices alone.
+    The map is the sum of the two slot layouts, built afresh on each call.
+    Duplicate or out-of-range slots raise ``ValueError``.
+    """
+    slots = tuple(int(s) for s in slots)
+    rest = tuple(s for s in range(len(space.dims)) if s not in slots)
+    return _slot_layout(space.dims, rest)[1][:, None] + _slot_layout(space.dims, slots)[1]
 
 
 def tensor_embed(local, space, slots):
@@ -181,7 +195,7 @@ def rel_err(a, ref):
 
 def dense_operator(space, matrix):
     """A dense matrix as a :class:`HermitianOperator`: one term over every subsystem."""
-    return HermitianOperator(space, ((matrix, tuple(range(space.n_subsystems))),))
+    return HermitianOperator(space, ((matrix, tuple(range(len(space.dims)))),))
 
 
 def dense_matrix(h):
@@ -193,6 +207,14 @@ def dense_matrix(h):
     return out
 
 
+def whole_space_blocks(h):
+    """``(idx (k, b), sub (k, b, b))`` per size group of every block of ``h``.
+
+    The blocks are discovered from every basis index, so they partition the space.
+    """
+    return _partition(h.space, h.terms, np.arange(h.space.total_dim))[-1]
+
+
 def block_labels(h):
     """Block number of each basis index; checks that the blocks partition the space.
 
@@ -201,10 +223,10 @@ def block_labels(h):
     """
     labels = np.full(h.space.total_dim, -1)
     count = 0
-    for group in h.blocks:
-        k, b = group.idx.shape
-        assert group.w.shape == (k, b) and group.v.shape == (k, b, b)
-        for row in group.idx:
+    for idx, sub in whole_space_blocks(h):
+        k, b = idx.shape
+        assert sub.shape == (k, b, b)
+        for row in idx:
             assert np.all(labels[row] == -1)
             labels[row] = count
             count += 1
@@ -242,7 +264,7 @@ def assert_matches_dense_oracle(h, amps, times, tol=1e-12):
     # weights that vanish on a third of the basis, so whole blocks can drop out
     weights = np.arange(h.space.total_dim) % 3
     populations = np.abs(expected) ** 2 @ weights
-    every = tuple(range(h.space.n_subsystems))  # one term over every subsystem
+    every = tuple(range(len(h.space.dims)))  # one term over every subsystem
     got = evolve_times(support_of(h.space, amps), h, grid, ((weights, every),))
     assert got.shape == (grid.size, 1)
     err = np.max(np.abs(got[:, 0] - populations))

@@ -13,12 +13,15 @@ from conftest import (
     block_labels,
     dense_matrix,
     dense_operator,
+    local_index_map,
     on_array,
     propagator,
     support_of,
     tensor_embed,
     unitarity_defect,
+    whole_space_blocks,
 )
+from gatesim import linalg as linalg_mod
 from gatesim.device import Role
 from gatesim.hamiltonians import idle_coupling_local, raman_effective_local
 from gatesim.linalg import (
@@ -27,7 +30,6 @@ from gatesim.linalg import (
     Support,
     apply_local,
     evolve_times,
-    local_index_map,
     process_fidelity,
 )
 
@@ -175,7 +177,7 @@ def test_tensor_embed_matches_apply_local_on_identity(data):
     n_qubits = data.draw(st.integers(1, 3))
     space = HilbertSpace.for_qubits(n_qubits, data.draw(st.sampled_from([2, 3])))
     slots = data.draw(
-        st.lists(st.integers(0, space.n_subsystems - 1), min_size=1, max_size=3, unique=True)
+        st.lists(st.integers(0, len(space.dims) - 1), min_size=1, max_size=3, unique=True)
     )
     rng = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1)))
     dim = math.prod(space.dims[s] for s in slots)
@@ -206,8 +208,8 @@ def test_apply_local_matches_the_embedded_operator(data):
     # slots in any order, the cavity among them; a stack is the vector path column by column
     n_qubits = data.draw(st.integers(1, 3))
     space = HilbertSpace.for_qubits(n_qubits, data.draw(st.sampled_from([2, 3])))
-    slots = data.draw(st.permutations(range(space.n_subsystems)))
-    slots = tuple(slots[: data.draw(st.integers(1, min(3, space.n_subsystems)))])
+    slots = data.draw(st.permutations(range(len(space.dims))))
+    slots = tuple(slots[: data.draw(st.integers(1, min(3, len(space.dims))))])
     m = data.draw(st.integers(1, 4))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1)))
     dim = math.prod(space.dims[s] for s in slots)
@@ -229,8 +231,8 @@ def test_apply_local_on_sparse_stacks(data):
     # its own one-column call, and the result holds only nonzeros
     n_qubits = data.draw(st.integers(1, 3))
     space = HilbertSpace.for_qubits(n_qubits, data.draw(st.sampled_from([2, 3])))
-    slots = data.draw(st.permutations(range(space.n_subsystems)))
-    slots = tuple(slots[: data.draw(st.integers(1, min(3, space.n_subsystems)))])
+    slots = data.draw(st.permutations(range(len(space.dims))))
+    slots = tuple(slots[: data.draw(st.integers(1, min(3, len(space.dims))))])
     m = data.draw(st.integers(1, 5))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1)))
     dim = math.prod(space.dims[s] for s in slots)
@@ -285,13 +287,13 @@ def test_local_index_map_matches_basis_tuples(slots):
     # oracle: row r walks the other subsystems' levels in index order, column a
     # the slot levels in the given slot order, first slot most significant
     space = HilbertSpace((4, 3, 2, 3))
-    rest = [s for s in range(space.n_subsystems) if s not in slots]
+    rest = [s for s in range(len(space.dims)) if s not in slots]
     rest_levels = list(itertools.product(*(range(space.dims[s]) for s in rest)))
     slot_levels = list(itertools.product(*(range(space.dims[s]) for s in slots)))
     expected = np.empty((len(rest_levels), len(slot_levels)), dtype=int)
     for r, fixed in enumerate(rest_levels):
         for a, local in enumerate(slot_levels):
-            levels = [0] * space.n_subsystems
+            levels = [0] * len(space.dims)
             for s, level in zip(rest + list(slots), fixed + local):
                 levels[s] = level
             expected[r, a] = space.index(levels)
@@ -309,8 +311,8 @@ def test_digits_match_the_basis_levels(data):
         st.one_of(st.just((4, 3, 2, 5)), st.lists(st.integers(1, 5), min_size=1, max_size=5))
     )
     space = HilbertSpace(dims)
-    slots = data.draw(st.permutations(range(space.n_subsystems)))
-    slots = tuple(slots[: data.draw(st.integers(1, space.n_subsystems))])
+    slots = data.draw(st.permutations(range(len(space.dims))))
+    slots = tuple(slots[: data.draw(st.integers(1, len(space.dims)))])
     index = data.draw(st.lists(st.integers(0, space.total_dim - 1), max_size=20))
     index = np.array(index, dtype=int)
     expected = []
@@ -526,15 +528,15 @@ def test_propagate_on_a_support_matches_the_propagator(sizes, m, t, seed):
 def test_dense_hermitian_is_one_block():
     space = HilbertSpace((4, 3))
     h = dense_operator(space, random_hermitian(12, 5))
-    (group,) = h.blocks
-    assert group.idx.tolist() == [list(range(12))]
+    ((idx, _),) = whole_space_blocks(h)
+    assert idx.tolist() == [list(range(12))]
     assert_matches_dense_oracle(h, random_state(space, 6), [0.0, 0.4, 3.0])
 
 
 def test_zero_matrix_is_all_singletons():
     h = dense_operator(HilbertSpace((4, 2)), np.zeros((8, 8)))
-    (group,) = h.blocks
-    assert group.idx.tolist() == [[i] for i in range(8)]
+    ((idx, _),) = whole_space_blocks(h)
+    assert idx.tolist() == [[i] for i in range(8)]
     assert np.array_equal(propagator(h, 2.0), np.eye(8))
 
 
@@ -550,7 +552,7 @@ def test_blocks_are_the_uncoupled_components(sizes, seed):
     found = sorted(sorted(np.flatnonzero(labels == k).tolist()) for k in range(labels.max() + 1))
     assert found == sorted(members)
     # one stacked eigh per block size
-    assert [g.idx.shape[1] for g in h.blocks] == sorted(set(sizes))
+    assert [idx.shape[1] for idx, _ in whole_space_blocks(h)] == sorted(set(sizes))
     amps = random_state(h.space, seed + 1)
     amps[members[0]] = 0.0  # one block without amplitude
     if np.any(amps):
@@ -579,16 +581,8 @@ def random_sparse_hermitian(dim, seed, density=0.15):
     return (a + a.conj().T) / 2.0
 
 
-@given(
-    st.lists(st.sampled_from([(0,), (1,), (2,), (0, 2), (1, 2), (2, 0), (1, 0)]), max_size=4),
-    st.booleans(),
-    st.integers(min_value=0, max_value=2**31 - 1),
-)
-@settings(max_examples=40, deadline=None)
-def test_term_built_blocks_match_the_dense_sum(slot_sets, with_diagonal, seed):
-    # blocks scattered from the terms equal the dense sum's blocks: the same
-    # components and sub-matrices gathered from it to 1e-12
-    space = HilbertSpace((4, 3, 2))
+def random_terms(space, slot_sets, with_diagonal, seed):
+    """Random sparse Hermitian terms on ``slot_sets``, optionally with a random diagonal."""
     rng = np.random.default_rng(seed)
     terms = tuple(
         (random_sparse_hermitian(math.prod(space.dims[s] for s in slots), seed + i), slots)
@@ -596,11 +590,61 @@ def test_term_built_blocks_match_the_dense_sum(slot_sets, with_diagonal, seed):
     )
     if with_diagonal:  # a diagonal over every subsystem, as one term
         terms += ((np.diag(rng.normal(size=space.total_dim)), (0, 1, 2)),)
-    h = HermitianOperator(space, terms)
+    return terms
+
+
+SLOT_SETS = st.lists(
+    st.sampled_from([(0,), (1,), (2,), (0, 2), (1, 2), (2, 0), (1, 0)]), max_size=4
+)
+
+
+@given(SLOT_SETS, st.booleans(), st.integers(min_value=0, max_value=2**31 - 1))
+@settings(max_examples=40, deadline=None)
+def test_term_built_blocks_match_the_dense_sum(slot_sets, with_diagonal, seed):
+    # blocks scattered from the terms equal the dense sum's blocks: the same
+    # components and sub-matrices gathered from it to 1e-12
+    space = HilbertSpace((4, 3, 2))
+    h = HermitianOperator(space, random_terms(space, slot_sets, with_diagonal, seed))
     dense = dense_operator(space, dense_matrix(h))
-    for (idx, sub), (dense_idx, dense_sub) in zip(h._parts, dense._parts, strict=True):
+    for (idx, sub), (dense_idx, dense_sub) in zip(
+        whole_space_blocks(h), whole_space_blocks(dense), strict=True
+    ):
         assert np.array_equal(idx, dense_idx)
         assert np.max(np.abs(sub - dense_sub)) <= 1e-12 * max(1.0, np.max(np.abs(dense_sub)))
+
+
+@given(
+    SLOT_SETS,
+    st.booleans(),
+    st.integers(min_value=0, max_value=2**31 - 1),
+    st.lists(st.integers(min_value=0, max_value=23), min_size=1, max_size=4),
+)
+@settings(max_examples=60, deadline=None)
+def test_blocks_found_from_a_partial_support_are_whole_space_blocks(
+    slot_sets, with_diagonal, seed, index
+):
+    # discovery closes the support's indices under the terms' moves: it must
+    # find exactly the whole-space blocks that hold one of them, with the
+    # same indices and entries, however far a block reaches from its entries
+    space = HilbertSpace((4, 3, 2))
+    h = HermitianOperator(space, random_terms(space, slot_sets, with_diagonal, seed))
+    reached, block, row, found = linalg_mod._partition(space, h.terms, np.array(index))
+    expected = []
+    for idx, sub in whole_space_blocks(h):
+        held = np.isin(idx, index).any(axis=1)
+        if held.any():
+            expected.append((idx[held], sub[held]))
+    assert len(found) == len(expected)
+    for (idx, sub), (whole_idx, whole_sub) in zip(found, expected):
+        assert np.array_equal(idx, whole_idx)
+        assert np.max(np.abs(sub - whole_sub)) <= 1e-12 * max(1.0, np.max(np.abs(whole_sub)))
+    # each reached index has its place in the blocks' indices and its block's number
+    places = np.concatenate([idx.ravel() for idx, _ in found])
+    assert np.array_equal(reached, np.sort(places))
+    at = np.searchsorted(reached, places)
+    assert np.array_equal(row[at], np.arange(reached.size))
+    sizes = [idx.shape[1] for idx, _ in found for _ in idx]
+    assert np.array_equal(block[at], np.repeat(np.arange(len(sizes)), sizes))
 
 
 def test_non_hermitian_or_nan_term_rejected():
@@ -647,8 +691,8 @@ def test_evolve_times_matches_the_per_sample_sum(sizes, samples, duration, seed)
         amps[members[-1]] = 0.0
     times = np.linspace(0.0, duration, samples + 1)
     expected = np.zeros(times.size)
-    for group in h.blocks:
-        for rows, lam, vecs in zip(*group):
+    for idx, sub in whole_space_blocks(h):
+        for rows, lam, vecs in zip(idx, *np.linalg.eigh(sub)):
             c = vecs.conj().T @ amps[rows]
             trajectory = (np.exp(-1j * np.outer(times, lam)) * c) @ vecs.T
             expected += np.abs(trajectory) ** 2 @ weights[rows]

@@ -21,6 +21,7 @@ from conftest import (
     step_states,
     support_of,
     tensor_embed,
+    whole_space_blocks,
 )
 from gatesim import hamiltonians as ham_mod
 from gatesim import linalg as linalg_mod
@@ -402,7 +403,7 @@ def test_support_of_another_space_is_rejected(unit_params):
     foreign = support_of(other, basis_vector(other, (1, 1, 0)))
     evolutions = build_evolutions(seq, Mode.FULL)
     h = next(evo.hamiltonian for evo in evolutions if evo.hamiltonian is not None)
-    weights = ((np.ones(space.total_dim), tuple(range(space.n_subsystems))),)
+    weights = ((np.ones(space.total_dim), tuple(range(len(space.dims)))),)
     calls = (
         lambda: apply_local(np.eye(4), space, (1,), foreign),
         lambda: h.propagate(foreign, 1e-9),
@@ -486,7 +487,7 @@ def test_term_built_blocks_match_dense_reference(unit_params, gate, n, include_i
         idle = [q for q in range(n) if q not in pulsed] if include_idle else []
         ref = dense_window_reference(seq, evo.pulses, idle)
         labels = np.full(seq.space.total_dim, -1)
-        for idx, sub in evo.hamiltonian._parts:
+        for idx, sub in whole_space_blocks(evo.hamiltonian):
             labels[idx] = idx[:, :1]
             gathered = ref[idx[:, :, None], idx[:, None, :]]
             assert np.max(np.abs(sub - gathered)) <= 1e-12 * np.max(np.abs(ref))
@@ -650,7 +651,11 @@ def test_idle_phase_needs_a_real_diagonal_generator(unit_params, monkeypatch, mo
 def test_full_report_matches_dense_eigh_report(unit_params, monkeypatch, gate, n):
     seq = build_sequence(gate, n, hetero_params(unit_params))
     blocked = report(seq, Mode.FULL, samples_per_step=16)
-    # one component: every window is a single D x D block, decomposed by dense eigh
+    # one component: every window is a single D x D block, discovered from
+    # every basis index rather than from the support, and decomposed by dense eigh
+    partition = linalg_mod._partition
+    every = lambda space, terms, index: partition(space, terms, np.arange(space.total_dim))
+    monkeypatch.setattr(linalg_mod, "_partition", every)
     monkeypatch.setattr(linalg_mod, "_components", lambda dim, src, dst: np.zeros(dim, dtype=int))
     dense = report(seq, Mode.FULL, samples_per_step=16)
     assert blocked.exact_phase_match == dense.exact_phase_match

@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -123,8 +124,17 @@ def test_report_full_ntcnot_n6_at_cpw(cpw_params):
 
 
 def test_report_full_ntcnot_n8_at_cpw(cpw_params):
-    # D = 131072: the two pi windows are products of local unitaries
-    rep = report(ntcnot_sequence(8, cpw_params), Mode.FULL, samples_per_step=0)
+    # D = 131072: the two pi windows are products of local unitaries, and the
+    # cavity windows build only the blocks their support reaches (at most
+    # 35721 states) and nothing of size D, which bounds the traced peak
+    seq = ntcnot_sequence(8, cpw_params)
+    tracemalloc.start()
+    try:
+        rep = report(seq, Mode.FULL, samples_per_step=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20
     assert rep.process_fidelity == pytest.approx(0.9097429715717522, abs=1e-10)
     assert rep.process_fidelity >= 0.9
 
@@ -238,13 +248,13 @@ def test_report_walks_effective_idle_windows_like_compose(unit_params, monkeypat
 @pytest.mark.parametrize("mode", [Mode.ANALYTIC, Mode.EFFECTIVE])
 @pytest.mark.parametrize("gate,n", [("ncp", 5), ("ntcnot", 5)])
 def test_closed_form_report_reads_no_index_map(unit_params, monkeypatch, gate, n, mode):
-    # closed-form windows act on the support's mixed-radix digits, not on D-sized maps
+    # closed-form windows act on the support's mixed-radix digits: they build no operator
     seq = build_sequence(GateKind.parse(gate), n, unit_params)
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("closed-form reports must not build an index map")
+        raise AssertionError("closed-form reports must not partition an operator")
 
-    monkeypatch.setattr(linalg_mod, "local_index_map", forbidden)
+    monkeypatch.setattr(linalg_mod, "_partition", forbidden)
     rep = report(seq, mode, samples_per_step=0)
     assert rep.exact_phase_match
     assert rep.process_fidelity == pytest.approx(1.0, abs=1e-10)
