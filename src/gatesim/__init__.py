@@ -39,9 +39,6 @@ from .sequences import (
 from .verify import (
     GateReport,
     PhaseAudit,
-    ideal_ncp,
-    ideal_ntcnot,
-    ideal_toffoli,
     phase_audit,
     report,
     swap_fidelity_vs_full,

@@ -137,18 +137,17 @@ class HilbertSpace:
             digit = digit * size + index // stride % size
         return digit
 
-    def computational_indices(self) -> list[int]:
+    def computational_indices(self) -> np.ndarray:
         """Indices of qubit-{0,1} product states with the cavity in vacuum.
 
         Ordered as binary numbers with qubit 1 the most significant bit, so
         entry ``k`` is the state labelled by the bitstring of ``k``.
         """
         n = self.n_qubits
-        out = []
-        for k in range(2**n):
-            bits = [(k >> (n - 1 - q)) & 1 for q in range(n)]
-            out.append(self.index(bits + [0]))
-        return out
+        k = np.arange(2**n)
+        # qubit q's bit of k, times the stride of qubit q's digit
+        terms = (((k >> (n - 1 - q)) & 1) * math.prod(self.dims[q + 1 :]) for q in range(n))
+        return sum(terms, np.zeros_like(k))
 
     def computational_label(self, k: int) -> str:
         n = self.n_qubits
@@ -391,6 +390,12 @@ def apply_local(
     local, offset = _check_local(local, space, slots)
     dim = space.total_dim
     state = _on_space(space, state)
+    columns = int(state.col.max(initial=-1)) + 1
+    if columns * dim > 2**63:
+        raise ValueError(
+            f"{columns} columns over D = {dim} overflow the int64 packing col * D + idx, "
+            "which needs columns * D <= 2^63"
+        )
     code = state.col * dim + state.idx
     digit = space.digits(code, slots)
     groups, row = np.unique(code - offset[digit], return_inverse=True)
@@ -500,6 +505,9 @@ def process_fidelity(u: np.ndarray, v: np.ndarray, subspace: Sequence[int]) -> f
     """``|Tr(P u† v P)|² / d²`` on the subspace spanned by the given basis indices.
 
     Equals 1 iff the two unitaries agree on the subspace up to a global phase.
+    Its one use is comparing two local unitaries of a pulse
+    (:func:`gatesim.verify.swap_fidelity_vs_full`); a gate report scores its
+    support against :func:`gatesim.verify.ideal_columns` instead.
     """
     idx = list(subspace)
     if not idx:

@@ -1,11 +1,12 @@
-"""Ideal gate matrices, gate reports, leakage tracking and the phase audit.
+"""Ideal gates, gate reports, leakage tracking and the phase audit.
 
 Gates are always judged on the computational subspace: qubit levels 0/1 with
 the cavity in vacuum.  Anything else (auxiliary levels 2/3, photons left in
-the cavity) counts as leakage.  Analytic compositions are required to match
-the ideal matrices entrywise, signs included, because the protocol state
-tables pin every phase; simulated compositions are scored by process
-fidelity.
+the cavity) counts as leakage.  Every ideal gate is a signed permutation of
+the computational basis (:func:`ideal_columns`), never a matrix.  Analytic
+compositions are required to match it entrywise, signs included, because the
+protocol state tables pin every phase; simulated compositions are scored by
+process fidelity.
 """
 
 from __future__ import annotations
@@ -47,46 +48,28 @@ DOMAIN_TOL = 1e-10
 NEGLIGIBLE_RATIO = 10.0
 
 
-def ideal_ncp(n: int) -> np.ndarray:
-    """n-qubit controlled phase: -1 on |1...1> only."""
-    if n < 2:
-        raise ValueError("controlled phase needs at least 2 qubits")
-    d = np.ones(2**n, dtype=complex)
-    d[-1] = -1.0
-    return np.diag(d)
+def ideal_columns(gate: GateKind, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ideal gate on ``n`` qubits as a signed column map ``(rows, signs)``.
 
-
-def ideal_ntcnot(n: int) -> np.ndarray:
-    """Fanout CNOT: control in 0/1, each target flipped in the +/- basis.
-
-    In the computational basis this is ``|0><0| (x) I + |1><1| (x) Z^(n-1)``.
+    Every ideal gate here is a signed permutation of the computational basis,
+    labelled as in :meth:`gatesim.linalg.HilbertSpace.computational_indices`:
+    column ``k`` is ``signs[k] |rows[k]>``.  A phase gate flips the sign of
+    ``|1...1>``; the fanout CNOT, ``|0><0| (x) I + |1><1| (x) Z^(n-1)``, signs
+    each column by ``(-1)^(control bit * parity of the target bits)``; the
+    Toffoli swaps its last two columns.
     """
     if n < 2:
-        raise ValueError("fanout CNOT needs at least 2 qubits")
-    z = np.diag([1.0, -1.0]).astype(complex)
-    targets = np.eye(1, dtype=complex)
-    for _ in range(n - 1):
-        targets = np.kron(targets, z)
-    p0 = np.diag([1.0, 0.0]).astype(complex)
-    p1 = np.diag([0.0, 1.0]).astype(complex)
-    return np.kron(p0, np.eye(2 ** (n - 1))) + np.kron(p1, targets)
-
-
-def ideal_toffoli() -> np.ndarray:
-    u = np.eye(8, dtype=complex)
-    u[6, 6] = u[7, 7] = 0.0
-    u[6, 7] = u[7, 6] = 1.0
-    return u
-
-
-def ideal_gate(gate: GateKind, n: int) -> np.ndarray:
-    if gate is GateKind.CP3:
-        return ideal_ncp(3)
-    if gate is GateKind.NCP:
-        return ideal_ncp(n)
+        raise ValueError(f"{gate.value} needs at least 2 qubits")
+    rows = np.arange(2**n)
+    signs = np.ones(2**n)
     if gate is GateKind.NTCNOT:
-        return ideal_ntcnot(n)
-    return ideal_toffoli()
+        control = rows >> (n - 1)
+        signs = (-1.0) ** (control * np.bitwise_count(rows & (2 ** (n - 1) - 1)))
+    elif gate is GateKind.TOFFOLI:
+        rows[-2:] = rows[-1], rows[-2]
+    else:
+        signs[-1] = -1.0
+    return rows, signs
 
 
 def _column_weight(walk: Support, values: np.ndarray, dim: int) -> np.ndarray:
@@ -146,7 +129,7 @@ class GateReport:
 def report(
     seq: PulseSequence, mode: Mode, tol: float = DEFAULT_TOL, samples_per_step: int = 512
 ) -> GateReport:
-    """Compose the sequence, compare to the ideal gate and record leakage.
+    """Walk the sequence, score it against the ideal gate and record leakage.
 
     All computational inputs walk the windows together as one
     :class:`gatesim.linalg.Support`, so every window costs what the support
@@ -161,14 +144,14 @@ def report(
     number, so both are constant inside it.  In the closed-form
     modes each photon-exchanging window first checks that no column enters
     with weight outside the swap's closed-form domain, and raises
-    ``ValueError`` if one does.
+    ``ValueError`` if one does.  The walk's computational entries are scored
+    in place against :func:`ideal_columns`: no ``2^n x 2^n`` block is formed.
     """
     space = seq.space
-    comp = np.array(space.computational_indices())
+    comp = space.computational_indices()
     dim = len(comp)
     level3 = _level3_terms(space)
     photon = ((np.arange(space.cavity_dim) > 0, (space.cavity_slot,)),)  # the flag n_c > 0
-    block = np.zeros((dim, dim), dtype=complex)
 
     max_pop3 = 0.0
     walk = Support(space, np.arange(dim), comp, np.ones(dim, dtype=complex))
@@ -186,12 +169,15 @@ def report(
         max_pop3 = max(max_pop3, float(np.max(pop3)))
     light = _column_weight(walk, diagonal_at(space, photon, walk.idx), dim)
     row = np.searchsorted(comp, walk.idx).clip(max=dim - 1)
-    kept = comp[row] == walk.idx
-    block[row[kept], walk.col[kept]] = walk.amp[kept]
-
-    target = ideal_gate(seq.gate, seq.n)
-    fidelity = process_fidelity(target, block, range(dim))
-    exact = bool(np.max(np.abs(block - target)) <= tol)
+    held = comp[row] == walk.idx
+    col, amp = walk.col[held], walk.amp[held]
+    rows, signs = ideal_columns(seq.gate, seq.n)
+    on = row[held] == rows[col]
+    ideal = np.where(on, signs[col], 0.0)  # the ideal entry at each held computational entry
+    fidelity = float(abs(np.sum(ideal * amp)) ** 2 / dim**2)
+    # an ideal entry the walk does not hold is off by 1
+    missing = np.count_nonzero(on) < dim
+    exact = bool(np.max(np.abs(amp - ideal), initial=float(missing)) <= tol)
     return GateReport(
         gate=seq.gate.value,
         n=seq.n,
@@ -254,7 +240,7 @@ def phase_audit(seq: PulseSequence) -> PhaseAudit:
     # Dispersive rate of each qubit while it is not the cavity actor.
     rates = [params.g_at(q) ** 2 / params.detuning_for(q, roles[q]) for q in range(space.n_qubits)]
     entries: dict[tuple[int, int], float] = {}
-    idx = np.array(space.computational_indices())
+    idx = space.computational_indices()
     totals = np.zeros(len(idx))
     pure = np.ones(len(idx), dtype=bool)
     for evo in build_evolutions(seq, Mode.ANALYTIC):

@@ -6,7 +6,7 @@ import pytest
 from gatesim.device import DeviceParams, load_params
 from gatesim.linalg import HermitianOperator, Support, _check_local, _partition, _slot_layout
 from gatesim.pulses import Mode, make_pulse, pulse_local_unitary
-from gatesim.sequences import apply_evolutions, build_evolutions
+from gatesim.sequences import GateKind, apply_evolutions, build_evolutions
 
 
 @pytest.fixture(scope="session")
@@ -269,3 +269,46 @@ def assert_matches_dense_oracle(h, amps, times, tol=1e-12):
     assert got.shape == (grid.size, 1)
     err = np.max(np.abs(got[:, 0] - populations))
     assert err <= 2 * np.sqrt(h.space.total_dim) * bound(max(times)) * weights.max()
+
+
+# --- dense ideal gates: the independent reference for verify.ideal_columns ----
+
+
+def ideal_ncp(n):
+    """n-qubit controlled phase: -1 on |1...1> only."""
+    d = np.ones(2**n, dtype=complex)
+    d[-1] = -1.0
+    return np.diag(d)
+
+
+def ideal_ntcnot(n):
+    """Fanout CNOT ``|0><0| (x) I + |1><1| (x) Z^(n-1)``, built by ``kron``."""
+    z = np.diag([1.0, -1.0]).astype(complex)
+    targets = np.eye(1, dtype=complex)
+    for _ in range(n - 1):
+        targets = np.kron(targets, z)
+    p0 = np.diag([1.0, 0.0]).astype(complex)
+    p1 = np.diag([0.0, 1.0]).astype(complex)
+    return np.kron(p0, np.eye(2 ** (n - 1))) + np.kron(p1, targets)
+
+
+def ideal_toffoli():
+    u = np.eye(8, dtype=complex)
+    u[6, 6] = u[7, 7] = 0.0
+    u[6, 7] = u[7, 6] = 1.0
+    return u
+
+
+def ideal_gate(gate, n):
+    if gate is GateKind.NTCNOT:
+        return ideal_ntcnot(n)
+    if gate is GateKind.TOFFOLI:
+        return ideal_toffoli()
+    return ideal_ncp(n)
+
+
+def columns_matrix(rows, signs):
+    """The dense matrix of a signed column map: column ``k`` is ``signs[k] |rows[k]>``."""
+    out = np.zeros((rows.size, rows.size), dtype=complex)
+    out[rows, np.arange(rows.size)] = signs
+    return out

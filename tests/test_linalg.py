@@ -105,6 +105,22 @@ def test_computational_indices_order():
     assert space.computational_label(2) == "10"
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_computational_indices_match_index(n):
+    space = HilbertSpace.for_qubits(n, cavity_dim=3)
+    bits = lambda k: [(k >> (n - 1 - q)) & 1 for q in range(n)]
+    expected = [space.index(bits(k) + [0]) for k in range(2**n)]
+    assert space.computational_indices().tolist() == expected
+
+
+def test_apply_local_names_the_packing_limit():
+    # 2^21 columns over D = 2 * 4^21 pack past 2^63; one entry is enough to tell
+    space = HilbertSpace.for_qubits(21)
+    state = Support(space, np.array([2**21 - 1]), np.array([0]), np.ones(1, dtype=complex))
+    with pytest.raises(ValueError, match=r"2\^63"):
+        apply_local(np.eye(4), space, (0,), state)
+
+
 # --- tensor_embed ----------------------------------------------------------
 
 

@@ -13,6 +13,7 @@ from conftest import (
     cavity_level,
     compose,
     dense_matrix,
+    ideal_ncp,
     level_count,
     product_state,
     qudit_level,
@@ -49,7 +50,7 @@ from gatesim.sequences import (
     serialize_sequence,
     toffoli_sequence,
 )
-from gatesim.verify import ideal_ncp, report
+from gatesim.verify import report
 
 
 def computational_block(seq, mode, include_idle=None):

@@ -6,7 +6,13 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
-from conftest import compose, on_array, photon_flag
+from conftest import (
+    columns_matrix,
+    compose,
+    ideal_gate,
+    on_array,
+    photon_flag,
+)
 from gatesim import linalg as linalg_mod
 from gatesim import sequences as sequences_mod
 from gatesim import verify as verify_mod
@@ -21,21 +27,30 @@ from gatesim.sequences import (
     ntcnot_sequence,
     toffoli_sequence,
 )
-from gatesim.verify import (
-    ideal_gate,
-    ideal_ncp,
-    ideal_ntcnot,
-    ideal_toffoli,
-    phase_audit,
-    report,
-)
+from gatesim.verify import ideal_columns, phase_audit, report
 
 
 # --- ideal gates -------------------------------------------------------------
 
 
+def ideal_matrix(gate, n):
+    """The dense matrix scattered from :func:`ideal_columns`."""
+    return columns_matrix(*ideal_columns(gate, n))
+
+
+@pytest.mark.parametrize(
+    "gate,n",
+    [(g, n) for g in (GateKind.CP3, GateKind.NCP, GateKind.NTCNOT) for n in range(2, 8)]
+    + [(GateKind.TOFFOLI, 3)],
+)
+def test_ideal_columns_match_dense_references(gate, n):
+    rows, signs = ideal_columns(gate, n)
+    assert sorted(rows) == list(range(2**n))  # a permutation
+    assert np.array_equal(columns_matrix(rows, signs), ideal_gate(gate, n))
+
+
 def test_ideal_cp3_entries():
-    u = ideal_ncp(3)
+    u = ideal_matrix(GateKind.CP3, 3)
     assert u[7, 7] == -1.0
     assert u[3, 3] == 1.0  # |011>: first control low
     assert np.allclose(u @ u, np.eye(8))
@@ -43,14 +58,14 @@ def test_ideal_cp3_entries():
 
 def test_ideal_ncp_minus_one_position():
     for n in (2, 3, 4):
-        u = ideal_ncp(n)
+        u = ideal_matrix(GateKind.NCP, n)
         diag = np.diag(u)
         assert diag[-1] == -1.0
         assert np.all(diag[:-1] == 1.0)
 
 
 def test_ideal_ntcnot_flips_pm_on_control_one():
-    u = ideal_ntcnot(2)
+    u = ideal_matrix(GateKind.NTCNOT, 2)
     plus = np.array([1.0, 1.0]) / math.sqrt(2)
     minus = np.array([1.0, -1.0]) / math.sqrt(2)
     got = u @ np.kron([0.0, 1.0], plus)
@@ -62,13 +77,13 @@ def test_ideal_ntcnot_flips_pm_on_control_one():
 
 def test_ideal_ntcnot_rejects_single_qubit():
     with pytest.raises(ValueError):
-        ideal_ntcnot(1)
+        ideal_columns(GateKind.NTCNOT, 1)
     with pytest.raises(ValueError):
-        ideal_ncp(1)
+        ideal_columns(GateKind.NCP, 1)
 
 
 def test_ideal_toffoli_truth_table():
-    u = ideal_toffoli()
+    u = ideal_matrix(GateKind.TOFFOLI, 3)
     assert u[7, 6] == 1.0 and u[6, 7] == 1.0  # |110> <-> |111>
     assert u[5, 5] == 1.0  # |101> fixed: control pair not satisfied
     assert np.allclose(u @ u, np.eye(8))
@@ -221,11 +236,30 @@ def test_report_agrees_with_composed_block(unit_params, gate, n, mode):
     comp = seq.space.computational_indices()
     u = compose(seq, mode)
     block = u[np.ix_(comp, comp)]
-    fidelity = abs(np.sum(np.conj(ideal_gate(seq.gate, n)) * block)) ** 2 / len(comp) ** 2
+    ideal = ideal_gate(seq.gate, n)
+    fidelity = abs(np.sum(np.conj(ideal) * block)) ** 2 / len(comp) ** 2
     residual = np.max(photon_flag(seq.space) @ np.abs(u[:, comp]) ** 2)
     assert rep.process_fidelity == pytest.approx(fidelity, abs=1e-12)
     assert rep.residual_photon == pytest.approx(residual, abs=1e-12)
+    for tol in (1e-10, 0.5):
+        exact = report(seq, mode, tol, samples_per_step=0).exact_phase_match
+        assert exact == (np.max(np.abs(block - ideal)) <= tol)
 
+
+
+@pytest.mark.parametrize("gate,n", [("cp3", 3), ("ntcnot", 3)])
+def test_exact_match_counts_ideal_entries_the_walk_misses(unit_params, gate, n):
+    # cut short, these sequences leave some columns wholly outside the computational
+    # block: every entry the walk holds matches, and only the missed ideal entries are off
+    seq = build_sequence(GateKind.parse(gate), n, unit_params)
+    for cut in range(1, seq.step_count):
+        short = replace(seq, steps=seq.steps[:cut])
+        comp = short.space.computational_indices()
+        block = compose(short, Mode.ANALYTIC)[np.ix_(comp, comp)]
+        deviation = np.max(np.abs(block - ideal_gate(short.gate, n)))
+        for tol in (0.5, 1.0):
+            exact = report(short, Mode.ANALYTIC, tol, samples_per_step=0).exact_phase_match
+            assert exact == (deviation <= tol)
 
 
 @pytest.mark.parametrize("gate,n", [("cp3", 3), ("ncp", 4), ("ntcnot", 3)])
@@ -264,10 +298,18 @@ def test_closed_form_report_reads_no_index_map(unit_params, monkeypatch, gate, n
 @pytest.mark.parametrize("gate,n", [("ntcnot", 8), ("ncp", 7), ("ncp", 8)])
 def test_closed_form_report_reaches_large_n(cpw_params, gate, n, mode):
     # D = 131072, 32768 and 131072: the walk, domain check included, costs
-    # what each column's support holds
-    rep = report(build_sequence(GateKind.parse(gate), n, cpw_params), mode)
+    # what each column's support holds, and its score forms no 2^n x 2^n block
+    seq = build_sequence(GateKind.parse(gate), n, cpw_params)
+    tracemalloc.start()
+    try:
+        rep = report(seq, mode)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert rep.exact_phase_match
     assert rep.n == n
+    if mode is Mode.ANALYTIC:
+        assert peak < 2**20
 
 def test_report_to_dict_fields(unit_params):
     d = asdict(report(cp3_sequence(unit_params), Mode.ANALYTIC))
