@@ -92,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="gatesim")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("verify", help="compose a gate and compare it to its ideal matrix")
+    p = sub.add_parser("verify", help="score a gate's pulse sequence against its ideal gate")
     p.add_argument("gate", choices=_GATES)
     p.add_argument("-n", type=int, default=3, help="qubit count (ncp, ntcnot; 3 for cp3, toffoli)")
     p.add_argument("--mode", choices=_MODES, default="analytic")

@@ -25,15 +25,17 @@ rotating frame.  The decomposition is taken block by block, and only over
 the blocks a state reaches: every generator is a sum of terms, local
 operators on a few subsystems, and the connected components of the terms'
 nonzero patterns are uncoupled (every window Hamiltonian conserves
-excitations).  A state's basis indices are closed under the terms'
-off-diagonal entries, each a move of an index's digits over the term's
-slots; the components of the reached indices are its blocks, filled
-straight from the terms and decomposed by one stacked ``eigh`` per block
-size (sector-restricted exact diagonalisation), so neither a ``D x D``
-matrix nor a ``D``-sized index array is formed.  A dense matrix is one term
-over every subsystem, and without zero structure it is a single block.  A
-full-mode pi-pulse window is no operator here but a product of local
-unitaries (see :func:`gatesim.sequences.build_evolutions`).  The three
+excitations).  A state's entries, keyed ``col * D + idx`` as in
+:func:`apply_local`, are closed under the terms' off-diagonal entries, each
+a move of an index's digits over the term's slots; the components of the
+reached keys are its blocks, each one column's, filled straight from the
+terms and decomposed by one stacked ``eigh`` per block size
+(sector-restricted exact diagonalisation), so neither a ``D x D`` matrix
+nor a ``D``-sized index array is formed; columns that share a component
+decompose it once each.  A dense matrix is one term over every subsystem,
+and without zero structure it is a single block.  A full-mode pi-pulse
+window is no operator here but a product of local unitaries (see
+:func:`gatesim.sequences.build_evolutions`).  The three
 other windows of a full-mode fanout CNOT reach 64, 702 and 999 of the 2048
 states at n = 5, and 512, 23328 and 35721 of the 131072 states at n = 8, in
 blocks of at most 8 states.  On a 2-CPU VM its report takes about
@@ -157,8 +159,9 @@ class HilbertSpace:
 class SpectralBlocks(NamedTuple):
     """``k`` uncoupled blocks of one size ``b`` and their eigendecompositions.
 
-    ``idx`` (k, b) holds each block's basis indices in ascending order,
-    ``w`` (k, b) its eigenvalues and ``v`` (k, b, b) its eigenvectors as columns.
+    Each block is one column's.  ``idx`` (k, b) holds each block's basis
+    indices in ascending order, ``w`` (k, b) its eigenvalues and ``v``
+    (k, b, b) its eigenvectors as columns.
     """
 
     idx: np.ndarray
@@ -203,13 +206,15 @@ def _partition(space: HilbertSpace, terms: tuple[Term, ...], index: np.ndarray) 
     ``index`` is closed under the entries of the terms with an off-diagonal
     entry (:func:`_entries`), round by round until no index is added; the
     connected components of the reached indices are the blocks
-    (:func:`_components`).  Blocks are grouped by ascending size, ordered by
-    their smallest index within a group, and hold their indices in ascending
-    order.  The term entries are added straight into the sub-matrices, term
-    by term, so nothing of size ``D`` is formed.  Returns the reached indices
-    in ascending order, each one's block number and row (its place in the
-    blocks' indices, group after group), and ``(idx (k, b), sub (k, b, b))``
-    per group.
+    (:func:`_components`).  An index may carry a multiple of ``D``, as in a
+    support's keys ``col * D + idx`` (:func:`_codes`): its digits are the
+    same and a move keeps the multiple, so each block is then one column's.
+    Blocks are grouped by ascending size, ordered by their smallest index
+    within a group, and hold their indices in ascending order.  The term
+    entries are added straight into the sub-matrices, term by term, so
+    nothing of size ``D`` is formed.  Returns the row of each index of
+    ``index`` (its place in the blocks' indices, group after group) and
+    ``(idx (k, b), sub (k, b, b))`` per group.
     """
     terms = [(local, s, _slot_layout(space.dims, s)[1], local != 0) for local, s in terms]
     moving = [
@@ -232,21 +237,20 @@ def _partition(space: HilbertSpace, terms: tuple[Term, ...], index: np.ndarray) 
     sizes = np.bincount(component)[roots]
     starts = np.cumsum(sizes) - sizes
     # Entry (i, j) of a block lives at flat[base[i] + pos[j]] of one buffer for all blocks.
-    block, row, pos, base = np.empty((4, reached.size), dtype=int)
-    groups, count, top, offset = [], 0, 0, 0
+    row, pos, base = np.empty((3, reached.size), dtype=int)
+    groups, top, offset = [], 0, 0
     for size in np.unique(sizes):
         at = order[starts[sizes == size][:, None] + np.arange(size)]
         place = np.arange(at.size).reshape(at.shape)
-        block[at], row[at], pos[at] = count + place // size, top + place, place % size
-        base[at] = offset + size * place
+        row[at], pos[at], base[at] = top + place, place % size, offset + size * place
         groups.append((reached[at], offset))
-        count, top, offset = count + len(at), top + at.size, offset + at.size * size
+        top, offset = top + at.size, offset + at.size * size
     flat = np.zeros(offset, dtype=complex)
     for r, j, value in entries:
         flat[base[r] + pos[j]] += value
     subs = [flat[start : start + idx.size * idx.shape[1]] for idx, start in groups]
     blocks = [(idx, sub.reshape(idx.shape + idx.shape[1:])) for (idx, _), sub in zip(groups, subs)]
-    return reached, block, row, blocks
+    return row[np.searchsorted(reached, index)], blocks
 
 
 @dataclass(frozen=True)
@@ -278,47 +282,36 @@ class HermitianOperator:
     def _rows(self, state: "Support") -> list:
         """The blocks ``state`` reaches, by size group, and its coefficients on them.
 
-        The blocks come from ``state``'s indices (:func:`_partition`), each
-        size group decomposed by one stacked ``eigh``; each reached (column,
-        block) pair is one row.  Lists the :class:`SpectralBlocks`, ``c (k, b,
-        m)`` and ``col (k, m)`` per group: ``c[l, :, s]`` is ``v† x`` for
-        column ``col[l, s]`` on block ``l``, ``m`` being the most columns any
-        block holds; other slots are zero, with ``col = -1``.  The rows of the
-        last support are kept, as a report samples each window and then
-        propagates the same support through it.
+        The blocks come from ``state``'s keys ``col * D + idx`` (:func:`_codes`,
+        :func:`_partition`), so each block is one column's component; each
+        size group is decomposed by one stacked ``eigh``.  Lists the
+        :class:`SpectralBlocks`, ``c (k, b, 1)`` and ``col (k,)`` per group:
+        ``c[l]`` is ``v† x`` for column ``col[l]`` on block ``l``.  The rows
+        of the last support are kept, as a report samples each window and
+        then propagates the same support through it.
         """
         last = self._last
         if last[0] is state:
             return last[1]
-        reached, block, row, groups = _partition(self.space, self.terms, state.idx)
-        at = np.searchsorted(reached, state.idx)
-        order = np.lexsort((state.col, block[at]))  # by block, then by column
-        at, col, amp = at[order], state.col[order], state.amp[order]
-        block = block[at]
-        opens = np.ones((2, order.size), dtype=bool)  # entries that open a block, a row
-        opens[0, 1:] = block[1:] != block[:-1]
-        opens[1, 1:] = opens[0, 1:] | (col[1:] != col[:-1])
-        slot = np.cumsum(opens[1]) - 1
-        slot -= slot[opens[0]][block]  # every block holds an entry of ``state``
-        x = np.zeros((reached.size, slot.max(initial=0) + 1), dtype=complex)
-        x[row[at], slot] = amp
-        cols = np.full((block.max(initial=-1) + 1, x.shape[1]), -1)
-        cols[block, slot] = col
-        rows, first, top = [], 0, 0
-        for idx, mat in groups:
+        row, groups = _partition(self.space, self.terms, _codes(state))
+        x = np.zeros(sum(key.size for key, _ in groups), dtype=complex)
+        x[row] = state.amp
+        rows, top = [], 0
+        for key, mat in groups:
             w, v = np.linalg.eigh(mat)
-            sub = x[top : top + idx.size].reshape(idx.shape + x.shape[1:])
+            sub = x[top : top + key.size].reshape(key.shape + (1,))
             c = (np.swapaxes(v, -1, -2) @ sub.conj()).conj()  # v† x, without conjugating v
-            rows.append((SpectralBlocks(idx, w, v), c, cols[first : first + len(idx)]))
-            first, top = first + len(idx), top + idx.size
+            col, idx = np.divmod(key, self.space.total_dim)
+            rows.append((SpectralBlocks(idx, w, v), c, col[:, 0]))
+            top += key.size
         object.__setattr__(self, "_last", (state, rows))
         return rows
 
     def propagate(self, state: "Support", t: float) -> "Support":
         """``exp(-i H t)`` on a :class:`Support`.
 
-        Each reached block takes the rows that reach it (:meth:`_rows`)
-        through ``v @ (exp(-i w t) * (v† @ x))``.  Blocks that ``state`` does
+        Each reached block, one column's (:meth:`_rows`), goes through
+        ``v @ (exp(-i w t) * (v† @ x))``.  Blocks that ``state`` does
         not reach stay exactly zero and are never built.
         """
         if not math.isfinite(t):
@@ -326,9 +319,9 @@ class HermitianOperator:
         state = _on_space(self.space, state)
         parts = [(state.col[:0], state.idx[:0], state.amp[:0])]
         for (idx, w, v), c, col in self._rows(state):
-            y = v @ (np.exp(-1j * w * t)[:, :, None] * c)
-            live, j, s = np.nonzero(y)  # padded columns stay exactly zero
-            parts.append((col[live, s], idx[live, j], y[live, j, s]))
+            y = (v @ (np.exp(-1j * w * t)[:, :, None] * c))[..., 0]
+            live, j = np.nonzero(y)
+            parts.append((col[live], idx[live, j], y[live, j]))
         return Support(self.space, *map(np.concatenate, zip(*parts)))
 
 
@@ -377,6 +370,18 @@ def _on_space(space: HilbertSpace, state: Support) -> Support:
     return state
 
 
+def _codes(state: Support) -> np.ndarray:
+    """Each entry's key ``col * D + idx``, whose digits are its index's (each radix divides ``D``)."""
+    dim = state.space.total_dim
+    columns = int(state.col.max(initial=-1)) + 1
+    if columns * dim > 2**63:
+        raise ValueError(
+            f"{columns} columns over D = {dim} overflow the int64 packing col * D + idx, "
+            "which needs columns * D <= 2^63"
+        )
+    return state.col * dim + state.idx
+
+
 def apply_local(
     local: np.ndarray, space: HilbertSpace, slots: Sequence[int], state: Support
 ) -> Support:
@@ -388,15 +393,7 @@ def apply_local(
     as BLAS rounds a one-row product differently from a row in a larger one.
     """
     local, offset = _check_local(local, space, slots)
-    dim = space.total_dim
-    state = _on_space(space, state)
-    columns = int(state.col.max(initial=-1)) + 1
-    if columns * dim > 2**63:
-        raise ValueError(
-            f"{columns} columns over D = {dim} overflow the int64 packing col * D + idx, "
-            "which needs columns * D <= 2^63"
-        )
-    code = state.col * dim + state.idx
+    code = _codes(_on_space(space, state))
     digit = space.digits(code, slots)
     groups, row = np.unique(code - offset[digit], return_inverse=True)
     gathered = np.zeros((max(groups.size, 2), offset.size), dtype=complex)
@@ -404,7 +401,7 @@ def apply_local(
     values = (gathered @ local.T)[: groups.size].ravel()
     keep = np.flatnonzero(values)
     code = (groups[:, None] + offset).ravel()[keep]
-    return Support(space, *np.divmod(code, dim), values[keep])
+    return Support(space, *np.divmod(code, space.total_dim), values[keep])
 
 
 @cache
@@ -452,8 +449,9 @@ def evolve_times(
     ``state`` is a :class:`Support` of ``h``'s space and the result has shape
     ``(len(times), col.max() + 1)``; the weights ``w`` are the diagonal local
     terms ``weights`` (see :func:`diagonal_at`), and ``times`` must be an
-    equally spaced grid ``t_i = i dt`` starting at 0.  Each reached (column,
-    block) pair whose block has a nonzero weight is one row.
+    equally spaced grid ``t_i = i dt`` starting at 0.  Each reached block,
+    one column's (:meth:`HermitianOperator._rows`), with a nonzero weight is
+    one row.
     With ``c = v† x`` per row and ``M = v† diag(w) v`` per block, a
     row's population is ``Re sum_{j<=l} s_jl conj(c_j) M_jl c_l exp(i (λ_j - λ_l) t)``,
     ``s`` being 1 on the diagonal and 2 above it.  Writing ``i = q S + r`` with
@@ -474,12 +472,12 @@ def evolve_times(
     for ((idx, w, v), c, col), lo, hi in zip(rows, at, at[1:]):
         wx = weight[lo:hi].reshape(idx.shape)
         mat = (np.swapaxes(v.conj(), -1, -2) * wx[:, None, :]) @ v  # v† diag(w) v
-        live, slot = np.nonzero((col >= 0) & wx.any(axis=1)[:, None])  # the weighted rows
+        live = np.flatnonzero(wx.any(axis=1))  # the weighted rows
         j, l, scale = _pairs(w.shape[1])
         pair = c.conj()[:, j] * (scale * mat[:, j, l])[..., None] * c[:, l]  # s_jl A_jl
-        coeffs.append(pair[live, :, slot])
+        coeffs.append(pair[live, :, 0])
         freqs.append((w[:, j] - w[:, l])[live])
-        cols.append(np.repeat(col[live, slot], j.size))
+        cols.append(np.repeat(col[live], j.size))
     if not cols:
         return np.zeros((times.size, m))
     s = math.isqrt(times.size - 1) + 1

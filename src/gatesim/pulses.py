@@ -94,7 +94,7 @@ def _check_role(kind: PulseKind, slot: int, roles: tuple[Role, ...]) -> Role:
     return role
 
 
-def pulse_duration(kind: PulseKind, slot: int, params: DeviceParams, roles: tuple[Role, ...]) -> float:
+def pulse_duration(kind: PulseKind, slot: int, params: DeviceParams) -> float:
     g = params.g_at(slot)
     if kind in (PulseKind.RAMAN_EMIT, PulseKind.RAMAN_ABSORB):
         return math.pi * params.delta_c / (2.0 * g**2)
@@ -115,7 +115,7 @@ def make_pulse(kind: PulseKind, slot: int, params: DeviceParams, roles: tuple[Ro
                 f"raman swap at slot {slot} needs omega_raman == g for complete "
                 f"transfer (got omega={omega:.6g}, g={g:.6g})"
             )
-    return Pulse(kind, slot, pulse_duration(kind, slot, params, roles))
+    return Pulse(kind, slot, pulse_duration(kind, slot, params))
 
 
 # Analytic local matrices.  Raman and dispersive primitives act on the

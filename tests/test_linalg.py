@@ -114,11 +114,17 @@ def test_computational_indices_match_index(n):
 
 
 def test_apply_local_names_the_packing_limit():
-    # 2^21 columns over D = 2 * 4^21 pack past 2^63; one entry is enough to tell
+    # 2^21 columns over D = 2 * 4^21 pack past 2^63; one entry is enough to
+    # tell, and the spectral kernels key their blocks by the same packing
     space = HilbertSpace.for_qubits(21)
     state = Support(space, np.array([2**21 - 1]), np.array([0]), np.ones(1, dtype=complex))
+    h = HermitianOperator(space, ((np.diag([0.0, 1.0, 2.0, 3.0]), (0,)),))
     with pytest.raises(ValueError, match=r"2\^63"):
         apply_local(np.eye(4), space, (0,), state)
+    with pytest.raises(ValueError, match=r"2\^63"):
+        h.propagate(state, 1.0)
+    with pytest.raises(ValueError, match=r"2\^63"):
+        evolve_times(state, h, np.zeros(1), ())
 
 
 # --- tensor_embed ----------------------------------------------------------
@@ -634,33 +640,33 @@ def test_term_built_blocks_match_the_dense_sum(slot_sets, with_diagonal, seed):
     st.booleans(),
     st.integers(min_value=0, max_value=2**31 - 1),
     st.lists(st.integers(min_value=0, max_value=23), min_size=1, max_size=4),
+    st.integers(min_value=0, max_value=5),
 )
 @settings(max_examples=60, deadline=None)
 def test_blocks_found_from_a_partial_support_are_whole_space_blocks(
-    slot_sets, with_diagonal, seed, index
+    slot_sets, with_diagonal, seed, index, col
 ):
     # discovery closes the support's indices under the terms' moves: it must
     # find exactly the whole-space blocks that hold one of them, with the
-    # same indices and entries, however far a block reaches from its entries
+    # same indices and entries, however far a block reaches from its entries;
+    # a column's keys col * D + idx find the same blocks, shifted by col * D
     space = HilbertSpace((4, 3, 2))
+    shift = col * space.total_dim
     h = HermitianOperator(space, random_terms(space, slot_sets, with_diagonal, seed))
-    reached, block, row, found = linalg_mod._partition(space, h.terms, np.array(index))
+    key = np.array(index) + shift
+    row, found = linalg_mod._partition(space, h.terms, key)
     expected = []
     for idx, sub in whole_space_blocks(h):
         held = np.isin(idx, index).any(axis=1)
         if held.any():
-            expected.append((idx[held], sub[held]))
+            expected.append((idx[held] + shift, sub[held]))
     assert len(found) == len(expected)
     for (idx, sub), (whole_idx, whole_sub) in zip(found, expected):
         assert np.array_equal(idx, whole_idx)
         assert np.max(np.abs(sub - whole_sub)) <= 1e-12 * max(1.0, np.max(np.abs(whole_sub)))
-    # each reached index has its place in the blocks' indices and its block's number
+    # each key's row is its place in the blocks' keys
     places = np.concatenate([idx.ravel() for idx, _ in found])
-    assert np.array_equal(reached, np.sort(places))
-    at = np.searchsorted(reached, places)
-    assert np.array_equal(row[at], np.arange(reached.size))
-    sizes = [idx.shape[1] for idx, _ in found for _ in idx]
-    assert np.array_equal(block[at], np.repeat(np.arange(len(sizes)), sizes))
+    assert np.array_equal(places[row], key)
 
 
 def test_non_hermitian_or_nan_term_rejected():

@@ -56,19 +56,19 @@ def test_hadamard_is_unitary(unit_params):
 
 def test_durations_match_formulas(unit_params):
     g = unit_params.g_at(0)
-    assert pulse_duration(PulseKind.RAMAN_EMIT, 0, unit_params, EMITTER) == pytest.approx(
+    assert pulse_duration(PulseKind.RAMAN_EMIT, 0, unit_params) == pytest.approx(
         math.pi * unit_params.delta_c / (2 * g**2)
     )
-    assert pulse_duration(PulseKind.RAMAN_ABSORB, 0, unit_params, ABSORBER) == pytest.approx(
+    assert pulse_duration(PulseKind.RAMAN_ABSORB, 0, unit_params) == pytest.approx(
         math.pi * unit_params.delta_c / (2 * g**2)
     )
-    assert pulse_duration(PulseKind.DISPERSIVE_PHASE, 0, unit_params, TARGET) == pytest.approx(
+    assert pulse_duration(PulseKind.DISPERSIVE_PHASE, 0, unit_params) == pytest.approx(
         math.pi * unit_params.delta_ck_at(0) / g**2
     )
-    assert pulse_duration(PulseKind.PI_PULSE, 0, unit_params, TARGET) == pytest.approx(
+    assert pulse_duration(PulseKind.PI_PULSE, 0, unit_params) == pytest.approx(
         math.pi / (2 * unit_params.omega_resonant)
     )
-    assert pulse_duration(PulseKind.HADAMARD, 0, unit_params, TARGET) == 0.0
+    assert pulse_duration(PulseKind.HADAMARD, 0, unit_params) == 0.0
 
 
 def test_wrong_role_rejected(unit_params):

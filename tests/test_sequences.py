@@ -31,6 +31,7 @@ from gatesim.budget import time_cp3, time_ntcnot
 from gatesim.device import Role
 from gatesim.hamiltonians import idle_coupling_local
 from gatesim.linalg import (
+    HermitianOperator,
     HilbertSpace,
     Support,
     apply_local,
@@ -652,12 +653,27 @@ def test_idle_phase_needs_a_real_diagonal_generator(unit_params, monkeypatch, mo
 def test_full_report_matches_dense_eigh_report(unit_params, monkeypatch, gate, n):
     seq = build_sequence(gate, n, hetero_params(unit_params))
     blocked = report(seq, Mode.FULL, samples_per_step=16)
-    # one component: every window is a single D x D block, discovered from
-    # every basis index rather than from the support, and decomposed by dense eigh
-    partition = linalg_mod._partition
-    every = lambda space, terms, index: partition(space, terms, np.arange(space.total_dim))
-    monkeypatch.setattr(linalg_mod, "_partition", every)
-    monkeypatch.setattr(linalg_mod, "_components", lambda dim, src, dst: np.zeros(dim, dtype=int))
+    # the reference gives each column the support holds the whole space as
+    # one block, the dense sum of the window's terms, decomposed by dense
+    # eigh once per window and shared by the columns
+    def whole_space(space, terms, key):
+        dim = space.total_dim
+        cols = np.unique(key // dim)
+        reached = (cols[:, None] * dim + np.arange(dim)).ravel()
+        mat = dense_matrix(HermitianOperator(space, terms))
+        stack = np.broadcast_to(mat, (cols.size, dim, dim))
+        return np.searchsorted(reached, key), [(reached.reshape(cols.size, dim), stack)]
+
+    eigh = np.linalg.eigh
+
+    def shared_eigh(mat):
+        if mat.ndim < 3 or mat.strides[0] != 0:  # not a stack of one matrix
+            return eigh(mat)
+        w, v = eigh(mat[0])
+        return np.broadcast_to(w, mat.shape[:-1]), np.broadcast_to(v, mat.shape)
+
+    monkeypatch.setattr(linalg_mod, "_partition", whole_space)
+    monkeypatch.setattr(np.linalg, "eigh", shared_eigh)
     dense = report(seq, Mode.FULL, samples_per_step=16)
     assert blocked.exact_phase_match == dense.exact_phase_match
     for field in ("process_fidelity", "max_level3_population", "residual_photon"):
