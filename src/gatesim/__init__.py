@@ -10,18 +10,24 @@ figures.
 
 from .budget import (
     FeasibilityReport,
-    LevelStructure,
-    SquidParams,
     cavity_lifetime,
     conventional_step_count,
     feasibility,
-    squid_coupling,
+    squid_coupling_breakdown,
     step_count,
     time_cp3,
     time_ntcnot,
     validate_levels,
 )
-from .device import ConfigError, DeviceParams, Role, load_params, params_from_dict
+from .device import (
+    ConfigError,
+    DeviceParams,
+    LevelStructure,
+    Role,
+    SquidParams,
+    load_params,
+    params_from_dict,
+)
 from .dj import DJResult, OracleVariant, oracle_variant, run_dj, uf_apply
 from .linalg import HermitianOperator, HilbertSpace, process_fidelity
 from .pulses import Mode, Pulse, PulseKind

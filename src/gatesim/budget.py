@@ -2,6 +2,9 @@
 
 Every quantity here is a closed formula; the gate durations are recomputed
 independently of the sequencer so the two code paths can be diffed in tests.
+The inputs arrive parsed and checked (:mod:`.device` reads every section of a
+parameter file when it loads), so this module holds only the arithmetic and
+the level-spacing orderings.
 
 Physical constants are pinned to CODATA 2018 in one table below, because the
 published coupling-constant estimate is only reproducible against explicit
@@ -12,10 +15,10 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Optional
 
-from .device import ConfigError, DeviceParams, _positive
+from .device import ConfigError, DeviceParams, LevelStructure, SquidParams
 from .sequences import GateKind
 
 # CODATA 2018.
@@ -68,78 +71,20 @@ def cavity_lifetime(quality_q: float, nu_c: float) -> float:
     return quality_q / (2.0 * math.pi * nu_c)
 
 
-def _check_section(name: str, raw) -> None:
-    if not isinstance(raw, dict):
-        raise ConfigError(f"the {name} section must be a JSON object, got {raw!r}")
-
-
-@dataclass(frozen=True)
-class SquidParams:
-    """rf-SQUID device figures entering the coupling-constant estimate."""
-
-    junction_capacitance: float  # F
-    loop_inductance: float  # H
-    damping_resistance: float  # ohm
-    beta_l: float
-    external_flux: float  # units of the flux quantum
-    coupling_matrix_element: float  # dimensionless 2->3 matrix element
-    loop_area: float  # m^2
-    cavity_volume: float  # m^3
-    cavity_frequency: float  # Hz
-    antinode_factor: float  # cos(kz) at the SQUID position
-
-    def __post_init__(self) -> None:
-        for f in fields(self):
-            value = _positive(f"squid parameter {f.name}", getattr(self, f.name))
-            object.__setattr__(self, f.name, value)
-        if self.antinode_factor > 1.0:
-            raise ConfigError("antinode factor is a cosine and cannot exceed 1")
-
-
-_SQUID_KEYS = {
-    "junction_capacitance_f": "junction_capacitance",
-    "loop_inductance_h": "loop_inductance",
-    "damping_resistance_ohm": "damping_resistance",
-    "beta_l": "beta_l",
-    "external_flux_phi0": "external_flux",
-    "coupling_matrix_element": "coupling_matrix_element",
-    "loop_area_m2": "loop_area",
-    "cavity_volume_m3": "cavity_volume",
-    "cavity_frequency_hz": "cavity_frequency",
-    "antinode_factor": "antinode_factor",
-}
-
-
-def squid_from_dict(raw: dict) -> SquidParams:
-    _check_section("squid", raw)
-    unknown = set(raw) - set(_SQUID_KEYS) - {"description"}
-    if unknown:
-        raise ConfigError(f"unknown squid keys: {sorted(unknown)}")
-    missing = set(_SQUID_KEYS) - set(raw)
-    if missing:
-        raise ConfigError(f"missing squid keys: {sorted(missing)}")
-    return SquidParams(
-        **{attr: _positive(f"squid.{key}", raw[key]) for key, attr in _SQUID_KEYS.items()}
-    )
-
-
-def squid_coupling(sq: SquidParams) -> float:
-    """Cavity coupling of the SQUID's 2->3 transition, in s^-1.
+def squid_coupling_breakdown(sq: SquidParams) -> dict:
+    """Cavity coupling ``g_per_s`` of the SQUID's 2->3 transition, in s^-1, and its factors.
 
     ``g = (1/L) sqrt(omega_c / (2 mu0 hbar)) * m32 * phi0 * B_int`` where the
     field integral over the loop is ``B_int = mu0 sqrt(2/V) cos(kz) * S`` for
     a standing-wave cavity.
     """
-    return squid_coupling_breakdown(sq)["g_per_s"]
-
-
-def squid_coupling_breakdown(sq: SquidParams) -> dict:
-    """Same as :func:`squid_coupling` with every intermediate factor exposed."""
-    omega_c = 2.0 * math.pi * sq.cavity_frequency
+    omega_c = 2.0 * math.pi * sq.cavity_frequency_hz
     mode_prefactor = math.sqrt(omega_c / (2.0 * MU_0 * HBAR))
-    field_integral = MU_0 * math.sqrt(2.0 / sq.cavity_volume) * sq.antinode_factor * sq.loop_area
+    field_integral = (
+        MU_0 * math.sqrt(2.0 / sq.cavity_volume_m3) * sq.antinode_factor * sq.loop_area_m2
+    )
     g = (
-        (1.0 / sq.loop_inductance)
+        (1.0 / sq.loop_inductance_h)
         * mode_prefactor
         * sq.coupling_matrix_element
         * FLUX_QUANTUM
@@ -195,28 +140,17 @@ def conventional_step_count(gate: GateKind, n: Optional[int] = None) -> Optional
 
 @dataclass(frozen=True)
 class FeasibilityReport:
-    tau_cp3: float
-    tau_ntcnot: float
-    kappa_inv: float
-    gamma2_inv: float
+    """The ``budget`` report: fields are its JSON keys, in output order."""
+
+    durations_s: dict
+    tau_cp3_s: float
+    tau_ntcnot_s: float
+    kappa_inv_s: float
+    gamma2_inv_s: float
     ratios: dict
     threshold: float
     passed: bool
-    durations: dict
     step_counts: dict
-
-    def to_dict(self) -> dict:
-        return {
-            "durations_s": self.durations,
-            "tau_cp3_s": self.tau_cp3,
-            "tau_ntcnot_s": self.tau_ntcnot,
-            "kappa_inv_s": self.kappa_inv,
-            "gamma2_inv_s": self.gamma2_inv,
-            "ratios": self.ratios,
-            "threshold": self.threshold,
-            "passed": self.passed,
-            "step_counts": self.step_counts,
-        }
 
 
 def feasibility(params: DeviceParams, threshold: float = FEASIBILITY_THRESHOLD) -> FeasibilityReport:
@@ -249,67 +183,27 @@ def feasibility(params: DeviceParams, threshold: float = FEASIBILITY_THRESHOLD) 
         },
     }
     return FeasibilityReport(
-        tau_cp3=tau_cp3,
-        tau_ntcnot=tau_nt,
-        kappa_inv=kappa_inv,
-        gamma2_inv=gamma2_inv,
+        durations_s=durations,
+        tau_cp3_s=tau_cp3,
+        tau_ntcnot_s=tau_nt,
+        kappa_inv_s=kappa_inv,
+        gamma2_inv_s=gamma2_inv,
         ratios=ratios,
         threshold=threshold,
         passed=all(r < threshold for r in ratios.values()),
-        durations=durations,
         step_counts=counts,
     )
 
 
-@dataclass(frozen=True)
-class LevelStructure:
-    """Transition frequencies of a four-level device, in Hz."""
-
-    qubit_type: str
-    nu_21: float
-    nu_32: float
-    nu_10: Optional[float] = None
-    nu_20: Optional[float] = None
-    nu_31: Optional[float] = None
-    nu_30: Optional[float] = None
-
-
-_LEVEL_FREQS = {
-    "nu_10_hz": "nu_10",
-    "nu_21_hz": "nu_21",
-    "nu_32_hz": "nu_32",
-    "nu_20_hz": "nu_20",
-    "nu_31_hz": "nu_31",
-    "nu_30_hz": "nu_30",
-}
-
-
-def levels_from_dict(raw: dict) -> LevelStructure:
-    _check_section("levels", raw)
-    unknown = set(raw) - set(_LEVEL_FREQS) - {"qubit_type", "description"}
-    if unknown:
-        raise ConfigError(f"unknown level keys: {sorted(unknown)}")
-    for required in ("qubit_type", "nu_21_hz", "nu_32_hz"):
-        if required not in raw:
-            raise ConfigError(f"missing level key: {required}")
-    if not isinstance(raw["qubit_type"], str):
-        raise ConfigError(f"levels.qubit_type must be a string, got {raw['qubit_type']!r}")
-    present = [(key, attr) for key, attr in _LEVEL_FREQS.items() if key in raw]
-    freqs = {attr: _positive(f"levels.{key}", raw[key]) for key, attr in present}
-    return LevelStructure(raw["qubit_type"], **freqs)
-
-
-# Level-spacing orderings per qubit type, each ``(lhs, op, rhs)``.  The
-# charge-qubit entry encodes the reading nu21 > nu10, nu21 > nu32 and nu32 < nu10.
+# Level-spacing orderings per qubit type, each ``lhs op rhs`` over the
+# ``levels`` keys and reported as written when it fails.  The charge-qubit
+# entry encodes the reading nu21 > nu10, nu21 > nu32 and nu32 < nu10.
 _ORDERINGS = {
-    "charge": (("nu_21", ">", "nu_10"), ("nu_21", ">", "nu_32"), ("nu_32", "<", "nu_10")),
-    "phase": (("nu_10", ">", "nu_21"), ("nu_21", ">", "nu_32")),
-    "flux": (("nu_21", ">", "nu_10"), ("nu_21", ">", "nu_32"), ("nu_32", ">", "nu_10")),
+    "charge": ("nu_21_hz > nu_10_hz", "nu_21_hz > nu_32_hz", "nu_32_hz < nu_10_hz"),
+    "phase": ("nu_10_hz > nu_21_hz", "nu_21_hz > nu_32_hz"),
+    "flux": ("nu_21_hz > nu_10_hz", "nu_21_hz > nu_32_hz", "nu_32_hz > nu_10_hz"),
     "squid": (
-        ("nu_32", "<", "nu_21"),
-        ("nu_21", "<", "nu_20"),
-        ("nu_20", "<", "nu_31"),
-        ("nu_31", "<", "nu_30"),
+        "nu_32_hz < nu_21_hz", "nu_21_hz < nu_20_hz", "nu_20_hz < nu_31_hz", "nu_31_hz < nu_30_hz"
     ),
 }
 _COMPARE = {">": operator.gt, "<": operator.lt}
@@ -319,14 +213,12 @@ def validate_levels(ls: LevelStructure) -> tuple[bool, list[str]]:
     """Check the spacing ordering for the device type; list violated predicates."""
     if ls.qubit_type not in _ORDERINGS:
         raise ConfigError(f"unknown qubit type {ls.qubit_type!r}")
-    orderings = _ORDERINGS[ls.qubit_type]
-    for lhs, _, rhs in orderings:
+    violations = []
+    for rule in _ORDERINGS[ls.qubit_type]:
+        lhs, op, rhs = rule.split()
         for name in (lhs, rhs):
             if getattr(ls, name) is None:
                 raise ConfigError(f"{ls.qubit_type} level validation needs {name}")
-    violations = [
-        f"{lhs} {op} {rhs}"
-        for lhs, op, rhs in orderings
-        if not _COMPARE[op](getattr(ls, lhs), getattr(ls, rhs))
-    ]
+        if not _COMPARE[op](getattr(ls, lhs), getattr(ls, rhs)):
+            violations.append(rule)
     return (not violations, violations)

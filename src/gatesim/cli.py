@@ -158,15 +158,13 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_budget(args) -> int:
-    params, raw = load_params(args.params)
+    params, sections = load_params(args.params)
     rep = budget_mod.feasibility(params, threshold=args.threshold)
-    out = {"params": asdict(params)}
-    out.update(rep.to_dict())
-    if "squid" in raw:
-        sq = budget_mod.squid_from_dict(raw["squid"])
-        out["squid"] = budget_mod.squid_coupling_breakdown(sq)
-    if "levels" in raw:
-        ls = budget_mod.levels_from_dict(raw["levels"])
+    out = {"params": asdict(params), **asdict(rep)}
+    if "squid" in sections:
+        out["squid"] = budget_mod.squid_coupling_breakdown(sections["squid"])
+    if "levels" in sections:
+        ls = sections["levels"]
         ok, violations = budget_mod.validate_levels(ls)
         out["levels"] = {"qubit_type": ls.qubit_type, "passed": ok, "violations": violations}
     write_json(out, args.output)
@@ -195,11 +193,10 @@ def _cmd_dj(args) -> int:
 
 
 def _cmd_squid_g(args) -> int:
-    _, raw = load_params(args.params)
-    if "squid" not in raw:
+    _, sections = load_params(args.params)
+    if "squid" not in sections:
         raise ConfigError(f"parameter file {args.params!r} has no squid section")
-    sq = budget_mod.squid_from_dict(raw["squid"])
-    write_json(budget_mod.squid_coupling_breakdown(sq), args.output)
+    write_json(budget_mod.squid_coupling_breakdown(sections["squid"]), args.output)
     return 0
 
 

@@ -17,26 +17,14 @@ import enum
 import json
 import math
 import numbers
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
-from typing import Union
+from typing import Optional, Union
 
 PerQubit = Union[float, tuple[float, ...]]
 
 # Repo-level parameter presets shipped next to the package sources.
 PRESET_DIR = Path(__file__).resolve().parents[2] / "presets"
-
-_PARAM_KEYS = {
-    "g",
-    "delta_c",
-    "delta_ck",
-    "omega_raman",
-    "omega_resonant",
-    "gamma2_inv",
-    "quality_q",
-    "nu_c",
-}
-_OPTIONAL_KEYS = {"delta_mu", "description", "squid", "levels"}
 
 
 class ConfigError(ValueError):
@@ -141,6 +129,24 @@ class DeviceParams:
         return self.delta_c
 
 
+def _section(cls, name: str, raw, extra=()) -> dict:
+    """The entries of section ``raw`` that are fields of the dataclass ``cls``.
+
+    ``raw`` must be a JSON object whose keys are the fields, ``description``
+    and the ``extra`` keys, and it must hold every field without a default.
+    """
+    if not isinstance(raw, dict):
+        raise ConfigError(f"the {name} section must be a JSON object, got {raw!r}")
+    keys = [f.name for f in fields(cls)]
+    unknown = set(raw) - set(keys) - {"description", *extra}
+    if unknown:
+        raise ConfigError(f"unknown {name} keys: {sorted(unknown)}")
+    missing = {f.name for f in fields(cls) if f.default is MISSING} - set(raw)
+    if missing:
+        raise ConfigError(f"missing {name} keys: {sorted(missing)}")
+    return {key: raw[key] for key in keys if key in raw}
+
+
 def params_from_dict(raw: dict) -> DeviceParams:
     """Build :class:`DeviceParams` from a parsed JSON object.
 
@@ -149,14 +155,7 @@ def params_from_dict(raw: dict) -> DeviceParams:
     order detuning), and that premise is enforced at parse time rather than
     silently absorbed.
     """
-    if not isinstance(raw, dict):
-        raise ConfigError("parameter file must contain a JSON object")
-    unknown = set(raw) - _PARAM_KEYS - _OPTIONAL_KEYS
-    if unknown:
-        raise ConfigError(f"unknown parameter keys: {sorted(unknown)}")
-    missing = _PARAM_KEYS - set(raw)
-    if missing:
-        raise ConfigError(f"missing parameter keys: {sorted(missing)}")
+    entries = _section(DeviceParams, "parameter", raw, extra=("delta_mu", *_SECTIONS))
     if "delta_mu" in raw:
         delta_mu = _number("delta_mu", raw["delta_mu"])
         if not math.isclose(delta_mu, _number("delta_c", raw["delta_c"]), rel_tol=1e-12):
@@ -164,7 +163,69 @@ def params_from_dict(raw: dict) -> DeviceParams:
                 "delta_mu must equal delta_c: the pulse recipes assume zero "
                 "second-order detuning"
             )
-    return DeviceParams(**{key: raw[key] for key in _PARAM_KEYS})
+    return DeviceParams(**entries)
+
+
+@dataclass(frozen=True)
+class SquidParams:
+    """rf-SQUID device figures entering the coupling-constant estimate."""
+
+    junction_capacitance_f: float
+    loop_inductance_h: float
+    damping_resistance_ohm: float
+    beta_l: float
+    external_flux_phi0: float  # units of the flux quantum
+    coupling_matrix_element: float  # dimensionless 2->3 matrix element
+    loop_area_m2: float
+    cavity_volume_m3: float
+    cavity_frequency_hz: float
+    antinode_factor: float  # cos(kz) at the SQUID position
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            object.__setattr__(self, f.name, _positive(f"squid.{f.name}", getattr(self, f.name)))
+        if self.antinode_factor > 1.0:
+            raise ConfigError("antinode factor is a cosine and cannot exceed 1")
+
+
+def squid_from_dict(raw: dict) -> SquidParams:
+    return SquidParams(**_section(SquidParams, "squid", raw))
+
+
+# Keyword-only, so the fields keep the documented key order with the
+# required frequencies among the optional ones.
+@dataclass(frozen=True, kw_only=True)
+class LevelStructure:
+    """Transition frequencies of a four-level device, in Hz; ``None`` when not given."""
+
+    qubit_type: str
+    nu_10_hz: Optional[float] = None
+    nu_21_hz: float
+    nu_32_hz: float
+    nu_20_hz: Optional[float] = None
+    nu_31_hz: Optional[float] = None
+    nu_30_hz: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.qubit_type, str):
+            raise ConfigError(f"levels.qubit_type must be a string, got {self.qubit_type!r}")
+        for f in fields(self)[1:]:
+            value = getattr(self, f.name)
+            if value is not None:
+                object.__setattr__(self, f.name, _positive(f"levels.{f.name}", value))
+
+
+def levels_from_dict(raw: dict) -> LevelStructure:
+    entries = _section(LevelStructure, "levels", raw)
+    levels = LevelStructure(**entries)
+    for key, value in entries.items():
+        if value is None:  # a null frequency is malformed, not absent
+            _positive(f"levels.{key}", value)
+    return levels
+
+
+# The optional sections of a parameter file and their parsers.
+_SECTIONS = {"squid": squid_from_dict, "levels": levels_from_dict}
 
 
 def resolve_params_path(name_or_path: str) -> Path:
@@ -179,10 +240,15 @@ def resolve_params_path(name_or_path: str) -> Path:
 
 
 def load_params(name_or_path: str) -> tuple[DeviceParams, dict]:
-    """Load parameters from JSON; returns the params and the raw document."""
+    """Load a parameter file: the device parameters and its parsed sections by name.
+
+    Every section is checked here, so a file is valid for every command or
+    for none.
+    """
     path = resolve_params_path(name_or_path)
     try:
         raw = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"could not parse {path}: {exc}") from exc
-    return params_from_dict(raw), raw
+    params = params_from_dict(raw)
+    return params, {name: parse(raw[name]) for name, parse in _SECTIONS.items() if name in raw}

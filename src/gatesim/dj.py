@@ -78,20 +78,23 @@ def uf_apply(
     params: DeviceParams,
     mode: Mode = Mode.ANALYTIC,
 ) -> Support:
-    """Apply one oracle to the prepared state, following its pulse recipe.
+    """Apply one oracle to the prepared state, built from its truth table.
 
+    The CNOT flips the target when the query is 1, and the CNOT between the
+    two query rotations (which exchange the query's levels) when it is 0; the
+    oracle applies the first if ``f1`` is set, then the second if ``f0`` is.
     The CNOT's windows are built once and walked once or twice.
     """
     if isinstance(variant, int):
         variant = oracle_variant(variant)
     space = state.space
     seq = ntcnot_sequence(2, params, space.cavity_dim)  # checks the device for every variant
-    if variant.id == 1:
+    if not (variant.f0 or variant.f1):
         return state  # constant-0: both systems stay far off resonance
     cnot = build_evolutions(seq, mode)
-    if variant.id in (2, 3):
+    if variant.f1:
         state = apply_evolutions(cnot, space, state)
-    if variant.id in (2, 4):
+    if variant.f0:
         state = apply_local(_rotation(+1), space, (0,), state)
         state = apply_evolutions(cnot, space, state)
         state = apply_local(_rotation(-1), space, (0,), state)

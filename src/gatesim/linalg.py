@@ -185,6 +185,18 @@ def _components(dim: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
         labels = new
 
 
+def _unique(keys: np.ndarray) -> np.ndarray:
+    """The sorted distinct entries of ``keys``, as ``np.unique(keys)`` returns them.
+
+    A sort and a neighbour mask: on integer keys ``np.unique`` without
+    ``return_inverse`` takes a hash-table path, which is slower at every size.
+    """
+    keys = np.sort(keys, axis=None)
+    first = np.ones(keys.size, dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    return keys[first]
+
+
 def _entries(space: HilbertSpace, term: tuple, index: np.ndarray) -> tuple:
     """A term's nonzero entries ``H[index[r], j] = value`` in the rows ``index``.
 
@@ -221,11 +233,11 @@ def _partition(space: HilbertSpace, terms: tuple[Term, ...], index: np.ndarray) 
         k for k, (*_, nonzero) in enumerate(terms)
         if np.count_nonzero(nonzero) > np.count_nonzero(nonzero.diagonal())
     ]
-    grown = np.unique(index)
+    grown = _unique(index)
     while True:
         reached = grown
         moves = {k: _entries(space, terms[k], reached) for k in moving}
-        grown = np.unique(np.concatenate([reached, *(j for _, j, _ in moves.values())]))
+        grown = _unique(np.concatenate([reached, *(j for _, j, _ in moves.values())]))
         if grown.size == reached.size:  # so the last moves are the moving terms' entries
             break
     entries = [moves[k] if k in moves else _entries(space, t, reached) for k, t in enumerate(terms)]
@@ -239,7 +251,7 @@ def _partition(space: HilbertSpace, terms: tuple[Term, ...], index: np.ndarray) 
     # Entry (i, j) of a block lives at flat[base[i] + pos[j]] of one buffer for all blocks.
     row, pos, base = np.empty((3, reached.size), dtype=int)
     groups, top, offset = [], 0, 0
-    for size in np.unique(sizes):
+    for size in _unique(sizes):
         at = order[starts[sizes == size][:, None] + np.arange(size)]
         place = np.arange(at.size).reshape(at.shape)
         row[at], pos[at], base[at] = top + place, place % size, offset + size * place

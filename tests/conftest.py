@@ -1,9 +1,10 @@
+import json
 from functools import cache
 
 import numpy as np
 import pytest
 
-from gatesim.device import DeviceParams, load_params
+from gatesim.device import DeviceParams, load_params, resolve_params_path
 from gatesim.linalg import HermitianOperator, Support, _check_local, _partition, _slot_layout
 from gatesim.pulses import Mode, make_pulse, pulse_local_unitary
 from gatesim.sequences import GateKind, apply_evolutions, build_evolutions
@@ -30,10 +31,14 @@ def cpw_params():
     return params
 
 
+def preset_raw(name):
+    """A shipped preset's JSON document, read from its file."""
+    return json.loads(resolve_params_path(name).read_text())
+
+
 @pytest.fixture(scope="session")
 def squid_raw():
-    _, raw = load_params("squid")
-    return raw
+    return preset_raw("squid")
 
 
 @pytest.fixture(scope="session")

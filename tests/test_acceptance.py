@@ -30,12 +30,12 @@ from conftest import (
 from gatesim.budget import (
     cavity_lifetime,
     conventional_step_count,
-    squid_coupling,
-    squid_from_dict,
+    squid_coupling_breakdown,
     step_count,
     time_cp3,
     time_ntcnot,
 )
+from gatesim.device import squid_from_dict
 from gatesim.linalg import HilbertSpace
 from gatesim.pulses import Mode
 from gatesim.sequences import (
@@ -169,7 +169,7 @@ def test_criterion_6_cavity_lifetimes():
 def test_criterion_7_squid_coupling(squid_raw):
     with criterion(7, "SQUID-cavity coupling constant from device figures", 1.0):
         sq = squid_from_dict(squid_raw["squid"])
-        assert squid_coupling(sq) == pytest.approx(4.3e8, rel=0.05)
+        assert squid_coupling_breakdown(sq)["g_per_s"] == pytest.approx(4.3e8, rel=0.05)
 
 
 def test_criterion_8_step_counts():

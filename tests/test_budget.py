@@ -1,6 +1,6 @@
 import math
 import re
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import pytest
 from hypothesis import given, settings
@@ -8,20 +8,22 @@ from hypothesis import strategies as st
 
 from gatesim.budget import (
     FLUX_QUANTUM,
-    LevelStructure,
     cavity_lifetime,
     conventional_step_count,
     feasibility,
-    levels_from_dict,
-    squid_coupling,
     squid_coupling_breakdown,
-    squid_from_dict,
     step_count,
     time_cp3,
     time_ntcnot,
     validate_levels,
 )
-from gatesim.device import ConfigError
+from gatesim.device import (
+    ConfigError,
+    LevelStructure,
+    levels_from_dict,
+    params_from_dict,
+    squid_from_dict,
+)
 from gatesim.sequences import GateKind
 
 US = 1e-6
@@ -84,16 +86,20 @@ def test_flux_quantum_value():
     assert FLUX_QUANTUM == pytest.approx(2.067833848e-15, rel=1e-9)
 
 
+def coupling(sq):
+    return squid_coupling_breakdown(sq)["g_per_s"]
+
+
 def test_squid_coupling_reference_value(squid_raw):
     sq = squid_from_dict(squid_raw["squid"])
-    assert squid_coupling(sq) == pytest.approx(4.3e8, rel=0.05)
+    assert coupling(sq) == pytest.approx(4.3e8, rel=0.05)
 
 
 def test_squid_breakdown_is_consistent(squid_raw):
     sq = squid_from_dict(squid_raw["squid"])
     b = squid_coupling_breakdown(sq)
     rebuilt = (
-        (1.0 / sq.loop_inductance)
+        (1.0 / sq.loop_inductance_h)
         * b["mode_prefactor"]
         * sq.coupling_matrix_element
         * b["flux_quantum_wb"]
@@ -106,25 +112,16 @@ def test_squid_breakdown_is_consistent(squid_raw):
 @settings(max_examples=25, deadline=None)
 def test_squid_coupling_scalings(squid_raw, factor):
     sq = squid_from_dict(squid_raw["squid"])
-    g0 = squid_coupling(sq)
+    g0 = coupling(sq)
 
     def scaled(**kw):
-        raw = dict(squid_raw["squid"])
-        mapping = {
-            "loop_area": "loop_area_m2",
-            "coupling_matrix_element": "coupling_matrix_element",
-            "antinode_factor": "antinode_factor",
-            "loop_inductance": "loop_inductance_h",
-        }
-        for attr, value in kw.items():
-            raw[mapping[attr]] = value
-        return squid_coupling(squid_from_dict(raw))
+        return coupling(squid_from_dict({**squid_raw["squid"], **kw}))
 
-    assert scaled(loop_area=sq.loop_area * factor) == pytest.approx(g0 * factor)
+    assert scaled(loop_area_m2=sq.loop_area_m2 * factor) == pytest.approx(g0 * factor)
     assert scaled(
         coupling_matrix_element=sq.coupling_matrix_element * factor
     ) == pytest.approx(g0 * factor)
-    assert scaled(loop_inductance=sq.loop_inductance * factor) == pytest.approx(g0 / factor)
+    assert scaled(loop_inductance_h=sq.loop_inductance_h * factor) == pytest.approx(g0 / factor)
 
 
 def test_squid_antinode_bounds(squid_raw):
@@ -146,6 +143,7 @@ def test_squid_antinode_bounds(squid_raw):
         ("levels", "nu_21_hz", -1),
         ("levels", "nu_10_hz", 0),
         ("levels", "qubit_type", ["squid"]),
+        ("levels", "nu_10_hz", None),
     ],
 )
 def test_section_values_rejected_naming_the_key(squid_raw, section, key, value):
@@ -157,7 +155,10 @@ def test_section_values_rejected_naming_the_key(squid_raw, section, key, value):
 
 
 @pytest.mark.parametrize("value", [None, [1, 2], "beta_l"])
-@pytest.mark.parametrize("parse,section", [(squid_from_dict, "squid"), (levels_from_dict, "levels")])
+@pytest.mark.parametrize(
+    "parse,section",
+    [(squid_from_dict, "squid"), (levels_from_dict, "levels"), (params_from_dict, "parameter")],
+)
 def test_section_must_be_an_object(parse, section, value):
     with pytest.raises(ConfigError, match=f"{section} section must be a JSON object"):
         parse(value)
@@ -225,7 +226,7 @@ def test_budget_fails_with_short_relaxation(cpw_params):
 
 
 def test_budget_report_fields(cpw_params):
-    d = feasibility(cpw_params).to_dict()
+    d = asdict(feasibility(cpw_params))
     for key in ("tau_cp3_s", "tau_ntcnot_s", "kappa_inv_s", "ratios", "step_counts"):
         assert key in d
     assert d["step_counts"]["ncp_published"]["4"] == 11
@@ -243,22 +244,22 @@ def test_squid_levels_from_preset_pass(squid_raw):
 
 
 def test_phase_qubit_violation_is_named():
-    ls = LevelStructure(qubit_type="phase", nu_10=1e9, nu_21=2e9, nu_32=0.5e9)
+    ls = LevelStructure(qubit_type="phase", nu_10_hz=1e9, nu_21_hz=2e9, nu_32_hz=0.5e9)
     ok, violations = validate_levels(ls)
     assert not ok
-    assert violations == ["nu_10 > nu_21"]
+    assert violations == ["nu_10_hz > nu_21_hz"]
 
 
 @pytest.mark.parametrize("qubit_type", ["charge", "phase", "flux", "squid"])
 def test_equal_frequencies_fail_everywhere(qubit_type):
     ls = LevelStructure(
         qubit_type=qubit_type,
-        nu_10=1e9,
-        nu_21=1e9,
-        nu_32=1e9,
-        nu_20=1e9,
-        nu_31=1e9,
-        nu_30=1e9,
+        nu_10_hz=1e9,
+        nu_21_hz=1e9,
+        nu_32_hz=1e9,
+        nu_20_hz=1e9,
+        nu_31_hz=1e9,
+        nu_30_hz=1e9,
     )
     ok, violations = validate_levels(ls)
     assert not ok
@@ -266,26 +267,26 @@ def test_equal_frequencies_fail_everywhere(qubit_type):
 
 
 def test_charge_and_flux_orderings():
-    charge = LevelStructure(qubit_type="charge", nu_10=5e9, nu_21=7e9, nu_32=3e9)
+    charge = LevelStructure(qubit_type="charge", nu_10_hz=5e9, nu_21_hz=7e9, nu_32_hz=3e9)
     assert validate_levels(charge) == (True, [])
-    flux = LevelStructure(qubit_type="flux", nu_10=3e9, nu_21=7e9, nu_32=5e9)
+    flux = LevelStructure(qubit_type="flux", nu_10_hz=3e9, nu_21_hz=7e9, nu_32_hz=5e9)
     assert validate_levels(flux) == (True, [])
 
 
 def test_levels_missing_required_frequency():
-    ls = LevelStructure(qubit_type="squid", nu_21=2e9, nu_32=1e9)
+    ls = LevelStructure(qubit_type="squid", nu_21_hz=2e9, nu_32_hz=1e9)
     with pytest.raises(ConfigError):
         validate_levels(ls)
     with pytest.raises(ConfigError):
-        validate_levels(LevelStructure(qubit_type="laser", nu_21=1.0, nu_32=1.0))
+        validate_levels(LevelStructure(qubit_type="laser", nu_21_hz=1.0, nu_32_hz=1.0))
 
 
 # The frequencies that the level orderings of each qubit type compare.
 _ORDERED_FREQS = {
-    "charge": ("nu_10", "nu_21", "nu_32"),
-    "phase": ("nu_10", "nu_21", "nu_32"),
-    "flux": ("nu_10", "nu_21", "nu_32"),
-    "squid": ("nu_21", "nu_32", "nu_20", "nu_31", "nu_30"),
+    "charge": ("nu_10_hz", "nu_21_hz", "nu_32_hz"),
+    "phase": ("nu_10_hz", "nu_21_hz", "nu_32_hz"),
+    "flux": ("nu_10_hz", "nu_21_hz", "nu_32_hz"),
+    "squid": ("nu_21_hz", "nu_32_hz", "nu_20_hz", "nu_31_hz", "nu_30_hz"),
 }
 
 

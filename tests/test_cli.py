@@ -3,8 +3,8 @@ import warnings
 
 import pytest
 
+from conftest import preset_raw
 from gatesim.cli import main
-from gatesim.device import load_params
 
 
 def run_cli(capsys, *argv):
@@ -60,7 +60,7 @@ def test_verify_nonexistent_params_exits_two(capsys):
 
 
 def test_verify_null_param_exits_two(capsys, tmp_path):
-    _, raw = load_params("cpw")
+    raw = preset_raw("cpw")
     raw["delta_c"] = None
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(raw))
@@ -168,7 +168,7 @@ def test_budget_accepts_preset_names(capsys):
 
 
 def test_budget_renders_per_qubit_lists(capsys, tmp_path):
-    _, raw = load_params("cpw")
+    raw = preset_raw("cpw")
     g = [raw["g"], raw["g"], 1.05 * raw["g"]]
     raw.update(g=g, omega_raman=g, delta_ck=[10.0 * x for x in g])
     path = tmp_path / "lists.json"
@@ -194,7 +194,7 @@ def test_budget_renders_per_qubit_lists(capsys, tmp_path):
 def test_nonpositive_value_exits_two_naming_key_and_index(
     capsys, tmp_path, command, key, value, named
 ):
-    _, raw = load_params("cpw")
+    raw = preset_raw("cpw")
     raw[key] = [v * raw[key] for v in value] if isinstance(value, list) else value * raw[key]
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(raw))
@@ -217,7 +217,7 @@ SWEEP_TAU_CP3 = ("sweep", "--param", "q_factor", "--from", "1e4", "--to", "1e4",
     ],
 )
 def test_short_per_qubit_list_exits_two_naming_key_and_count(capsys, tmp_path, command, needed):
-    _, raw = load_params("cpw")
+    raw = preset_raw("cpw")
     raw["omega_raman"] = [raw["omega_raman"]] * 3
     raw["g"] = [raw["g"]] * (needed - 1)
     bad = tmp_path / "short.json"
@@ -229,15 +229,50 @@ def test_short_per_qubit_list_exits_two_naming_key_and_count(capsys, tmp_path, c
 
 
 def test_per_qubit_lists_cover_the_gate_they_build(capsys, tmp_path):
-    _, raw = load_params("cpw")
+    raw = preset_raw("cpw")
     raw["g"] = raw["omega_raman"] = [raw["g"]] * 2
     path = tmp_path / "two.json"
     path.write_text(json.dumps(raw))
     assert run_json(capsys, "verify", "ntcnot", "-n", "2", "--params", str(path))["passed"]
 
 
+EVERY_COMMAND = [
+    ("verify", "cp3"),
+    ("dj", "--variant", "2"),
+    SWEEP_TAU_CP3 + ("--observable", "kappa_inv"),
+    ("budget",),
+    ("squid-g",),
+]
+
+
+def _without_loop_area(raw):
+    del raw["squid"]["loop_area_m2"]
+
+
+def _text_frequency(raw):
+    raw["levels"]["nu_21_hz"] = "1.65e10"
+
+
+@pytest.mark.parametrize(
+    "spoil,message",
+    [
+        (_without_loop_area, "missing squid keys: ['loop_area_m2']"),
+        (_text_frequency, "levels.nu_21_hz must be a number, got '1.65e10'"),
+    ],
+)
+def test_a_file_is_valid_for_every_command_or_for_none(capsys, tmp_path, spoil, message):
+    # every section is parsed when the file loads, whichever command reads it
+    raw = preset_raw("squid")
+    spoil(raw)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    for command in EVERY_COMMAND:
+        code, out, err = run_cli(capsys, *command, "--params", str(bad))
+        assert (code, out, err) == (2, "", f"gatesim: error: {message}\n"), command
+
+
 def test_budget_null_squid_value_exits_two(capsys, tmp_path):
-    _, raw = load_params("squid")
+    raw = preset_raw("squid")
     raw["squid"]["beta_l"] = None
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(raw))
@@ -337,7 +372,7 @@ def test_sweep_several_observables_match_single_runs(capsys):
 
 def test_sweep_leakage3_rejects_unmatched_raman_drive(capsys, tmp_path):
     # the swap needs omega_raman == g, for the leakage3 observable as for fidelity_full
-    _, raw = load_params("cpw")
+    raw = preset_raw("cpw")
     raw["omega_raman"] = 2.0 * raw["g"]
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(raw))

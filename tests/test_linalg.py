@@ -669,6 +669,18 @@ def test_blocks_found_from_a_partial_support_are_whole_space_blocks(
     assert np.array_equal(places[row], key)
 
 
+@given(
+    st.lists(st.integers(min_value=-(2**63), max_value=2**63 - 1), max_size=40),
+    st.integers(min_value=0, max_value=3),
+)
+@settings(max_examples=100, deadline=None)
+def test_unique_is_numpy_unique(values, repeats):
+    # the sort-based set of keys is np.unique's, bitwise, also for empty input
+    keys = np.array(values * (repeats + 1), dtype=np.int64)
+    got, want = linalg_mod._unique(keys), np.unique(keys)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 def test_non_hermitian_or_nan_term_rejected():
     space = HilbertSpace((4, 4, 2))
     good = random_hermitian(8, 3)
