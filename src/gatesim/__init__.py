@@ -17,7 +17,6 @@ from .budget import (
     step_count,
     time_cp3,
     time_ntcnot,
-    validate_levels,
 )
 from .device import (
     ConfigError,

@@ -3,8 +3,8 @@
 Every quantity here is a closed formula; the gate durations are recomputed
 independently of the sequencer so the two code paths can be diffed in tests.
 The inputs arrive parsed and checked (:mod:`.device` reads every section of a
-parameter file when it loads), so this module holds only the arithmetic and
-the level-spacing orderings.
+parameter file when it loads, the level-spacing orderings included), so this
+module holds only the arithmetic.
 
 Physical constants are pinned to CODATA 2018 in one table below, because the
 published coupling-constant estimate is only reproducible against explicit
@@ -14,11 +14,10 @@ values.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import Optional
 
-from .device import ConfigError, DeviceParams, LevelStructure, SquidParams
+from .device import DeviceParams, SquidParams
 from .sequences import GateKind
 
 # CODATA 2018.
@@ -194,31 +193,3 @@ def feasibility(params: DeviceParams, threshold: float = FEASIBILITY_THRESHOLD) 
         step_counts=counts,
     )
 
-
-# Level-spacing orderings per qubit type, each ``lhs op rhs`` over the
-# ``levels`` keys and reported as written when it fails.  The charge-qubit
-# entry encodes the reading nu21 > nu10, nu21 > nu32 and nu32 < nu10.
-_ORDERINGS = {
-    "charge": ("nu_21_hz > nu_10_hz", "nu_21_hz > nu_32_hz", "nu_32_hz < nu_10_hz"),
-    "phase": ("nu_10_hz > nu_21_hz", "nu_21_hz > nu_32_hz"),
-    "flux": ("nu_21_hz > nu_10_hz", "nu_21_hz > nu_32_hz", "nu_32_hz > nu_10_hz"),
-    "squid": (
-        "nu_32_hz < nu_21_hz", "nu_21_hz < nu_20_hz", "nu_20_hz < nu_31_hz", "nu_31_hz < nu_30_hz"
-    ),
-}
-_COMPARE = {">": operator.gt, "<": operator.lt}
-
-
-def validate_levels(ls: LevelStructure) -> tuple[bool, list[str]]:
-    """Check the spacing ordering for the device type; list violated predicates."""
-    if ls.qubit_type not in _ORDERINGS:
-        raise ConfigError(f"unknown qubit type {ls.qubit_type!r}")
-    violations = []
-    for rule in _ORDERINGS[ls.qubit_type]:
-        lhs, op, rhs = rule.split()
-        for name in (lhs, rhs):
-            if getattr(ls, name) is None:
-                raise ConfigError(f"{ls.qubit_type} level validation needs {name}")
-        if not _COMPARE[op](getattr(ls, lhs), getattr(ls, rhs)):
-            violations.append(rule)
-    return (not violations, violations)

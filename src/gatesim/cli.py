@@ -134,11 +134,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_verify(args) -> int:
-    gate = GateKind.parse(args.gate)
+    gate = GateKind(args.gate)
     if gate in (GateKind.CP3, GateKind.TOFFOLI) and args.n != 3:
         raise ConfigError(f"-n must be 3 for {gate.value}, a three-qubit gate; got {args.n}")
     params, _ = load_params(args.params)
-    mode = Mode.parse(args.mode)
+    mode = Mode(args.mode)
     seq = build_sequence(gate, args.n, params, args.cavity_dim)
     tol = _tolerance()
     rep = report(seq, mode, tol=tol, samples_per_step=args.samples)
@@ -165,8 +165,9 @@ def _cmd_budget(args) -> int:
         out["squid"] = budget_mod.squid_coupling_breakdown(sections["squid"])
     if "levels" in sections:
         ls = sections["levels"]
-        ok, violations = budget_mod.validate_levels(ls)
-        out["levels"] = {"qubit_type": ls.qubit_type, "passed": ok, "violations": violations}
+        out["levels"] = {
+            "qubit_type": ls.qubit_type, "passed": not ls.violations, "violations": ls.violations
+        }
     write_json(out, args.output)
     return 0
 
@@ -187,7 +188,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_dj(args) -> int:
     params, _ = load_params(args.params)
-    result = run_dj(args.variant, params, Mode.parse(args.mode))
+    result = run_dj(args.variant, params, Mode(args.mode))
     write_json(asdict(result), args.output)
     return 0
 

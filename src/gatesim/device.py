@@ -17,6 +17,7 @@ import enum
 import json
 import math
 import numbers
+import operator
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import Optional, Union
@@ -192,11 +193,28 @@ def squid_from_dict(raw: dict) -> SquidParams:
     return SquidParams(**_section(SquidParams, "squid", raw))
 
 
+# Level-spacing orderings per qubit type, each ``lhs op rhs`` over the
+# ``levels`` keys and reported as written when it fails.  The charge-qubit
+# entry encodes the reading nu21 > nu10, nu21 > nu32 and nu32 < nu10.
+_ORDERINGS = {
+    "charge": ("nu_21_hz > nu_10_hz", "nu_21_hz > nu_32_hz", "nu_32_hz < nu_10_hz"),
+    "phase": ("nu_10_hz > nu_21_hz", "nu_21_hz > nu_32_hz"),
+    "flux": ("nu_21_hz > nu_10_hz", "nu_21_hz > nu_32_hz", "nu_32_hz > nu_10_hz"),
+    "squid": (
+        "nu_32_hz < nu_21_hz", "nu_21_hz < nu_20_hz", "nu_20_hz < nu_31_hz", "nu_31_hz < nu_30_hz"
+    ),
+}
+_COMPARE = {">": operator.gt, "<": operator.lt}
+
+
 # Keyword-only, so the fields keep the documented key order with the
 # required frequencies among the optional ones.
 @dataclass(frozen=True, kw_only=True)
 class LevelStructure:
-    """Transition frequencies of a four-level device, in Hz; ``None`` when not given."""
+    """Transition frequencies of a four-level device, in Hz; ``None`` when not given.
+
+    Every frequency that an ordering of ``qubit_type`` reads must be given.
+    """
 
     qubit_type: str
     nu_10_hz: Optional[float] = None
@@ -213,15 +231,30 @@ class LevelStructure:
             value = getattr(self, f.name)
             if value is not None:
                 object.__setattr__(self, f.name, _positive(f"levels.{f.name}", value))
+        if self.qubit_type not in _ORDERINGS:
+            raise ConfigError(f"unknown qubit type {self.qubit_type!r}")
+        for rule in _ORDERINGS[self.qubit_type]:
+            for name in rule.split()[::2]:  # lhs, then rhs
+                if getattr(self, name) is None:
+                    raise ConfigError(f"{self.qubit_type} level validation needs {name}")
+
+    @property
+    def violations(self) -> list[str]:
+        """The orderings of the qubit type that the frequencies break, as written."""
+        broken = []
+        for rule in _ORDERINGS[self.qubit_type]:
+            lhs, op, rhs = rule.split()
+            if not _COMPARE[op](getattr(self, lhs), getattr(self, rhs)):
+                broken.append(rule)
+        return broken
 
 
 def levels_from_dict(raw: dict) -> LevelStructure:
     entries = _section(LevelStructure, "levels", raw)
-    levels = LevelStructure(**entries)
     for key, value in entries.items():
-        if value is None:  # a null frequency is malformed, not absent
-            _positive(f"levels.{key}", value)
-    return levels
+        if value is None and key != "qubit_type":  # a null frequency is malformed, not absent
+            _number(f"levels.{key}", value)
+    return LevelStructure(**entries)
 
 
 # The optional sections of a parameter file and their parsers.

@@ -73,7 +73,7 @@ def prepare_input(space: HilbertSpace) -> Support:
 
 
 def uf_apply(
-    variant: OracleVariant | int,
+    variant: OracleVariant,
     state: Support,
     params: DeviceParams,
     mode: Mode = Mode.ANALYTIC,
@@ -85,8 +85,6 @@ def uf_apply(
     oracle applies the first if ``f1`` is set, then the second if ``f0`` is.
     The CNOT's windows are built once and walked once or twice.
     """
-    if isinstance(variant, int):
-        variant = oracle_variant(variant)
     space = state.space
     seq = ntcnot_sequence(2, params, space.cavity_dim)  # checks the device for every variant
     if not (variant.f0 or variant.f1):

@@ -41,13 +41,6 @@ class Mode(enum.Enum):
     EFFECTIVE = "simulated_effective"
     FULL = "simulated_full"
 
-    @classmethod
-    def parse(cls, name: str) -> "Mode":
-        for m in cls:
-            if m.value == name or m.name.lower() == name.lower():
-                return m
-        raise ValueError(f"unknown mode {name!r}")
-
 
 class PulseKind(enum.Enum):
     RAMAN_EMIT = "raman_emit"

@@ -59,13 +59,6 @@ class GateKind(enum.Enum):
     NTCNOT = "ntcnot"
     TOFFOLI = "toffoli"
 
-    @classmethod
-    def parse(cls, name: str) -> "GateKind":
-        for g in cls:
-            if g.value == name:
-                return g
-        raise ValueError(f"unknown gate {name!r}")
-
 
 @dataclass(frozen=True)
 class PulseStep:

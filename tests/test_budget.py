@@ -15,7 +15,6 @@ from gatesim.budget import (
     step_count,
     time_cp3,
     time_ntcnot,
-    validate_levels,
 )
 from gatesim.device import (
     ConfigError,
@@ -237,17 +236,12 @@ def test_budget_report_fields(cpw_params):
 
 
 def test_squid_levels_from_preset_pass(squid_raw):
-    ls = levels_from_dict(squid_raw["levels"])
-    ok, violations = validate_levels(ls)
-    assert ok
-    assert violations == []
+    assert levels_from_dict(squid_raw["levels"]).violations == []
 
 
 def test_phase_qubit_violation_is_named():
     ls = LevelStructure(qubit_type="phase", nu_10_hz=1e9, nu_21_hz=2e9, nu_32_hz=0.5e9)
-    ok, violations = validate_levels(ls)
-    assert not ok
-    assert violations == ["nu_10_hz > nu_21_hz"]
+    assert ls.violations == ["nu_10_hz > nu_21_hz"]
 
 
 @pytest.mark.parametrize("qubit_type", ["charge", "phase", "flux", "squid"])
@@ -261,24 +255,22 @@ def test_equal_frequencies_fail_everywhere(qubit_type):
         nu_31_hz=1e9,
         nu_30_hz=1e9,
     )
-    ok, violations = validate_levels(ls)
-    assert not ok
-    assert violations
+    assert ls.violations
 
 
 def test_charge_and_flux_orderings():
     charge = LevelStructure(qubit_type="charge", nu_10_hz=5e9, nu_21_hz=7e9, nu_32_hz=3e9)
-    assert validate_levels(charge) == (True, [])
+    assert charge.violations == []
     flux = LevelStructure(qubit_type="flux", nu_10_hz=3e9, nu_21_hz=7e9, nu_32_hz=5e9)
-    assert validate_levels(flux) == (True, [])
+    assert flux.violations == []
 
 
 def test_levels_missing_required_frequency():
-    ls = LevelStructure(qubit_type="squid", nu_21_hz=2e9, nu_32_hz=1e9)
+    # an unknown type or a frequency that an ordering reads is rejected at construction
     with pytest.raises(ConfigError):
-        validate_levels(ls)
+        LevelStructure(qubit_type="squid", nu_21_hz=2e9, nu_32_hz=1e9)
     with pytest.raises(ConfigError):
-        validate_levels(LevelStructure(qubit_type="laser", nu_21_hz=1.0, nu_32_hz=1.0))
+        LevelStructure(qubit_type="laser", nu_21_hz=1.0, nu_32_hz=1.0)
 
 
 # The frequencies that the level orderings of each qubit type compare.
@@ -294,8 +286,7 @@ _ORDERED_FREQS = {
 def test_every_compared_frequency_is_required(qubit_type, names):
     # a frequency no ordering reads may be missing; one that an ordering reads may not
     given = {name: 1e9 for name in names}
-    ok, violations = validate_levels(LevelStructure(qubit_type=qubit_type, **given))
-    assert not ok and violations
+    assert LevelStructure(qubit_type=qubit_type, **given).violations
     for name in names:
         with pytest.raises(ConfigError, match=f"needs {name}$"):
-            validate_levels(LevelStructure(qubit_type=qubit_type, **{**given, name: None}))
+            LevelStructure(qubit_type=qubit_type, **{**given, name: None})

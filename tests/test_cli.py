@@ -162,6 +162,18 @@ def test_budget_squid_includes_coupling_and_levels(capsys):
     assert doc["levels"]["passed"] is True
 
 
+def test_budget_reports_a_broken_ordering(capsys, tmp_path):
+    # a valid file whose frequencies break the type's ordering still exits 0
+    raw = preset_raw("squid")
+    raw["levels"]["qubit_type"] = "phase"
+    path = tmp_path / "phase.json"
+    path.write_text(json.dumps(raw))
+    doc = run_json(capsys, "budget", "--params", str(path))
+    assert doc["levels"] == {
+        "qubit_type": "phase", "passed": False, "violations": ["nu_10_hz > nu_21_hz"]
+    }
+
+
 def test_budget_accepts_preset_names(capsys):
     doc = run_json(capsys, "budget", "--params", "squid")
     assert doc["tau_ntcnot_s"] == pytest.approx(0.146e-6, rel=0.02)
@@ -253,11 +265,21 @@ def _text_frequency(raw):
     raw["levels"]["nu_21_hz"] = "1.65e10"
 
 
+def _unknown_qubit_type(raw):
+    raw["levels"]["qubit_type"] = "laser"
+
+
+def _without_ordered_frequency(raw):
+    del raw["levels"]["nu_20_hz"]
+
+
 @pytest.mark.parametrize(
     "spoil,message",
     [
         (_without_loop_area, "missing squid keys: ['loop_area_m2']"),
         (_text_frequency, "levels.nu_21_hz must be a number, got '1.65e10'"),
+        (_unknown_qubit_type, "unknown qubit type 'laser'"),
+        (_without_ordered_frequency, "squid level validation needs nu_20_hz"),
     ],
 )
 def test_a_file_is_valid_for_every_command_or_for_none(capsys, tmp_path, spoil, message):

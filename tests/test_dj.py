@@ -59,14 +59,14 @@ def test_oracle_output_signs(unit_params, mode):
     state = prepare_input(space)
     expected_signs = {1: (1, 1), 2: (-1, -1), 3: (1, -1), 4: (-1, 1)}
     for variant, (s0, s1) in expected_signs.items():
-        out = uf_apply(variant, state, unit_params, mode)
+        out = uf_apply(oracle_variant(variant), state, unit_params, mode)
         assert np.max(np.abs(_dense(out) - _signed_input(space, s0, s1))) < 1e-10
 
 
 def test_identity_oracle_leaves_state(unit_params):
     space = dj_space()
     state = prepare_input(space)
-    out = uf_apply(1, state, unit_params)
+    out = uf_apply(oracle_variant(1), state, unit_params)
     assert np.array_equal(_dense(out), _dense(state))
 
 
@@ -99,7 +99,7 @@ def test_single_oracle_invocation(unit_params, monkeypatch):
 @pytest.mark.parametrize("variant", [1, 2, 3, 4])
 def test_target_stays_unentangled(unit_params, variant):
     space = dj_space()
-    out = uf_apply(variant, prepare_input(space), unit_params)
+    out = uf_apply(oracle_variant(variant), prepare_input(space), unit_params)
     # singular values of the query vs. (target, cavity) bipartition
     sv = np.linalg.svd(_dense(out).reshape(4, space.total_dim // 4), compute_uv=False)
     assert sv[0] == pytest.approx(1.0, abs=1e-10)
@@ -128,11 +128,11 @@ def test_cnot_composed_only_when_the_oracle_uses_it(unit_params, monkeypatch, mo
     monkeypatch.setattr(dj_mod, "build_evolutions", counting)
     for variant, expected in ((1, 0), (2, 1), (3, 1), (4, 1)):
         calls.clear()
-        uf_apply(variant, prepare_input(dj_space()), unit_params, mode)
+        uf_apply(oracle_variant(variant), prepare_input(dj_space()), unit_params, mode)
         assert len(calls) == expected
 
 
 def test_constant_oracle_still_checks_the_device(unit_params):
     short = replace(unit_params, g=(unit_params.g_at(0),))
     with pytest.raises(ValueError, match="the gate needs 2"):
-        uf_apply(1, prepare_input(dj_space()), short)
+        uf_apply(oracle_variant(1), prepare_input(dj_space()), short)

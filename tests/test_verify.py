@@ -167,7 +167,7 @@ def _full_infidelities(params, gate, n):
     out = []
     for r in (10.0, 20.0, 40.0):
         p = replace(params, delta_c=r * g, delta_ck=r * g, omega_resonant=r * g)
-        seq = build_sequence(GateKind.parse(gate), n, p)
+        seq = build_sequence(GateKind(gate), n, p)
         out.append(1.0 - report(seq, Mode.FULL, samples_per_step=0).process_fidelity)
     return out
 
@@ -204,7 +204,7 @@ def test_full_report_forms_no_dense_state(cpw_params, monkeypatch, gate, n, samp
     # every window, Hamiltonian ones included, moves the computational columns
     # as one support of their nonzeros: no state that enters a window holds an
     # exact zero, or as many entries as its columns have basis states
-    seq = build_sequence(GateKind.parse(gate), n, cpw_params)
+    seq = build_sequence(GateKind(gate), n, cpw_params)
     expected = report(seq, Mode.FULL, samples_per_step=samples)
     entering = []
     propagate, apply_local = linalg_mod.HermitianOperator.propagate, sequences_mod.apply_local
@@ -231,7 +231,7 @@ def test_full_report_forms_no_dense_state(cpw_params, monkeypatch, gate, n, samp
     "gate,n", [("cp3", 3), ("toffoli", 3), ("ntcnot", 2), ("ntcnot", 3), ("ntcnot", 4), ("ncp", 4)]
 )
 def test_report_agrees_with_composed_block(unit_params, gate, n, mode):
-    seq = build_sequence(GateKind.parse(gate), n, unit_params)
+    seq = build_sequence(GateKind(gate), n, unit_params)
     rep = report(seq, mode, samples_per_step=0)
     comp = seq.space.computational_indices()
     u = compose(seq, mode)
@@ -251,7 +251,7 @@ def test_report_agrees_with_composed_block(unit_params, gate, n, mode):
 def test_exact_match_counts_ideal_entries_the_walk_misses(unit_params, gate, n):
     # cut short, these sequences leave some columns wholly outside the computational
     # block: every entry the walk holds matches, and only the missed ideal entries are off
-    seq = build_sequence(GateKind.parse(gate), n, unit_params)
+    seq = build_sequence(GateKind(gate), n, unit_params)
     for cut in range(1, seq.step_count):
         short = replace(seq, steps=seq.steps[:cut])
         comp = short.space.computational_indices()
@@ -266,7 +266,7 @@ def test_exact_match_counts_ideal_entries_the_walk_misses(unit_params, gate, n):
 def test_report_walks_effective_idle_windows_like_compose(unit_params, monkeypatch, gate, n):
     # effective idle phases are local diagonal unitaries ahead of each window,
     # which build_evolutions emits only on request; the walk applies them
-    seq = build_sequence(GateKind.parse(gate), n, unit_params)
+    seq = build_sequence(GateKind(gate), n, unit_params)
     with_idle = lambda s, m: build_evolutions(s, m, include_idle=True)
     monkeypatch.setattr(verify_mod, "build_evolutions", with_idle)
     rep = report(seq, Mode.EFFECTIVE)
@@ -283,7 +283,7 @@ def test_report_walks_effective_idle_windows_like_compose(unit_params, monkeypat
 @pytest.mark.parametrize("gate,n", [("ncp", 5), ("ntcnot", 5)])
 def test_closed_form_report_reads_no_index_map(unit_params, monkeypatch, gate, n, mode):
     # closed-form windows act on the support's mixed-radix digits: they build no operator
-    seq = build_sequence(GateKind.parse(gate), n, unit_params)
+    seq = build_sequence(GateKind(gate), n, unit_params)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("closed-form reports must not partition an operator")
@@ -299,7 +299,7 @@ def test_closed_form_report_reads_no_index_map(unit_params, monkeypatch, gate, n
 def test_closed_form_report_reaches_large_n(cpw_params, gate, n, mode):
     # D = 131072, 32768 and 131072: the walk, domain check included, costs
     # what each column's support holds, and its score forms no 2^n x 2^n block
-    seq = build_sequence(GateKind.parse(gate), n, cpw_params)
+    seq = build_sequence(GateKind(gate), n, cpw_params)
     tracemalloc.start()
     try:
         rep = report(seq, mode)
@@ -416,13 +416,13 @@ def test_branch_phases_match_factorized_composition_across_devices(
     unit_params, gate, n, cavity_dim, device
 ):
     params = replace(unit_params, **_HETEROGENEOUS) if device == "heterogeneous" else unit_params
-    seq = build_sequence(GateKind.parse(gate), n, params, cavity_dim)
+    seq = build_sequence(GateKind(gate), n, params, cavity_dim)
     _assert_branch_phases_match_composition(seq)
 
 
 @pytest.mark.parametrize("gate,n", [("ncp", 5), ("ntcnot", 7)])
 def test_audit_walks_levels_not_state_vectors(unit_params, monkeypatch, gate, n):
-    seq = build_sequence(GateKind.parse(gate), n, unit_params)
+    seq = build_sequence(GateKind(gate), n, unit_params)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("the phase audit must not propagate state vectors")
