@@ -36,10 +36,12 @@ decompose it once each.  A dense matrix is one term over every subsystem,
 and without zero structure it is a single block.  A full-mode pi-pulse
 window is no operator here but a product of local unitaries (see
 :func:`gatesim.sequences.build_evolutions`).  The three
-other windows of a full-mode fanout CNOT reach 64, 702 and 999 of the 2048
-states at n = 5, and 512, 23328 and 35721 of the 131072 states at n = 8, in
-blocks of at most 8 states.  On a 2-CPU VM its report takes about
-0.2 s and 11 MiB of traced allocations at n = 8 without level-3 sampling.
+other windows of a full-mode fanout CNOT, walked from one column per
+target-permutation orbit (:func:`gatesim.verify.report`), reach 20, 284 and
+413 of the 2048 states at n = 5, and 32, 3068 and 4861 of the 131072 states
+at n = 8, in blocks of at most 8 states.  On a 2-CPU VM its report takes
+about 0.02 s and 1.4 MiB of traced allocations at n = 8, and 0.4 s and
+34 MiB at n = 12, without level-3 sampling.
 
 Weighted observables are sums of diagonal local terms ``(values, slots)``,
 read at the basis indices a state reaches through their mixed-radix digits

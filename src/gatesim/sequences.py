@@ -29,8 +29,9 @@ exact, as each of its terms acts on its own qubit; the effective mode's idle
 phases are the factorized form the analytic phase audit reproduces term by
 term.  The closed-form Raman swaps are exact only on
 :func:`gatesim.pulses.closed_form_domain`, the states the protocols visit;
-:func:`gatesim.verify.report` checks every column against it as it walks
-the windows.
+:func:`gatesim.verify.report` checks every column it walks (one per column
+orbit: ``2n`` for the fanout CNOT on identical targets) against it as it
+walks the windows.
 """
 
 from __future__ import annotations

@@ -11,6 +11,7 @@ process fidelity.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,6 +73,30 @@ def ideal_columns(gate: GateKind, n: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, signs
 
 
+def _orbits(seq: PulseSequence) -> tuple[np.ndarray, np.ndarray]:
+    """One computational label per orbit of columns the walk treats alike, and the orbit sizes.
+
+    When every target slot has exactly the same ``g``, ``delta_ck`` and
+    ``omega_raman``, each fanout-CNOT window commutes with permutations of
+    the targets, and :func:`ideal_columns` signs a column by its control bit
+    ``c`` and its number ``m`` of set targets alone.  So the ``C(n-1, m)``
+    columns of class ``(c, m)`` share one walk and one score, and the class
+    is represented by ``c`` followed by ``m`` ones in the lowest target bits.
+    Every other gate or device has one column per orbit.
+    """
+    n, params = seq.n, seq.params
+    targets = range(1, n)
+    uniform = seq.gate is GateKind.NTCNOT and all(
+        len({at(q) for q in targets}) == 1
+        for at in (params.g_at, params.delta_ck_at, params.omega_raman_at)
+    )
+    if not uniform:
+        return np.arange(2**n), np.ones(2**n)
+    labels = [(c << (n - 1)) | ((1 << m) - 1) for c in (0, 1) for m in range(n)]
+    sizes = [math.comb(n - 1, m) for m in range(n)] * 2
+    return np.array(labels), np.array(sizes, dtype=float)
+
+
 def _column_weight(walk: Support, values: np.ndarray, dim: int) -> np.ndarray:
     """``sum_k values[k] |amp[k]|²`` over each column's entries, for ``dim`` columns."""
     return np.bincount(walk.col, values * np.abs(walk.amp) ** 2, dim)
@@ -131,12 +156,16 @@ def report(
 ) -> GateReport:
     """Walk the sequence, score it against the ideal gate and record leakage.
 
-    All computational inputs walk the windows together as one
-    :class:`gatesim.linalg.Support`, so every window costs what the support
-    holds: closed-form windows act on its digits and Hamiltonian windows on the
-    blocks it reaches.  Level-3 population is taken per column at each window
-    boundary and sampled inside Hamiltonian windows, where its transient peaks
-    (one :func:`gatesim.linalg.evolve_times` call per window, which only
+    One computational input per column orbit (:func:`_orbits`) walks the
+    windows, all together as one :class:`gatesim.linalg.Support`, so every
+    window costs what the support holds: closed-form windows act on its digits
+    and Hamiltonian windows on the blocks it reaches.  An orbit is a single
+    column unless the gate and the device treat its columns alike (the fanout
+    CNOT on identical targets: ``2n`` orbits), and each walked column's
+    overlap with the ideal gate counts once per member of its orbit.
+    Level-3 population is taken per column at each window boundary and
+    sampled inside Hamiltonian windows, where its transient peaks (one
+    :func:`gatesim.linalg.evolve_times` call per window, which only
     observes); photon population after the last window.  A window of local
     unitaries is not sampled, and loses nothing by it: the closed-form modes
     keep level 3 out of every window, and in full mode such a window is a
@@ -146,37 +175,41 @@ def report(
     with weight outside the swap's closed-form domain, and raises
     ``ValueError`` if one does.  The walk's computational entries are scored
     in place against :func:`ideal_columns`: no ``2^n x 2^n`` block is formed.
+    Every other field is a maximum over columns, so over the walked ones.
     """
     space = seq.space
     comp = space.computational_indices()
     dim = len(comp)
+    labels, sizes = _orbits(seq)
+    walked = len(labels)
     level3 = _level3_terms(space)
     photon = ((np.arange(space.cavity_dim) > 0, (space.cavity_slot,)),)  # the flag n_c > 0
 
     max_pop3 = 0.0
-    walk = Support(space, np.arange(dim), comp, np.ones(dim, dtype=complex))
+    walk = Support(space, np.arange(walked), comp[labels], np.ones(walked, dtype=complex))
     evolutions = build_evolutions(seq, mode)
     while evolutions:  # a window's spectra are released once it is walked
         evo = evolutions.pop(0)
         if mode is not Mode.FULL:
-            _check_swap_domain(seq, evo, walk, dim)
+            _check_swap_domain(seq, evo, walk, walked)
         if evo.hamiltonian is not None and samples_per_step > 0 and evo.duration > 0:
             times = np.linspace(0.0, evo.duration, samples_per_step + 1)
             pop = evolve_times(walk, evo.hamiltonian, times, level3)
             max_pop3 = max(max_pop3, float(np.max(pop)))
         walk = apply_evolutions([evo], space, walk)
-        pop3 = _column_weight(walk, diagonal_at(space, level3, walk.idx), dim)
+        pop3 = _column_weight(walk, diagonal_at(space, level3, walk.idx), walked)
         max_pop3 = max(max_pop3, float(np.max(pop3)))
-    light = _column_weight(walk, diagonal_at(space, photon, walk.idx), dim)
+    light = _column_weight(walk, diagonal_at(space, photon, walk.idx), walked)
     row = np.searchsorted(comp, walk.idx).clip(max=dim - 1)
     held = comp[row] == walk.idx
     col, amp = walk.col[held], walk.amp[held]
     rows, signs = ideal_columns(seq.gate, seq.n)
-    on = row[held] == rows[col]
-    ideal = np.where(on, signs[col], 0.0)  # the ideal entry at each held computational entry
-    fidelity = float(abs(np.sum(ideal * amp)) ** 2 / dim**2)
+    label = labels[col]
+    on = row[held] == rows[label]
+    ideal = np.where(on, signs[label], 0.0)  # the ideal entry at each held computational entry
+    fidelity = float(abs(np.sum(sizes[col] * ideal * amp)) ** 2 / dim**2)
     # an ideal entry the walk does not hold is off by 1
-    missing = np.count_nonzero(on) < dim
+    missing = np.count_nonzero(on) < walked
     exact = bool(np.max(np.abs(amp - ideal), initial=float(missing)) <= tol)
     return GateReport(
         gate=seq.gate.value,

@@ -649,9 +649,14 @@ def test_idle_phase_needs_a_real_diagonal_generator(unit_params, monkeypatch, mo
         build_evolutions(cp3_sequence(unit_params), mode, include_idle=True)
 
 
-@pytest.mark.parametrize("gate,n", GATES_UP_TO_4)
-def test_full_report_matches_dense_eigh_report(unit_params, monkeypatch, gate, n):
-    seq = build_sequence(gate, n, hetero_params(unit_params))
+@pytest.mark.parametrize(
+    "gate,n,uniform",
+    [pytest.param(gate, n, False, id=f"{gate}-{n}") for gate, n in GATES_UP_TO_4]
+    # identical targets: the report walks one column per ntcnot class
+    + [pytest.param(GateKind.NTCNOT, 4, True, id="GateKind.NTCNOT-4-uniform")],
+)
+def test_full_report_matches_dense_eigh_report(unit_params, monkeypatch, gate, n, uniform):
+    seq = build_sequence(gate, n, unit_params if uniform else hetero_params(unit_params))
     blocked = report(seq, Mode.FULL, samples_per_step=16)
     # the reference gives each column the support holds the whole space as
     # one block, the dense sum of the window's terms, decomposed by dense

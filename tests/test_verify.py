@@ -5,6 +5,8 @@ from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     columns_matrix,
@@ -13,9 +15,11 @@ from conftest import (
     on_array,
     photon_flag,
 )
+from gatesim import jsonio
 from gatesim import linalg as linalg_mod
 from gatesim import sequences as sequences_mod
 from gatesim import verify as verify_mod
+from gatesim.device import DeviceParams
 from gatesim.pulses import Mode
 from gatesim.sequences import (
     GateKind,
@@ -141,7 +145,8 @@ def test_report_full_ntcnot_n6_at_cpw(cpw_params):
 def test_report_full_ntcnot_n8_at_cpw(cpw_params):
     # D = 131072: the two pi windows are products of local unitaries, and the
     # cavity windows build only the blocks their support reaches (at most
-    # 35721 states) and nothing of size D, which bounds the traced peak
+    # 4861 states from the 16 class columns, 35721 from all 256) and nothing
+    # of size D, which bounds the traced peak
     seq = ntcnot_sequence(8, cpw_params)
     tracemalloc.start()
     try:
@@ -310,6 +315,108 @@ def test_closed_form_report_reaches_large_n(cpw_params, gate, n, mode):
     assert rep.n == n
     if mode is Mode.ANALYTIC:
         assert peak < 2**20
+
+
+# --- column orbits -----------------------------------------------------------
+
+
+def _single_columns(seq):
+    """Every computational column its own orbit: the walk before orbits."""
+    return np.arange(2**seq.n), np.ones(2**seq.n)
+
+
+def _assert_orbit_report_matches_every_column(seq, mode, samples, monkeypatch):
+    orbit = report(seq, mode, samples_per_step=samples)
+    with monkeypatch.context() as patch:
+        patch.setattr(verify_mod, "_orbits", _single_columns)
+        every = report(seq, mode, samples_per_step=samples)
+    assert jsonio.json_dumps(asdict(orbit)) == jsonio.json_dumps(asdict(every))
+    assert orbit.exact_phase_match == every.exact_phase_match
+    for field in ("process_fidelity", "max_level3_population", "residual_photon"):
+        assert abs(getattr(orbit, field) - getattr(every, field)) <= 1e-12
+
+
+def _at_ratio(params, ratio):
+    """``params`` with the detunings and the resonant drive at ``ratio`` times ``g``."""
+    g = params.g_at(0)
+    return replace(params, delta_c=ratio * g, delta_ck=ratio * g, omega_resonant=ratio * g)
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+@pytest.mark.parametrize("ratio", [10.0, 20.0])
+@pytest.mark.parametrize("n", range(2, 8))
+def test_orbit_report_matches_every_column(cpw_params, monkeypatch, n, ratio, mode):
+    # cpw is the 10 g point; identical targets make ntcnot walk 2n columns
+    seq = ntcnot_sequence(n, _at_ratio(cpw_params, ratio))
+    assert len(verify_mod._orbits(seq)[0]) == 2 * n
+    _assert_orbit_report_matches_every_column(seq, mode, 64, monkeypatch)
+
+
+@given(
+    n=st.integers(min_value=2, max_value=5),
+    mode=st.sampled_from(list(Mode)),
+    g=st.tuples(*[st.floats(min_value=0.8, max_value=1.25)] * 2),
+    target_raman=st.floats(min_value=0.8, max_value=1.25),
+    ratios=st.tuples(*[st.floats(min_value=10.0, max_value=40.0)] * 3),
+)
+@settings(max_examples=30, deadline=None)
+def test_orbit_report_matches_every_column_on_uniform_targets(n, mode, g, target_raman, ratios):
+    # the control may differ from the targets, which share every value exactly;
+    # its raman swap needs omega_raman == g, a target's drive is free
+    delta_c, delta_ck, omega_resonant = (r * g[1] for r in ratios)
+    params = DeviceParams(
+        g=(g[0],) + (g[1],) * (n - 1),
+        delta_c=delta_c,
+        delta_ck=delta_ck,
+        omega_raman=(g[0],) + (target_raman,) * (n - 1),
+        omega_resonant=omega_resonant,
+        gamma2_inv=1.0,
+        quality_q=1e5,
+        nu_c=1.0,
+    )
+    seq = ntcnot_sequence(n, params)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _assert_orbit_report_matches_every_column(seq, mode, 16, monkeypatch)
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_orbits_are_the_ntcnot_classes(unit_params, n):
+    labels, sizes = verify_mod._orbits(ntcnot_sequence(n, unit_params))
+    assert sizes.sum() == 2**n
+    control, set_targets = labels >> (n - 1), np.bitwise_count(labels % 2 ** (n - 1))
+    classes = sorted(zip(control, set_targets))
+    assert classes == [(c, m) for c in (0, 1) for m in range(n)]  # one label per class
+    assert list(sizes) == [math.comb(n - 1, m) for _, m in zip(control, set_targets)]
+    signs = ideal_columns(GateKind.NTCNOT, n)[1][labels]
+    assert np.array_equal(signs, (-1.0) ** (control * set_targets))
+
+
+@pytest.mark.parametrize("field", ["g", "delta_ck", "omega_raman"])
+@pytest.mark.parametrize("n", [3, 5])
+def test_orbits_fall_back_to_single_columns_on_one_ulp(unit_params, monkeypatch, field, n):
+    # one target off by one ulp breaks the symmetry: every column walks alone
+    value = getattr(unit_params, field)
+    odd = (value,) * (n - 1) + (np.nextafter(value, np.inf),)
+    seq = ntcnot_sequence(n, replace(unit_params, **{field: odd}))
+    labels, sizes = verify_mod._orbits(seq)
+    assert np.array_equal(labels, np.arange(2**n)) and np.array_equal(sizes, np.ones(2**n))
+    walked = []
+    apply = verify_mod.apply_evolutions
+
+    def watched(evolutions, space, state):
+        walked.append(state.col.max() + 1)
+        return apply(evolutions, space, state)
+
+    monkeypatch.setattr(verify_mod, "apply_evolutions", watched)
+    report(seq, Mode.ANALYTIC)
+    assert set(walked) == {2**n}
+
+
+@pytest.mark.parametrize("gate,n", [("cp3", 3), ("toffoli", 3), ("ncp", 4), ("ncp", 5)])
+def test_orbits_are_single_columns_for_other_gates(unit_params, gate, n):
+    labels, sizes = verify_mod._orbits(build_sequence(GateKind(gate), n, unit_params))
+    assert np.array_equal(labels, np.arange(2**n)) and np.array_equal(sizes, np.ones(2**n))
+
 
 def test_report_to_dict_fields(unit_params):
     d = asdict(report(cp3_sequence(unit_params), Mode.ANALYTIC))
