@@ -49,10 +49,11 @@ read at the basis indices a state reaches through their mixed-radix digits
 Sampling a weighted population on an equally spaced time grid
 (:func:`evolve_times`) forms no state at any sample time.  In each block
 the population is a sum of oscillations at the differences of its
-eigenvalues.  Their phases on the grid ``t = (q S + r) dt`` factor into
-``S`` fast and about ``S`` slow columns (``S² >= T`` for ``T`` sample
-times), so a column's grid costs one matrix product and ``O(sqrt(T))``
-complex exponentials per pair.  This pays where blocks are small next to
+eigenvalues, equal in bitwise-identical blocks.  Their phases on the grid
+``t = (q S + r) dt`` factor into ``S`` fast and about ``S`` slow steps
+(``S² >= T`` for ``T`` sample times), so a call takes ``O(sqrt(T))``
+complex exponentials per distinct frequency and one matrix product per
+slice of columns.  This pays where blocks are small next to
 ``T``: the pair form costs about ``b³`` per block of size ``b`` against
 ``T b²`` for stepping the state through every sample.
 """
@@ -433,7 +434,7 @@ def _grid_step(times: np.ndarray) -> float:
     if times.ndim != 1 or times.size == 0 or times[0] != 0.0:
         raise ValueError("sample times must be a grid starting at 0")
     dt = times[-1] / max(times.size - 1, 1)
-    if not np.all(np.abs(times - np.arange(times.size) * dt) <= 1e-9 * abs(dt)):
+    if not np.abs(times - np.arange(times.size) * dt).max() <= 1e-9 * abs(dt):  # NaN fails
         raise ValueError("sample times must be equally spaced")
     return float(dt)
 
@@ -465,51 +466,50 @@ def evolve_times(
     terms ``weights`` (see :func:`diagonal_at`), and ``times`` must be an
     equally spaced grid ``t_i = i dt`` starting at 0.  Each reached block,
     one column's (:meth:`HermitianOperator._rows`), with a nonzero weight is
-    one row.
-    With ``c = v† x`` per row and ``M = v† diag(w) v`` per block, a
+    one row.  With ``c = v† x`` per row and ``M = v† diag(w) v`` per block, a
     row's population is ``Re sum_{j<=l} s_jl conj(c_j) M_jl c_l exp(i (λ_j - λ_l) t)``,
-    ``s`` being 1 on the diagonal and 2 above it.  Writing ``i = q S + r`` with
-    ``S = isqrt(T - 1) + 1`` for ``T`` times splits each phase in two, so a
-    column's ``P_k`` pairs need ``Q + S`` phases each, ``Q = ceil(T / S)``, and
-    its whole grid is one ``(Q, P_k) @ (P_k, S)`` product.  Only one column's
-    phases exist at a time; the next column reuses them if its frequencies agree.
+    ``s`` being 1 on the diagonal and 2 above it.  A column's pairs of equal
+    frequency add up in one entry of a (column, frequency) table over the
+    call's ``F`` distinct frequencies.  With ``i = q S + r`` for ``T`` times,
+    ``S = isqrt(T - 1) + 1`` and ``Q = ceil(T / S)``, the call takes
+    ``(Q + S) F`` exponentials, and each slice of ``max(1, m T // (Q F))``
+    columns one ``(columns Q, F') @ (F', S)`` product over the ``F' <= F``
+    frequencies it has, so no larger than the ``(T, m)`` result.
     """
     state = _on_space(h.space, state)
     times = np.asarray(times, dtype=float)
     dt = _grid_step(times)
     m = int(state.col.max(initial=-1)) + 1
-    rows = h._rows(state)
-    reached = [state.idx[:0]] + [group.idx.ravel() for group, _, _ in rows]
-    weight = diagonal_at(h.space, weights, np.concatenate(reached))  # one pass for every block
-    at = np.cumsum([part.size for part in reached])
-    coeffs, freqs, cols = [], [], []
-    for ((idx, w, v), c, col), lo, hi in zip(rows, at, at[1:]):
-        wx = weight[lo:hi].reshape(idx.shape)
-        mat = (np.swapaxes(v.conj(), -1, -2) * wx[:, None, :]) @ v  # v† diag(w) v
-        live = np.flatnonzero(wx.any(axis=1))  # the weighted rows
+    coeffs, freqs, cols = [state.amp[:0]], [np.zeros(0)], [state.col[:0]]
+    for (idx, w, v), c, col in h._rows(state):
+        wx = diagonal_at(h.space, weights, idx)
+        mat = (v.conj().mT * wx[:, None, :]) @ v  # v† diag(w) v
+        live = wx.any(axis=1).nonzero()[0]  # the weighted rows
         j, l, scale = _pairs(w.shape[1])
         pair = c.conj()[:, j] * (scale * mat[:, j, l])[..., None] * c[:, l]  # s_jl A_jl
         coeffs.append(pair[live, :, 0])
         freqs.append((w[:, j] - w[:, l])[live])
-        cols.append(np.repeat(col[live], j.size))
-    if not cols:
-        return np.zeros((times.size, m))
-    s = math.isqrt(times.size - 1) + 1
+        cols.append(col[live].repeat(j.size))
+    freqs = np.concatenate(freqs, axis=None)
+    distinct = _unique(freqs)
+    f, s = distinct.size, math.isqrt(times.size - 1) + 1
     q = -(-times.size // s)
-    # i t at q slow steps of S dt, then at S fast steps of dt
-    steps = np.concatenate([np.arange(q) * s, np.arange(s)]) * (1j * dt)
-    col = np.concatenate(cols)
-    order = np.argsort(col, kind="stable")  # the pairs column by column
-    coeffs, freqs = (np.concatenate(a, axis=None)[order] for a in (coeffs, freqs))
-    bounds = np.searchsorted(col[order], np.arange(m + 1))
-    out, own = np.empty((times.size, m)), None
-    for k, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-        if own is None or own.size != hi - lo or np.any(freqs[lo:hi] != own):  # new frequencies
-            own, phases = freqs[lo:hi], None
-            phases = np.multiply.outer(steps, own)  # (Q + S, P_k), one column's only
-            np.exp(phases, out=phases)
-        grid = (coeffs[lo:hi] * phases[:q]) @ phases[q:].T
-        out[:, k] = grid.real.ravel()[: times.size]
+    width = max(1, m * times.size // max(q * f, 1))  # columns per slice
+    key = np.concatenate(cols) * f + distinct.searchsorted(freqs)  # each pair's (column, frequency)
+    order = np.argsort(key, kind="stable")
+    key, coeffs = key[order], np.concatenate(coeffs, axis=None)[order]
+    bounds = key.searchsorted(np.arange(0, m + width, width) * f)
+    del cols, freqs, order  # each pair keeps only its entry and coefficient
+    steps = np.concatenate([np.arange(q) * s, np.arange(s)]) * (1j * dt)  # Q slow, S fast
+    phases = np.exp(np.multiply.outer(steps, distinct))  # (Q + S, F)
+    out = np.empty((times.size, m))
+    for lo, a, b in zip(range(0, m, width), bounds, bounds[1:]):
+        table = np.zeros((min(width, m - lo), f), dtype=complex)
+        np.add.at(table.reshape(-1), key[a:b] - lo * f, coeffs[a:b])  # pairs summed per entry
+        own = table.any(axis=0).nonzero()[0]  # the slice's frequencies
+        part = (table[:, None, own] * phases[:q, own]).reshape(len(table) * q, own.size)
+        grid = (part @ phases[q:, own].T).real.reshape(len(table), q * s)  # (columns, Q S)
+        out[:, lo : lo + width] = grid[:, : times.size].T
     return out
 
 

@@ -779,6 +779,41 @@ def test_stacked_evolve_times_matches_each_column(sizes, m, samples, seed):
     assert np.array_equal(support, got)
 
 
+@given(
+    st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=4),
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=1, max_value=4),
+    st.sampled_from([0, 1, 7, 512]),
+    st.integers(min_value=0, max_value=2**31 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_evolve_times_on_repeated_blocks_matches_the_dense_sum(sizes, copies, m, samples, seed):
+    # a block-diagonal generator on the second subsystem only: its blocks recur
+    # bitwise once per level of the first, so a column that reaches several
+    # copies, and every column, meets equal frequencies, which add up in one
+    # (column, frequency) entry; the first subsystem's weights make each
+    # copy's weighted overlaps its own, and zero weights drop some copies
+    local = block_diagonal_hermitian(sizes, seed)[0]
+    space = HilbertSpace((copies, len(local)))
+    h = HermitianOperator(space, ((local, (1,)),))
+    rng = np.random.default_rng(seed + 1)
+    first = rng.integers(0, 3, size=copies).astype(float)
+    second = rng.integers(0, 3, size=len(local)).astype(float)
+    weights = ((first, (0,)), (second, (1,)))
+    amps = rng.normal(size=(space.total_dim, m)) + 1j * rng.normal(size=(space.total_dim, m))
+    amps[rng.random(amps.shape) < 0.3] = 0.0
+    times = np.linspace(0.0, 2.1, samples + 1)
+    lam, vecs = np.linalg.eigh(dense_matrix(h))
+    phases = np.exp(-1j * np.outer(times, lam))
+    trajectory = np.einsum("tj,ij,jk->tik", phases, vecs, vecs.conj().T @ amps)
+    level = (first[:, None] + second).ravel()  # the weight of each basis index
+    expected = np.einsum("tik,i->tk", np.abs(trajectory) ** 2, level)
+    got = evolve_times(support_of(space, amps), h, times, weights)
+    width = got.shape[1]
+    assert not np.any(expected[:, width:] > 1e-12)  # trailing empty columns have no entry
+    assert np.max(np.abs(got - expected[:, :width]), initial=0.0) <= 1e-12
+
+
 @pytest.mark.parametrize("shape", [(8,), (3,), (4, 1), ()])
 def test_evolve_times_rejects_other_weight_shapes(shape):
     # a length-2D vector used to be read as its first D entries

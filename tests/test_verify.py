@@ -159,6 +159,27 @@ def test_report_full_ntcnot_n8_at_cpw(cpw_params):
     assert rep.process_fidelity >= 0.9
 
 
+def test_sampled_report_on_distinct_targets_keeps_its_memory(cpw_params):
+    # targets 2% apart in g, with delta_ck scaled by the same factor squared so
+    # every dispersive duration stays equal: no two targets are alike, so all
+    # 128 columns walk and each samples its own frequencies; one product over
+    # every column of a window, unsliced, takes about 8x this traced peak
+    n, g, delta = 7, cpw_params.g, cpw_params.delta_ck
+    scale = 1.0 + 0.02 * np.arange(n)
+    params = replace(cpw_params, g=tuple(g * scale), delta_ck=tuple(delta * scale**2))
+    seq = ntcnot_sequence(n, replace(params, omega_raman=g))
+    assert len(verify_mod._orbits(seq)[0]) == 2**n
+    tracemalloc.start()
+    try:
+        rep = report(seq, Mode.FULL, samples_per_step=512)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    assert rep.process_fidelity == pytest.approx(0.932535155679, abs=1e-12)
+    assert rep.max_level3_population == pytest.approx(0.172119912974, abs=1e-12)
+
+
 def test_report_full_infidelity_improves_with_detuning(unit_params):
     rep10 = report(cp3_sequence(unit_params), Mode.FULL)
     p20 = replace(unit_params, delta_c=20.0, delta_ck=20.0)
