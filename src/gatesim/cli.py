@@ -6,6 +6,7 @@ Subcommands: ``verify`` (run a gate's sequence and score it against its ideal),
 (the SQUID coupling-constant estimate).  Structured output is JSON on
 stdout, or a file via ``--output``; sweeps emit CSV.  Exit codes: 0 success,
 1 verification below threshold, 2 usage, configuration or out-of-memory error.
+:func:`main` builds its parser once per process, on its first call.
 
 The entrywise comparison tolerance defaults to 1e-10 and can be overridden
 with the ``GATESIM_TOL`` environment variable (a finite value >= 0).
@@ -18,6 +19,7 @@ import math
 import os
 import sys
 from dataclasses import asdict, replace
+from functools import cache
 
 import numpy as np
 
@@ -88,6 +90,7 @@ _count = _checked(int, lambda v: v >= 0, "an integer >= 0")
 _positive = _checked(float, lambda v: math.isfinite(v) and v > 0, "a finite number > 0")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="gatesim")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -146,11 +149,9 @@ def _cmd_verify(args) -> int:
     if threshold is None:
         threshold = 0.9 if mode is Mode.FULL else 1.0 - 1e-9
     passed = rep.process_fidelity >= threshold
-    out = asdict(rep)
-    out["threshold"] = threshold
-    out["passed"] = passed
+    out = {**vars(rep), "threshold": threshold, "passed": passed}
     if args.audit:
-        out["phase_audit"] = asdict(phase_audit(seq))
+        out["phase_audit"] = vars(phase_audit(seq))
     if args.dump_sequence:
         out["sequence"] = serialize_sequence(seq)
     write_json(out, args.output)
@@ -189,7 +190,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_dj(args) -> int:
     params, _ = load_params(args.params)
     result = run_dj(args.variant, params, Mode(args.mode))
-    write_json(asdict(result), args.output)
+    write_json(vars(result), args.output)
     return 0
 
 

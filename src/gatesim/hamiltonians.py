@@ -23,6 +23,8 @@ on that sign.
 
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
 
 from .device import DeviceParams, Role
@@ -43,8 +45,17 @@ def _ket_bra(i: int, j: int) -> np.ndarray:
     return m
 
 
-def _proj(i: int) -> np.ndarray:
-    return _ket_bra(i, i)
+@cache
+def _skeleton(cavity_op: str, cavity_dim: int, *qudit: tuple[int, int, int]) -> np.ndarray:
+    """Read-only ``(sum of w|i><j| over the (i, j, w) in qudit) ⊗ c``, c in 1, a, a†, a†a.
+
+    Free of device parameters, so built once; the builders scale it into fresh arrays.
+    """
+    a = cavity_ladder(cavity_dim)
+    cavity = {"1": np.eye(cavity_dim), "a": a, "a†": a.conj().T, "a†a": a.conj().T @ a}[cavity_op]
+    skeleton = np.kron(sum(w * _ket_bra(i, j) for i, j, w in qudit), cavity)
+    skeleton.flags.writeable = False
+    return skeleton
 
 
 def _require_raman(role: Role) -> int:
@@ -64,7 +75,7 @@ def raman_full_local(params: DeviceParams, slot: int, role: Role, cavity_dim: in
     j = _require_raman(role)
     omega = params.omega_raman_at(slot)
     h = idle_coupling_local(params, slot, role, cavity_dim, full=True)
-    h -= omega * np.kron(_ket_bra(j, 3) + _ket_bra(3, j), np.eye(cavity_dim))
+    h -= omega * _skeleton("1", cavity_dim, (j, 3, 1), (3, j, 1))
     return h
 
 
@@ -85,11 +96,10 @@ def raman_effective_local(
     g = params.g_at(slot)
     omega = params.omega_raman_at(slot)
     delta = params.delta_c
-    a = cavity_ladder(cavity_dim)
-    n_op = a.conj().T @ a
-    h = -(omega**2 / delta) * np.kron(_proj(j), np.eye(cavity_dim))
-    h -= (g**2 / delta) * np.kron(_proj(2), n_op)
-    h += (omega * g / delta) * (np.kron(_ket_bra(2, j), a.conj().T) + np.kron(_ket_bra(j, 2), a))
+    h = -(omega**2 / delta) * _skeleton("1", cavity_dim, (j, j, 1))
+    h -= (g**2 / delta) * _skeleton("a†a", cavity_dim, (2, 2, 1))
+    flip = _skeleton("a†", cavity_dim, (2, j, 1)) + _skeleton("a", cavity_dim, (j, 2, 1))
+    h += (omega * g / delta) * flip
     return h
 
 
@@ -119,11 +129,10 @@ def idle_coupling_local(
     """
     g = params.g_at(slot)
     delta = params.detuning_for(slot, role)
-    a = cavity_ladder(cavity_dim)
     if full:
-        h = delta * np.kron(_proj(3), np.eye(cavity_dim))
-        h += g * (np.kron(_ket_bra(2, 3), a.conj().T) + np.kron(_ket_bra(3, 2), a))
+        h = delta * _skeleton("1", cavity_dim, (3, 3, 1))
+        h += g * (_skeleton("a†", cavity_dim, (2, 3, 1)) + _skeleton("a", cavity_dim, (3, 2, 1)))
         return h
-    n_op = a.conj().T @ a
-    return (g**2 / delta) * np.kron(_proj(3) - _proj(2), n_op)
+    # one skeleton, not the difference of two, keeps the signed zeros of kron(|3><3| - |2><2|, a†a)
+    return (g**2 / delta) * _skeleton("a†a", cavity_dim, (3, 3, 1), (2, 2, -1))
 

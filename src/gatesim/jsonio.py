@@ -7,9 +7,9 @@ inputs produce byte-identical output.
 
 from __future__ import annotations
 
-import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable, Optional
 
@@ -28,7 +28,7 @@ def _render(obj, pieces: list[str]) -> None:
             raise ValueError(f"cannot serialize non-finite float {obj}")
         pieces.append(format(obj, ".12g"))
     elif isinstance(obj, str):
-        pieces.append(json.dumps(obj))
+        pieces.append(encode_basestring_ascii(obj))
     elif isinstance(obj, dict):
         pieces.append("{")
         for i, (key, value) in enumerate(obj.items()):
@@ -36,7 +36,7 @@ def _render(obj, pieces: list[str]) -> None:
                 raise ValueError(f"JSON object keys must be strings, got {key!r}")
             if i:
                 pieces.append(", ")
-            pieces.append(json.dumps(key))
+            pieces.append(encode_basestring_ascii(key))
             pieces.append(": ")
             _render(value, pieces)
         pieces.append("}")

@@ -1,5 +1,8 @@
 import json
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -453,3 +456,49 @@ def test_squid_g_requires_squid_section(capsys):
     code, _, err = run_cli(capsys, "squid-g", "--params", "presets/cpw.json")
     assert code == 2
     assert "squid" in err
+
+
+# --- one parser per process ----------------------------------------------------
+
+SWEEP = ("sweep", "--param", "delta_ratio", "--from", "10", "--to", "20", "--points", "2", "--observable")
+IN_A_ROW = [
+    ("verify", "cp3", "--audit", "--dump-sequence"),
+    ("verify", "cp3"),
+    (*SWEEP, "fidelity_full", "leakage3", "tau_cp3", "tau_ntcnot", "kappa_inv"),
+    (*SWEEP, "tau_cp3"),
+    ("budget", "--threshold", "0.05"),
+    ("budget",),
+    ("verify", "cnot"),
+    ("--help",),
+]
+
+
+def test_shared_parser_leaks_no_state_between_calls(capsys, monkeypatch):
+    from gatesim import cli
+
+    monkeypatch.setenv("COLUMNS", "100")
+    shared = [run_cli(capsys, *argv) for argv in IN_A_ROW]
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)  # a fresh parser per call
+    fresh = [run_cli(capsys, *argv) for argv in IN_A_ROW]
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 0, 0, 0, 0, 0, 2, 0]
+    assert "sequence" not in json.loads(shared[1][1])
+    assert "phase_audit" not in json.loads(shared[1][1])
+    assert shared[3][1].splitlines()[0] == "delta_ratio,tau_cp3"
+    assert json.loads(shared[4][1])["threshold"] == 0.05
+    assert json.loads(shared[5][1])["threshold"] == 0.1
+    assert "invalid choice: 'cnot'" in shared[6][2]
+    assert shared[7][1].startswith("usage: gatesim")
+
+
+def test_documented_reports_repeat_in_one_process(capsys, monkeypatch):
+    repo = Path(__file__).resolve().parents[1]
+    monkeypatch.chdir(repo)
+    for path in sorted((repo / "docs" / "expected").glob("*.json")):
+        argv = json.loads(path.read_text())["command"].split()[1:]
+        proc = subprocess.run(
+            [sys.executable, "-m", "gatesim", *argv], capture_output=True, text=True, timeout=300
+        )
+        assert proc.returncode == 0, proc.stderr
+        for _ in range(2):
+            assert run_cli(capsys, *argv) == (0, proc.stdout, ""), path.stem

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import dense_operator, propagator, tensor_embed
+from gatesim import hamiltonians as ham
 from gatesim.device import Role
 from gatesim.hamiltonians import (
     cavity_ladder,
@@ -82,6 +83,116 @@ def test_raman_builders_reject_target_role(unit_params):
         raman_full_local(unit_params, 0, Role.TARGET, CAV)
     with pytest.raises(ValueError):
         raman_effective_local(unit_params, 0, Role.TARGET, CAV)
+
+
+# --- builders against the Kronecker products they stand for -----------------
+
+
+def ket_bra(i, j):
+    m = np.zeros((4, 4), dtype=complex)
+    m[i, j] = 1.0
+    return m
+
+
+def kron_reference(name, params, slot, role, cavity_dim):
+    """Each builder written out as Kronecker products, term by term in its own order."""
+    a = cavity_ladder(cavity_dim)
+    a_dag, eye = a.conj().T, np.eye(cavity_dim)
+    n_op = a_dag @ a
+    g, omega, delta = params.g_at(slot), params.omega_raman_at(slot), params.detuning_for(slot, role)
+    if name == "idle_effective":
+        return (g**2 / delta) * np.kron(ket_bra(3, 3) - ket_bra(2, 2), n_op)
+    h = delta * np.kron(ket_bra(3, 3), eye)
+    h += g * (np.kron(ket_bra(2, 3), a_dag) + np.kron(ket_bra(3, 2), a))
+    if name == "idle_full":
+        return h
+    j = role.pulse_level
+    if name == "raman_full":
+        h -= omega * np.kron(ket_bra(j, 3) + ket_bra(3, j), eye)
+        return h
+    h = -(omega**2 / delta) * np.kron(ket_bra(j, j), eye)
+    h -= (g**2 / delta) * np.kron(ket_bra(2, 2), n_op)
+    h += (omega * g / delta) * (np.kron(ket_bra(2, j), a_dag) + np.kron(ket_bra(j, 2), a))
+    return h
+
+
+BUILDERS = {
+    "idle_effective": lambda p, slot, role, d: idle_coupling_local(p, slot, role, d, full=False),
+    "idle_full": lambda p, slot, role, d: idle_coupling_local(p, slot, role, d, full=True),
+    "raman_full": raman_full_local,
+    "raman_effective": raman_effective_local,
+}
+
+
+def builder_cases():
+    for name in BUILDERS:
+        roles = list(Role) if name.startswith("idle") else [Role.EMITTER, Role.ABSORBER]
+        for role in roles:
+            for cavity_dim in (2, 3, 4):
+                yield name, role, cavity_dim
+
+
+def per_qubit_params(unit_params):
+    per_qubit = (1.0, 1.3, 0.8)
+    return replace(unit_params, g=per_qubit, delta_ck=(10.0, 17.0, 12.5), omega_raman=per_qubit)
+
+
+@pytest.mark.parametrize("name,role,cavity_dim", list(builder_cases()))
+def test_builders_equal_their_kron_products_bitwise(unit_params, name, role, cavity_dim):
+    # bitwise, so signed zeros count: they reach eigh in full-mode windows
+    for params in (unit_params, per_qubit_params(unit_params)):
+        for slot in (0, 1, 2):
+            got = BUILDERS[name](params, slot, role, cavity_dim)
+            want = kron_reference(name, params, slot, role, cavity_dim)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name,role,cavity_dim", list(builder_cases()))
+def test_builders_return_fresh_writable_arrays(unit_params, name, role, cavity_dim):
+    # raman_full subtracts its drive in place from idle_coupling_local's result,
+    # so a shared array would show up in the idle builder's next result
+    params = per_qubit_params(unit_params)
+    first = BUILDERS[name](params, 1, role, cavity_dim)
+    assert first.flags.writeable
+    first += 7.0
+    for check, check_role, check_dim in builder_cases():
+        if check_dim == cavity_dim:
+            got = BUILDERS[check](params, 1, check_role, cavity_dim)
+            assert got.tobytes() == kron_reference(check, params, 1, check_role, cavity_dim).tobytes()
+
+
+def test_skeletons_are_read_only(unit_params):
+    for name, role, cavity_dim in builder_cases():
+        BUILDERS[name](unit_params, 0, role, cavity_dim)
+    hits = ham._skeleton.cache_info().hits
+    skeletons = [
+        ham._skeleton("1", 3, (3, 3, 1)),
+        ham._skeleton("a†a", 3, (3, 3, 1), (2, 2, -1)),
+        ham._skeleton("a", 4, (3, 2, 1)),
+        ham._skeleton("a†", 2, (2, 1, 1)),
+    ]
+    assert ham._skeleton.cache_info().hits == hits + len(skeletons)  # the builders' own entries
+    for skeleton in skeletons:
+        assert not skeleton.flags.writeable
+        with pytest.raises(ValueError):
+            skeleton[0, 0] = 1.0
+
+
+def test_skeleton_cache_does_not_grow_with_working_points(unit_params):
+    def build_all(params):
+        for name, role, cavity_dim in builder_cases():
+            for slot in (0, 1, 2):
+                BUILDERS[name](params, slot, role, cavity_dim)
+
+    build_all(unit_params)
+    size = ham._skeleton.cache_info().currsize
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        g, delta_ck, omega = (tuple(rng.uniform(0.1, 20.0, 3)) for _ in range(3))
+        delta_c = rng.uniform(1.0, 50.0)
+        build_all(replace(unit_params, g=g, delta_c=delta_c, delta_ck=delta_ck, omega_raman=omega))
+    assert ham._skeleton.cache_info().currsize == size
 
 
 # --- first-principles Raman Hamiltonian ------------------------------------
