@@ -1,18 +1,17 @@
-"""Rotating-frame Hamiltonians for the three cavity interactions.
-
-Three couplings drive everything in this package:
+"""Rotating-frame Hamiltonians for the two cavity interactions.
 
 * a Raman stage, where a classical drive on ``|j> <-> |3>`` and the cavity
   coupling on ``|2> <-> |3>`` share a common detuning ``delta_c`` and
   exchange a photon between the qubit and the cavity;
 * a dispersive stage, where a far-detuned cavity coupling shifts ``|2>`` and
-  ``|3>`` by a photon-number-dependent phase rate;
-* a resonant stage, a plain Rabi drive between ``|j>`` and ``|2>``.
+  ``|3>`` by a photon-number-dependent phase rate.
 
-All three are written in a frame rotating at the cavity and drive
-frequencies, where they are time independent (the two Raman detunings are
-equal by construction, enforced at config parse).  Spectral propagation is
-therefore exact.
+Both are written in a frame rotating at the cavity and drive frequencies,
+where they are time independent (the two Raman detunings are equal by
+construction, enforced at config parse).  Spectral propagation is therefore
+exact.  The protocols' third stage, a resonant Rabi drive between ``|j>``
+and ``|2>``, is an exact pi rotation at its duration and has no generator
+here: :mod:`gatesim.pulses` gives it in closed form.
 
 Sign convention: the Raman drive is applied with phase pi (the ``-omega``
 term below), which makes the resonant photon swap come out as
@@ -101,16 +100,6 @@ def raman_effective_local(
     flip = _skeleton("a†", cavity_dim, (2, j, 1)) + _skeleton("a", cavity_dim, (j, 2, 1))
     h += (omega * g / delta) * flip
     return h
-
-
-def resonant_drive_local(omega: float, phi: float, j: int) -> np.ndarray:
-    """Resonant Rabi drive ``omega (e^{-i phi}|2><j| + e^{i phi}|j><2|)``.
-
-    Acts on the qudit alone; ``j`` must be a logical level (0 or 1).
-    """
-    if j not in (0, 1):
-        raise ValueError(f"resonant drive couples a logical level to level 2, got j={j}")
-    return omega * (np.exp(-1j * phi) * _ket_bra(2, j) + np.exp(1j * phi) * _ket_bra(j, 2))
 
 
 def idle_coupling_local(

@@ -35,13 +35,14 @@ nor a ``D``-sized index array is formed; columns that share a component
 decompose it once each.  A dense matrix is one term over every subsystem,
 and without zero structure it is a single block.  A full-mode pi-pulse
 window is no operator here but a product of local unitaries (see
-:func:`gatesim.sequences.build_evolutions`).  The three
+:func:`gatesim.sequences.build_evolutions`), and its pi pulses are exact,
+so it adds no entry of round-off to a state.  The three
 other windows of a full-mode fanout CNOT, walked from one column per
-target-permutation orbit (:func:`gatesim.verify.report`), reach 20, 284 and
-413 of the 2048 states at n = 5, and 32, 3068 and 4861 of the 131072 states
-at n = 8, in blocks of at most 8 states.  On a 2-CPU VM its report takes
-about 0.02 s and 1.4 MiB of traced allocations at n = 8, and 0.4 s and
-34 MiB at n = 12, without level-3 sampling.
+target-permutation orbit (:func:`gatesim.verify.report`), reach 20, 30 and
+30 of the 2048 states at n = 5, 32, 60 and 60 of the 131072 states at
+n = 8, and 48, 114 and 114 at n = 12, in blocks of at most n states.  On a
+2-CPU VM its report takes about 3 ms and 0.06 MiB of traced allocations at
+n = 8, and 8 ms and 0.3 MiB at n = 12, without level-3 sampling.
 
 Weighted observables are sums of diagonal local terms ``(values, slots)``,
 read at the basis indices a state reaches through their mixed-radix digits

@@ -11,6 +11,12 @@ Each primitive exists in three modes:
   level 3 in play and is what the adiabatic-elimination validation compares
   against.
 
+A pi pulse is its closed form in every mode: the resonant drive
+``omega (e^{-i phi}|2><j| + e^{i phi}|j><2|)``, ``phi = ±pi/2``, rotates
+``|j>`` into ``|2>`` alone, exactly onto the map at ``pi / (2 omega)``.  A
+numerical exponential would leave ``cos(pi/2)`` round-off where the map has
+zeros, for every later window to carry.
+
 Durations:
   raman emit/absorb   t = pi * delta_c / (2 g²)      (quarter swap period)
   dispersive phase    t = pi * delta_ck / g²          (pi of phase on |2>|1>)
@@ -171,17 +177,14 @@ def pulse_local_hamiltonian(
     """Local generator of a timed pulse.
 
     ``mode`` picks the second-order (``EFFECTIVE``) or first-principles
-    (``FULL``) generator; the analytic maps and the Hadamard have none.  The
-    matrix spans ``(qudit, cavity)`` when ``pulse.kind.touches_cavity``, the
-    qudit alone otherwise.
+    (``FULL``) generator of a pulse that touches the cavity, as a
+    ``(qudit, cavity)`` matrix.  The analytic maps, the pi pulses and the
+    Hadamard have none.
     """
     role = _check_role(pulse.kind, pulse.slot, roles)
     kind = pulse.kind
-    if mode is Mode.ANALYTIC or kind is PulseKind.HADAMARD:
+    if mode is Mode.ANALYTIC or not kind.touches_cavity:
         raise ValueError(f"{kind.value} has no {mode.value} generator")
-    if kind in (PulseKind.PI_PULSE, PulseKind.PI_PULSE_DAG):
-        phi = -math.pi / 2 if kind is PulseKind.PI_PULSE_DAG else math.pi / 2
-        return ham.resonant_drive_local(params.omega_resonant, phi, role.pulse_level)
     if kind is PulseKind.DISPERSIVE_PHASE:
         return ham.idle_coupling_local(params, pulse.slot, role, cavity_dim, full=mode is Mode.FULL)
     builder = ham.raman_full_local if mode is Mode.FULL else ham.raman_effective_local
@@ -191,16 +194,16 @@ def pulse_local_hamiltonian(
 def pulse_local_unitary(
     pulse: Pulse, params: DeviceParams, roles: tuple[Role, ...], cavity_dim: int, mode: Mode
 ) -> np.ndarray:
-    """Local unitary of a pulse, on the same slots as :func:`pulse_local_hamiltonian`."""
+    """Local unitary of a pulse, on ``(qudit, cavity)`` if it touches the cavity, else its qudit."""
     role = _check_role(pulse.kind, pulse.slot, roles)
     kind = pulse.kind
     if kind is PulseKind.HADAMARD:
         return hadamard_local()
+    if kind in (PulseKind.PI_PULSE, PulseKind.PI_PULSE_DAG):
+        return _analytic_pi_pulse(role.pulse_level, kind is PulseKind.PI_PULSE_DAG)
     if mode is not Mode.ANALYTIC:
         h = pulse_local_hamiltonian(pulse, params, roles, cavity_dim, mode)
         return _local_exp(h, pulse.duration)
-    if kind in (PulseKind.PI_PULSE, PulseKind.PI_PULSE_DAG):
-        return _analytic_pi_pulse(role.pulse_level, kind is PulseKind.PI_PULSE_DAG)
     if kind is PulseKind.DISPERSIVE_PHASE:
         return _analytic_dispersive(cavity_dim)
     return _analytic_swap(role.pulse_level, cavity_dim)

@@ -291,8 +291,10 @@ def build_evolutions(
     a cavity actor is one :class:`HermitianOperator` of the kept idle terms
     and the pulses' first-principles generators; its members must share one
     duration.  Any other window is the kept idle phases, then its pulses'
-    local unitaries.  That is exact in a full-mode pi-pulse window, as each
-    of its terms acts on its own qubit.  ``docs/formats.md`` gives the
+    local unitaries, a pi pulse's in closed form.  That is exact in a
+    full-mode pi-pulse window: each of its terms acts on its own qubit, and
+    the closed form is the resonant drive's exponential at the pulse's
+    duration (:mod:`gatesim.pulses`).  ``docs/formats.md`` gives the
     fidelities the two idle conventions would move.
     """
     if include_idle is None:

@@ -169,12 +169,13 @@ def report(
     observes); photon population after the last window.  A window of local
     unitaries is not sampled, and loses nothing by it: the closed-form modes
     keep level 3 out of every window, and in full mode such a window is a
-    pi-pulse window, whose generator keeps the level-3 count and the photon
-    number, so both are constant inside it.  In the closed-form
-    modes each photon-exchanging window first checks that no column enters
-    with weight outside the swap's closed-form domain, and raises
-    ``ValueError`` if one does.  The walk's computational entries are scored
-    in place against :func:`ideal_columns`: no ``2^n x 2^n`` block is formed.
+    pi-pulse window, whose pulses (``|j> <-> |2>`` rotations) and idle
+    phases keep the level-3 count and the photon number, so both are
+    constant inside it.  In the closed-form modes each photon-exchanging
+    window first checks that no column enters with weight outside the swap's
+    closed-form domain, and raises ``ValueError`` if one does.  The walk's
+    computational entries are scored in place against :func:`ideal_columns`:
+    no ``2^n x 2^n`` block is formed.
     Every other field is a maximum over columns, so over the walked ones.
     """
     space = seq.space

@@ -6,7 +6,7 @@ import pytest
 
 from gatesim.device import DeviceParams, load_params, resolve_params_path
 from gatesim.linalg import HermitianOperator, Support, _check_local, _partition, _slot_layout
-from gatesim.pulses import Mode, make_pulse, pulse_local_unitary
+from gatesim.pulses import Mode, PulseKind, make_pulse, pulse_local_unitary
 from gatesim.sequences import GateKind, apply_evolutions, build_evolutions
 
 
@@ -113,6 +113,23 @@ def tensor_embed(local, space, slots):
     out = np.zeros((space.total_dim, space.total_dim), dtype=complex)
     out[rows[:, :, None], rows[:, None, :]] = local
     return out
+
+
+def resonant_drive(omega, phi, j):
+    """Resonant Rabi drive ``omega (e^{-i phi}|2><j| + e^{i phi}|j><2|)`` on one qudit.
+
+    The generator of the pi pulses, which the package keeps only in closed form.
+    """
+    h = np.zeros((4, 4), dtype=complex)
+    h[2, j] = omega * np.exp(-1j * phi)
+    h[j, 2] = omega * np.exp(1j * phi)
+    return h
+
+
+def pi_pulse_drive(pulse, params, roles):
+    """The drive whose exponential over the pulse's duration is the pi pulse."""
+    phi = -np.pi / 2 if pulse.kind is PulseKind.PI_PULSE_DAG else np.pi / 2
+    return resonant_drive(params.omega_resonant, phi, roles[pulse.slot].pulse_level)
 
 
 def product_state(space, locals_):

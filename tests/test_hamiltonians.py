@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import dense_operator, propagator, tensor_embed
+from conftest import dense_operator, propagator, resonant_drive, tensor_embed
 from gatesim import hamiltonians as ham
 from gatesim.device import Role
 from gatesim.hamiltonians import (
@@ -12,7 +12,6 @@ from gatesim.hamiltonians import (
     idle_coupling_local,
     raman_effective_local,
     raman_full_local,
-    resonant_drive_local,
 )
 from gatesim.linalg import HilbertSpace, process_fidelity
 from gatesim.pulses import Mode, PulseKind, make_pulse, pulse_local_hamiltonian
@@ -29,7 +28,7 @@ def idx(level, n, cavity=CAV):
 
 
 def resonant_drive_1q(omega, phi, j, space):
-    return dense_operator(space, tensor_embed(resonant_drive_local(omega, phi, j), space, (0,)))
+    return dense_operator(space, tensor_embed(resonant_drive(omega, phi, j), space, (0,)))
 
 
 # --- structure -------------------------------------------------------------
@@ -49,7 +48,7 @@ def test_builders_are_hermitian(unit_params, role):
         raman_full_local(unit_params, 0, role, CAV),
         raman_effective_local(unit_params, 0, role, CAV),
         idle_coupling_local(unit_params, 0, Role.TARGET, CAV, full=False),
-        resonant_drive_local(10.0, 0.7, role.pulse_level),
+        resonant_drive(10.0, 0.7, role.pulse_level),
         idle_coupling_local(unit_params, 0, role, CAV, full=True),
         idle_coupling_local(unit_params, 0, role, CAV, full=False),
     ):
@@ -292,12 +291,6 @@ def test_dispersive_eigenvalues(unit_params):
 
 
 # --- resonant drive ---------------------------------------------------------
-
-
-def test_resonant_drive_rejects_auxiliary_levels():
-    for j in (2, 3):
-        with pytest.raises(ValueError):
-            resonant_drive_local(1.0, 0.0, j)
 
 
 def test_resonant_drive_closed_form(unit_params):

@@ -3,8 +3,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import basis_vector, embedded_pulse, unitarity_defect
+from conftest import basis_vector, embedded_pulse, pi_pulse_drive, unitarity_defect
 from gatesim.device import Role
 from gatesim.linalg import HilbertSpace
 from gatesim.pulses import (
@@ -14,6 +16,7 @@ from gatesim.pulses import (
     make_pulse,
     pulse_duration,
     pulse_local_hamiltonian,
+    pulse_local_unitary,
 )
 from gatesim.verify import (
     elimination_comparison_indices,
@@ -86,6 +89,10 @@ def test_wrong_role_rejected(unit_params):
         (PulseKind.RAMAN_EMIT, Mode.ANALYTIC),
         (PulseKind.HADAMARD, Mode.EFFECTIVE),
         (PulseKind.HADAMARD, Mode.FULL),
+        (PulseKind.PI_PULSE, Mode.EFFECTIVE),
+        (PulseKind.PI_PULSE, Mode.FULL),
+        (PulseKind.PI_PULSE_DAG, Mode.EFFECTIVE),
+        (PulseKind.PI_PULSE_DAG, Mode.FULL),
     ],
 )
 def test_pulse_without_generator_rejected(unit_params, kind, mode):
@@ -193,6 +200,24 @@ def test_pi_pulse_analytic_equals_simulated_everywhere(unit_params, dagger):
     for mode in (Mode.EFFECTIVE, Mode.FULL):
         us = embedded_pulse(kind, unit_params, EMITTER, 0, space, mode)
         assert np.max(np.abs(ua - us)) <= 1e-10
+
+
+@given(
+    st.floats(min_value=1e-3, max_value=1e12),
+    st.sampled_from([PulseKind.PI_PULSE, PulseKind.PI_PULSE_DAG]),
+    st.sampled_from([ABSORBER, EMITTER]),  # j = 0 and j = 1
+)
+@settings(max_examples=60, deadline=None)
+def test_pi_pulse_is_the_exponential_of_its_drive(unit_params, omega, kind, roles):
+    # the resonant drive rotates |j> <-> |2> alone, and pi / (2 omega) is a
+    # quarter turn: its exponential is the closed form to round-off
+    params = replace(unit_params, omega_resonant=omega)
+    pulse = make_pulse(kind, 0, params, roles)
+    w, v = np.linalg.eigh(pi_pulse_drive(pulse, params, roles))
+    expected = (v * np.exp(-1j * w * pulse.duration)) @ v.conj().T
+    for mode in (Mode.EFFECTIVE, Mode.FULL):
+        u = pulse_local_unitary(pulse, params, roles, 3, mode)
+        assert np.max(np.abs(u - expected)) <= 1e-15
 
 
 def test_full_emit_matches_analytic_at_large_detuning(unit_params):

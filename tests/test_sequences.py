@@ -15,6 +15,7 @@ from conftest import (
     dense_matrix,
     ideal_ncp,
     level_count,
+    pi_pulse_drive,
     product_state,
     qudit_level,
     qudit_plus,
@@ -450,9 +451,11 @@ def dense_window_reference(seq, pulses, idle_slots):
     space = seq.space
     total = np.zeros((space.total_dim, space.total_dim), dtype=complex)
     for p in pulses:
-        local = pulse_local_hamiltonian(p, seq.params, seq.roles, space.cavity_dim, Mode.FULL)
-        slots = (p.slot, space.cavity_slot) if p.kind.touches_cavity else (p.slot,)
-        total += tensor_embed(local, space, slots)
+        if p.kind.touches_cavity:
+            local = pulse_local_hamiltonian(p, seq.params, seq.roles, space.cavity_dim, Mode.FULL)
+            total += tensor_embed(local, space, (p.slot, space.cavity_slot))
+        else:
+            total += tensor_embed(pi_pulse_drive(p, seq.params, seq.roles), space, (p.slot,))
     for q in idle_slots:
         local = idle_coupling_local(seq.params, q, seq.roles[q], space.cavity_dim, full=False)
         total += tensor_embed(local, space, (q, space.cavity_slot))
@@ -598,6 +601,17 @@ def test_full_windows_keep_norm_and_excitation_sector(cpw_params, gate, n, cavit
     assert cavity_windows >= 3
 
 
+def test_full_support_holds_no_round_off(cpw_params):
+    # a pi pulse has exact zeros where a numerical exponential of its drive
+    # leaves cos(pi/2) ~ 6e-17, which every later window would carry along
+    seq = ncp_sequence(6, cpw_params)
+    space = seq.space
+    comp = np.array(space.computational_indices())
+    walk = Support(space, np.arange(comp.size), comp, np.ones(comp.size, dtype=complex))
+    walk = apply_evolutions(build_evolutions(seq, Mode.FULL), space, walk)
+    assert np.min(np.abs(walk.amp)) >= 1e-12
+
+
 @pytest.mark.parametrize("cavity_dim", [2, 3])
 @pytest.mark.parametrize("include_idle", [True, False])
 @pytest.mark.parametrize("gate,n", GATES_UP_TO_4)
@@ -629,13 +643,17 @@ def test_full_local_windows_match_dense_expm(unit_params, gate, n, include_idle,
             assert np.count_nonzero(ref * (count[None, :] - count[:, None])) == 0
 
 
-def test_full_pi_window_rejects_non_hermitian_drive(unit_params, monkeypatch):
-    # the drive's lower triangle dropped: |j> -> |2> without its way back
-    drive = ham_mod.resonant_drive_local
-    one_way = lambda omega, phi, j: np.triu(drive(omega, phi, j))
-    monkeypatch.setattr(ham_mod, "resonant_drive_local", one_way)
+@pytest.mark.parametrize(
+    "mode,builder", [(Mode.FULL, "raman_full_local"), (Mode.EFFECTIVE, "raman_effective_local")]
+)
+def test_raman_window_rejects_non_hermitian_drive(unit_params, monkeypatch, mode, builder):
+    # the generator's lower triangle dropped: each move without its way back;
+    # a full Raman window checks it as a HermitianOperator term, an effective
+    # one before its local exponential
+    generator = getattr(ham_mod, builder)
+    monkeypatch.setattr(ham_mod, builder, lambda *args: np.triu(generator(*args)))
     with pytest.raises(ValueError, match="not Hermitian"):
-        build_evolutions(ntcnot_sequence(3, unit_params), Mode.FULL)
+        build_evolutions(ntcnot_sequence(3, unit_params), mode)
 
 
 @pytest.mark.parametrize("mode", [Mode.FULL, Mode.EFFECTIVE])
